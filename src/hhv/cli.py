@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .chains import (
@@ -80,6 +80,11 @@ class RunConfig:
     input_path: str | None = None
 
 
+_OUTPUT_FORMATS = ("json", "csv", "human")
+# base type of each field, read from its annotation: "float | None" -> "float"
+_FIELD_TYPES = {fld.name: fld.type.split(" | ")[0] for fld in fields(RunConfig)}
+
+
 # ----------------------------- argument handling ------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-t", dest="grid_t", type=int, help="t lattice size (odd)")
         p.add_argument("--samples", type=int, help="random triples per check")
         p.add_argument("--format", dest="output_format",
-                       choices=("json", "csv", "human"), help="stdout format")
+                       choices=_OUTPUT_FORMATS, help="stdout format")
         p.add_argument("--diagnostics", action="store_true", default=None,
                        help="include proof-intermediate diagnostic terms")
         p.add_argument("--config", help="JSON config file merged under explicit flags")
@@ -140,8 +145,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--input", dest="input_path",
                           help="report path, or '-' for stdin")
     p_report.add_argument("--format", dest="output_format",
-                          choices=("json", "csv", "human"))
+                          choices=_OUTPUT_FORMATS)
     return parser
+
+
+def _file_value(field: str, value):
+    """Convert a config-file value to the type of its :class:`RunConfig` field.
+
+    Numbers may be given as JSON numbers or numeric strings; booleans are not
+    numbers here.
+    """
+    kind = _FIELD_TYPES[field]
+    if kind == "str":
+        if isinstance(value, str):
+            return value
+    elif kind == "bool":
+        if isinstance(value, bool):
+            return value
+    elif not isinstance(value, bool):
+        try:
+            if kind == "float":
+                return float(value)
+            if not isinstance(value, float):
+                return int(value)
+            if value.is_integer():
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"config value for {field!r} must be of type {kind}, got {value!r}")
 
 
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
@@ -156,6 +187,9 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {cfg_path}: {err}") from err
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        # null leaves a field at its default, as an absent key does
+        file_cfg = {k: _file_value(k, v) for k, v in file_cfg.items()
+                    if k in _FIELD_TYPES and v is not None}
 
     defaults = RunConfig(command=ns.command)
 
@@ -192,20 +226,20 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
         chain_id=chain_id,
         target=pick("target"),
         f_family=pick("f_family"),
-        f_degree=int(pick("f_degree")),
-        f_coeff_min=float(pick("f_coeff_min")),
-        f_coeff_max=float(pick("f_coeff_max")),
+        f_degree=pick("f_degree"),
+        f_coeff_min=pick("f_coeff_min"),
+        f_coeff_max=pick("f_coeff_max"),
         phi_family=pick("phi_family"),
-        phi_degree=int(pick("phi_degree")),
-        grid_x=int(pick("grid_x")),
-        grid_t=int(pick("grid_t")),
-        samples=int(pick("samples")),
-        seed=int(seed),
-        quad_tol=float(pick("quad_tol")),
+        phi_degree=pick("phi_degree"),
+        grid_x=pick("grid_x"),
+        grid_t=pick("grid_t"),
+        samples=pick("samples"),
+        seed=seed,
+        quad_tol=pick("quad_tol"),
         tolerance=pick("tolerance"),
-        budget=int(pick("budget")),
+        budget=pick("budget"),
         output_format=pick("output_format") or "json",
-        diagnostics=bool(pick("diagnostics")),
+        diagnostics=pick("diagnostics"),
         input_path=pick("input_path"),
     )
     _validate(cfg)
@@ -240,9 +274,12 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"--budget must be >= 1, got {cfg.budget}")
     if cfg.command == "report" and cfg.input_path is None:
         raise ConfigError("--input is required")
-    if cfg.quad_tol <= 0:
+    if cfg.output_format not in _OUTPUT_FORMATS:
+        raise ConfigError(f"--format must be one of {', '.join(_OUTPUT_FORMATS)}")
+    # "not > 0" also rejects NaN
+    if not cfg.quad_tol > 0:
         raise ConfigError("--quad-tol must be positive")
-    if cfg.tolerance is not None and cfg.tolerance <= 0:
+    if cfg.tolerance is not None and not cfg.tolerance > 0:
         raise ConfigError("--tol must be positive")
 
 

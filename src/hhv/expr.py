@@ -300,27 +300,35 @@ def serialize(node: Node) -> str:
 
 # ----------------------------- evaluation -----------------------------------
 
-def _walk(node: Node, x: np.ndarray, guards: list[tuple[np.ndarray, str]]) -> np.ndarray:
+def _walk(node: Node, x: np.ndarray, guards: list[tuple[np.ndarray, str]]) -> np.ndarray | float:
+    # Constant subtrees stay Python floats: IEEE-754 arithmetic on them and
+    # numpy's on broadcast arrays agree bit for bit.  An array is built only
+    # where an operation needs one.  A guard is appended only when it can
+    # fire; the rest keep the post-order, so the reported error is unchanged.
+    # A value at a point where a guard fires is never returned and reaches
+    # only guards later in post-order, so it is not replaced by NaN.
     if isinstance(node, Num):
-        return np.full_like(x, node.value)
+        return float(node.value)
     if isinstance(node, Var):
         return x
     if isinstance(node, Const):
-        return np.full_like(x, _CONSTANTS[node.name])
+        return _CONSTANTS[node.name]
     if isinstance(node, Unary):
         v = _walk(node.arg, x, guards)
         if node.op == "neg":
             return -v
+        if node.op == "abs":
+            return abs(v)
+        if type(v) is float:
+            v = np.full_like(x, v)
         if node.op == "exp":
             return np.exp(v)
         if node.op == "ln":
             guards.append((~(v > 0), "ln of non-positive argument"))
-            return np.log(np.where(v > 0, v, np.nan))
+            return np.log(v)
         if node.op == "sqrt":
             guards.append((v < 0, "sqrt of negative argument"))
-            return np.sqrt(np.where(v >= 0, v, np.nan))
-        if node.op == "abs":
-            return np.abs(v)
+            return np.sqrt(v)
         raise AssertionError(node.op)
     if isinstance(node, Binary):
         lv = _walk(node.left, x, guards)
@@ -333,15 +341,28 @@ def _walk(node: Node, x: np.ndarray, guards: list[tuple[np.ndarray, str]]) -> np
         if op == "*":
             return lv * rv
         if op == "/":
+            if type(rv) is float:
+                if rv != 0:
+                    return lv / rv
+                rv = np.full_like(x, rv)
             guards.append((rv == 0, "division by zero"))
-            return lv / np.where(rv != 0, rv, np.nan)
+            return lv / rv
         if op == "^":
-            neg_base = lv < 0
+            if type(lv) is float:
+                lv = np.full_like(x, lv)
+            if type(rv) is float:
+                # a scalar exponent would take numpy's square/sqrt/reciprocal
+                # fast paths, which round differently from the general power
+                r, rv = rv, np.full_like(x, rv)
+                if not (r.is_integer() or math.isinf(r)):
+                    guards.append((lv < 0, "negative base with non-integer exponent"))
+                if r < 0:
+                    guards.append((lv == 0, "zero raised to a negative exponent"))
+                return np.power(lv, rv)
             frac_exp = rv != np.round(rv)
-            guards.append((neg_base & frac_exp, "negative base with non-integer exponent"))
+            guards.append(((lv < 0) & frac_exp, "negative base with non-integer exponent"))
             guards.append(((lv == 0) & (rv < 0), "zero raised to a negative exponent"))
-            safe = np.where(neg_base & frac_exp, np.nan, lv)
-            return np.power(safe, rv)
+            return np.power(lv, rv)
         raise AssertionError(op)
     raise TypeError(f"not an AST node: {node!r}")
 
@@ -353,26 +374,30 @@ def evaluate_array(f: Expr, xs: np.ndarray) -> np.ndarray:
     witness selection is independent of internal evaluation order.
     """
     pts = np.asarray(xs, dtype=float)
-    if pts.size and not np.all(np.isfinite(pts)):
+    # argmin/argmax find the first offending point without a separate
+    # all()/any() pass, which dominates on small arrays
+    finite = np.isfinite(pts).ravel()
+    if finite.size and not finite[finite.argmin()]:
         raise ValueError("evaluation points must be finite")
     guards: list[tuple[np.ndarray, str]] = []
     with np.errstate(all="ignore"):
         vals = _walk(f.root, pts, guards)
-    vals = np.asarray(vals, dtype=float)
-    if guards:
-        bad_domain = np.zeros(pts.shape, dtype=bool)
-        for mask, _ in guards:
-            bad_domain |= mask
+    if type(vals) is float:
+        vals = np.full_like(pts, vals)
     else:
-        bad_domain = np.zeros(pts.shape, dtype=bool)
-    bad = bad_domain | ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad.ravel()))
-        at = float(pts.ravel()[i])
-        for mask, reason in guards:
-            if mask.ravel()[i]:
-                raise DomainError(reason, x=at, index=i)
-        raise Overflow(x=at, index=i)
+        vals = np.asarray(vals, dtype=float)
+    bad = ~np.isfinite(vals)
+    for mask, _ in guards:
+        bad |= mask
+    bad = bad.ravel()
+    if bad.size:
+        i = int(bad.argmax())
+        if bad[i]:
+            at = float(pts.ravel()[i])
+            for mask, reason in guards:
+                if mask.ravel()[i]:
+                    raise DomainError(reason, x=at, index=i)
+            raise Overflow(x=at, index=i)
     return vals
 
 

@@ -1,6 +1,10 @@
+import csv
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,14 @@ class TestExitCodes:
     def test_bad_interval_is_two(self, capsys):
         code, payload, _ = run_json(
             capsys, "check", "--class", "convex", "--f", "x", "--a", "2", "--b", "1")
+        assert code == 2
+        assert payload["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize("flag", ["--tol", "--quad-tol"])
+    def test_nan_tolerance_is_two(self, capsys, flag):
+        code, payload, _ = run_json(
+            capsys, "check", "--class", "convex", "--f", "x^2",
+            "--a", "-1", "--b", "1", flag, "nan", *FAST)
         assert code == 2
         assert payload["error"]["type"] == "ConfigError"
 
@@ -115,7 +127,6 @@ class TestSchema:
 
     def test_schema_document_validates(self, capsys):
         jsonschema = pytest.importorskip("jsonschema")
-        from pathlib import Path
         schema = json.loads(
             (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json")
             .read_text())
@@ -175,6 +186,40 @@ class TestConfigFile:
             capsys, "check", "--config", "/nonexistent.json",
             "--class", "convex", "--f", "x", "--a", "0", "--b", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("values", [
+        {"tolerance": "abc"},
+        {"tolerance": "nan"},
+        {"output_format": "yaml"},
+        {"samples": 2.5},
+        {"samples": True},
+        {"diagnostics": "false"},
+        {"a": [0.0]},
+    ])
+    def test_bad_config_value_is_usage_error(self, capsys, tmp_path, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, payload, _ = run_json(
+            capsys, "check", "--config", str(cfg),
+            "--class", "convex", "--f", "x^2", "--a", "-1", "--b", "1", *FAST)
+        assert code == 2
+        assert payload["error"]["type"] == "ConfigError"
+
+    def test_config_values_take_field_types(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "tolerance": "1e-9", "samples": 32.0, "seed": "5", "b": 1,
+            "output_format": "csv", "budget": None,
+        }))
+        code, out, _ = run_cli(
+            capsys, "check", "--config", str(cfg),
+            "--class", "convex", "--f", "x^2", "--a", "-1",
+            "--grid-x", "9", "--grid-t", "5")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        row = dict(zip(header, row))
+        assert row["tolerance"] == "1e-09"
+        assert row["seed"] == "5"
 
 
 class TestDefaults:
@@ -272,10 +317,14 @@ class TestReportCommand:
 
 class TestSubprocessEntry:
     def test_module_execution(self):
+        # the child does not see pytest's sys.path, so point it at src/
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "hhv", "check", "--class", "convex",
              "--f", "x^2", "--a", "-1", "--b", "1", *FAST],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=env)
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["verdict"] == "holds_on_samples"

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from hhv.errors import DomainError, Overflow, ParseError, UnknownIdentifierError
+from hhv.errors import DomainError, EvalError, Overflow, ParseError, UnknownIdentifierError
 from hhv.expr import (
     Binary, Const, Expr, Interval, Num, Unary, Var,
-    check_positive, evaluate, parse, serialize,
+    check_positive, evaluate, evaluate_array, parse, serialize,
 )
 
 
@@ -165,6 +165,167 @@ class TestEvaluate:
     def test_rejects_nonfinite_points(self):
         with pytest.raises(ValueError):
             evaluate(parse("x"), math.inf)
+
+
+# Reference: the fully guarded walk, which builds an array for every constant
+# and appends every guard.  evaluate_array must agree with it bit for bit.
+_REF_CONSTANTS = {"e": math.e, "pi": math.pi}
+
+
+def _ref_walk(node, x, guards):
+    if isinstance(node, Num):
+        return np.full_like(x, node.value)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Const):
+        return np.full_like(x, _REF_CONSTANTS[node.name])
+    if isinstance(node, Unary):
+        v = _ref_walk(node.arg, x, guards)
+        if node.op == "neg":
+            return -v
+        if node.op == "exp":
+            return np.exp(v)
+        if node.op == "ln":
+            guards.append((~(v > 0), "ln of non-positive argument"))
+            return np.log(np.where(v > 0, v, np.nan))
+        if node.op == "sqrt":
+            guards.append((v < 0, "sqrt of negative argument"))
+            return np.sqrt(np.where(v >= 0, v, np.nan))
+        if node.op == "abs":
+            return np.abs(v)
+        raise AssertionError(node.op)
+    if isinstance(node, Binary):
+        lv = _ref_walk(node.left, x, guards)
+        rv = _ref_walk(node.right, x, guards)
+        op = node.op
+        if op == "+":
+            return lv + rv
+        if op == "-":
+            return lv - rv
+        if op == "*":
+            return lv * rv
+        if op == "/":
+            guards.append((rv == 0, "division by zero"))
+            return lv / np.where(rv != 0, rv, np.nan)
+        if op == "^":
+            neg_base = lv < 0
+            frac_exp = rv != np.round(rv)
+            guards.append((neg_base & frac_exp, "negative base with non-integer exponent"))
+            guards.append(((lv == 0) & (rv < 0), "zero raised to a negative exponent"))
+            safe = np.where(neg_base & frac_exp, np.nan, lv)
+            return np.power(safe, rv)
+        raise AssertionError(op)
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _ref_evaluate_array(f, xs):
+    pts = np.asarray(xs, dtype=float)
+    if pts.size and not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation points must be finite")
+    guards = []
+    with np.errstate(all="ignore"):
+        vals = _ref_walk(f.root, pts, guards)
+    vals = np.asarray(vals, dtype=float)
+    bad_domain = np.zeros(pts.shape, dtype=bool)
+    for mask, _ in guards:
+        bad_domain |= mask
+    bad = bad_domain | ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad.ravel()))
+        at = float(pts.ravel()[i])
+        for mask, reason in guards:
+            if mask.ravel()[i]:
+                raise DomainError(reason, x=at, index=i)
+        raise Overflow(x=at, index=i)
+    return vals
+
+
+def _outcome(evaluator, f, xs):
+    try:
+        return evaluator(f, xs), None
+    except EvalError as err:
+        return None, (type(err), getattr(err, "reason", None), err.index, err.x)
+
+
+def _assert_matches_reference(f, xs):
+    want, want_err = _outcome(_ref_evaluate_array, f, xs)
+    got, got_err = _outcome(evaluate_array, f, xs)
+    assert got_err == want_err
+    if want is not None:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # bytes, not ==, so that -0.0 and 0.0 count as different
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    return got, got_err
+
+
+# _asts never builds integral, zero or signed-zero constants, which are what
+# decide whether a division or power guard can fire
+_wide_leaves = st.one_of(
+    _leaves,
+    st.builds(Num, st.integers(min_value=0, max_value=12).map(float)),
+    st.builds(Num, st.sampled_from([0.0, -0.0, 0.5, 1.5, -2.0, 1e300])),
+)
+_wide_asts = st.recursive(
+    _wide_leaves,
+    lambda children: st.one_of(
+        st.builds(Unary, st.sampled_from(["neg", "exp", "ln", "sqrt", "abs"]), children),
+        st.builds(Binary, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
+    ),
+    max_leaves=12,
+)
+_points = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]),
+        st.floats(min_value=-2.0, max_value=2.0),
+    ),
+    min_size=1, max_size=9,
+)
+
+
+class TestGuardElision:
+    @settings(max_examples=400, deadline=None)
+    @given(_wide_asts, _points)
+    def test_bit_identical_to_guarded_walk(self, node, points):
+        _assert_matches_reference(Expr(node, serialize(node)), np.array(points))
+
+    def test_integral_power_of_negative_base(self):
+        vals, err = _assert_matches_reference(parse("x^2"), np.array([-3.0, 0.0, 1.5]))
+        assert err is None
+        assert list(vals) == [9.0, 0.0, 2.25]
+
+    @pytest.mark.parametrize("text", ["x^2", "x^0.5", "x^-1"])
+    def test_constant_exponent_avoids_scalar_fast_paths(self, text):
+        # numpy's square/sqrt/reciprocal paths for these scalar exponents
+        # differ from the general power in the last bit on ~5% of points
+        _assert_matches_reference(parse(text), np.linspace(0.01, 3.7, 257))
+
+    @pytest.mark.parametrize("text, xs, reason, index", [
+        ("x^-2", [1.0, 0.0], "zero raised to a negative exponent", 1),
+        ("x^0.5", [4.0, -1.0], "negative base with non-integer exponent", 1),
+        ("(x - 1)^(-1.5)", [2.0, 0.5, 1.0], "negative base with non-integer exponent", 1),
+        ("(x - 1)^(-1.5)", [2.0, 1.0], "zero raised to a negative exponent", 1),
+        ("1/0", [0.5, 1.0], "division by zero", 0),
+        ("1/(x - x)", [0.5, 1.0], "division by zero", 0),
+    ])
+    def test_guard_still_fires(self, text, xs, reason, index):
+        _, err = _assert_matches_reference(parse(text), np.array(xs))
+        assert err is not None
+        assert err[:3] == (DomainError, reason, index)
+
+    def test_division_by_nonzero_constant(self):
+        xs = np.array([-1.5, 0.0, 3.0])
+        vals, err = _assert_matches_reference(parse("x/0.5"), xs)
+        assert err is None
+        assert list(vals) == [-3.0, 0.0, 6.0]
+
+    @pytest.mark.parametrize("text, value", [("2", 2.0), ("-(e)", -math.e)])
+    def test_constant_root_is_float_array_of_input_shape(self, text, value):
+        xs = np.linspace(0.0, 1.0, 5)
+        vals, err = _assert_matches_reference(parse(text), xs)
+        assert err is None
+        assert isinstance(vals, np.ndarray) and vals.dtype == np.float64
+        assert vals.shape == xs.shape
+        assert (vals == value).all()
 
 
 class TestCheckPositive:
