@@ -187,9 +187,11 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {cfg_path}: {err}") from err
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = [k for k in file_cfg if k not in _FIELD_TYPES]
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         # null leaves a field at its default, as an absent key does
-        file_cfg = {k: _file_value(k, v) for k, v in file_cfg.items()
-                    if k in _FIELD_TYPES and v is not None}
+        file_cfg = {k: _file_value(k, v) for k, v in file_cfg.items() if v is not None}
 
     defaults = RunConfig(command=ns.command)
 

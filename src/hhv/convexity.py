@@ -10,6 +10,7 @@ a universally quantified inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import EvalError, PhiRangeViolated, PositivityViolated
 from .expr import Expr, Interval, check_positive, parse
 
 __all__ = [
-    "SamplePlan", "SampleTriple", "PhiMap", "ConvexityReport",
+    "SamplePlan", "SampleSet", "SampleTriple", "PhiMap", "ConvexityReport",
     "LinkCheck", "ImplicationLatticeReport", "EquivalenceReport",
     "VERDICT_HOLDS", "VERDICT_VIOLATED",
     "check_convex", "check_log_convex", "check_phi_convex",
@@ -68,17 +69,21 @@ class SamplePlan:
         if self.random_count < 0:
             raise ValueError(f"random_count must be >= 0, got {self.random_count}")
 
+    def samples(self, interval: Interval) -> "SampleSet":
+        """The sample set over ``interval``, stored factored."""
+        u = _philox(self.seed, _STREAM_TRIPLES).random((self.random_count, 3))
+        return SampleSet(
+            gx=np.linspace(interval.a, interval.b, self.x_points),
+            gt=np.linspace(0.0, 1.0, self.t_points),
+            rx=interval.a + interval.width * u[:, 0],
+            ry=interval.a + interval.width * u[:, 1],
+            # contiguous, for numpy's faster loops; the values are unchanged
+            rt=np.ascontiguousarray(u[:, 2]),
+        )
+
     def triples(self, interval: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        gx = np.linspace(interval.a, interval.b, self.x_points)
-        gt = np.linspace(0.0, 1.0, self.t_points)
-        x, y, t = np.meshgrid(gx, gx, gt, indexing="ij")
-        xs, ys, ts = x.ravel(), y.ravel(), t.ravel()
-        if self.random_count:
-            u = _philox(self.seed, _STREAM_TRIPLES).random((self.random_count, 3))
-            xs = np.concatenate([xs, interval.a + interval.width * u[:, 0]])
-            ys = np.concatenate([ys, interval.a + interval.width * u[:, 1]])
-            ts = np.concatenate([ts, u[:, 2]])
-        return xs, ys, ts
+        """Every sample as flat (x, y, t) arrays; see :meth:`SampleSet.triples`."""
+        return self.samples(interval).triples()
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,77 @@ class SampleTriple:
     x: float
     y: float
     t: float
+
+
+class SampleSet(NamedTuple):
+    """Sample triples stored factored: the lattice axes, then flat triples.
+
+    The triples, in order, are every (gx[i], gx[j], gt[k]) with k varying
+    fastest, then every (rx[m], ry[m], rt[m]).  A lattice abscissa is a
+    chord end of many triples, so functions of the ends are evaluated once
+    per entry of :meth:`ends` and broadcast by :meth:`pairwise`.
+    """
+
+    gx: np.ndarray
+    gt: np.ndarray
+    rx: np.ndarray
+    ry: np.ndarray
+    rt: np.ndarray
+
+    @property
+    def lattice_size(self) -> int:
+        return len(self.gx) ** 2 * len(self.gt)
+
+    @property
+    def size(self) -> int:
+        return self.lattice_size + len(self.rx)
+
+    def ends(self) -> np.ndarray:
+        """The chord ends: the lattice axis, the random x, the random y."""
+        return np.concatenate([self.gx, self.rx, self.ry])
+
+    def first_index(self, k: int) -> int:
+        """Index of the triple at which ``ends()[k]`` is first met when every
+        x of the flat triples is visited before every y.
+
+        The map is monotone in ``k``, so the first failing end gives the
+        failing triple of that flat evaluation order.
+        """
+        nx, nr = len(self.gx), len(self.rx)
+        if k < nx:
+            return k * nx * len(self.gt)
+        if k < nx + nr:
+            return self.lattice_size + k - nx
+        return self.lattice_size + k - nx - nr
+
+    def point(self, i: int) -> SampleTriple:
+        """The triple at index ``i``."""
+        if i < self.lattice_size:
+            nt = len(self.gt)
+            a, rest = divmod(i, len(self.gx) * nt)
+            b, k = divmod(rest, nt)
+            return SampleTriple(float(self.gx[a]), float(self.gx[b]), float(self.gt[k]))
+        m = i - self.lattice_size
+        return SampleTriple(float(self.rx[m]), float(self.ry[m]), float(self.rt[m]))
+
+    def pairwise(self, fn, at_ends: np.ndarray) -> np.ndarray:
+        """``fn(t, v(x), v(y))`` for every triple, in order, from v at :meth:`ends`.
+
+        ``fn`` works elementwise, so the lattice part is the same IEEE
+        arithmetic on broadcast operands as on flattened ones.
+        """
+        nx, nr, nt = len(self.gx), len(self.rx), len(self.gt)
+        g = at_ends[:nx]
+        lattice = fn(self.gt[None, None, :], g[:, None, None], g[None, :, None])
+        rand = fn(self.rt, at_ends[nx:nx + nr], at_ends[nx + nr:])
+        return np.concatenate([np.broadcast_to(lattice, (nx, nx, nt)).reshape(-1), rand])
+
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every triple as flat (x, y, t) arrays, in order."""
+        x, y, t = np.meshgrid(self.gx, self.gx, self.gt, indexing="ij")
+        return (np.concatenate([x.ravel(), self.rx]),
+                np.concatenate([y.ravel(), self.ry]),
+                np.concatenate([t.ravel(), self.rt]))
 
 
 @dataclass(frozen=True)
@@ -199,34 +275,61 @@ def _require_positive_values(vals: np.ndarray, points: np.ndarray) -> None:
         raise PositivityViolated(float(points[i]), f"f = {vals[i]!r} is not positive")
 
 
-def _margins(f, phi: PhiMap | None, xs, ys, ts, log_space: bool) -> np.ndarray:
-    if phi is not None:
-        px = phi.eval_array(xs)
-        py = phi.eval_array(ys)
-    else:
-        px, py = xs, ys
-    mix = ts * px + (1.0 - ts) * py
-    fx = f.eval_array(px)
-    fy = f.eval_array(py)
+def _chord(t, u, v):
+    return t * u + (1.0 - t) * v
+
+
+def _larger(t, u, v):
+    return np.maximum(u, v)
+
+
+def _values(f, phi: PhiMap | None, samples: SampleSet,
+            log_space: bool) -> tuple[np.ndarray, np.ndarray]:
+    """f at the deformed chord ends and at the mixes t*phi(x) + (1-t)*phi(y).
+
+    Raises what evaluating phi(x), phi(y), f(phi(x)), f(phi(y)) and f(mix)
+    over the flat triples, in that order, raises first; an EvalError's
+    index refers to the triples.  Returns f at :meth:`SampleSet.ends` and
+    f at every mix, in triple order.
+    """
+    ends = samples.ends()
+    try:
+        if phi is not None:
+            try:
+                ends = phi.eval_array(ends)
+            except EvalError as err:
+                # phi(x) is range-checked before any phi(y) is evaluated
+                n_x = len(samples.gx) + len(samples.rx)
+                if err.index >= n_x:
+                    phi.eval_array(ends[:n_x])
+                raise
+        fe = f.eval_array(ends)
+    except EvalError as err:
+        err.index = samples.first_index(err.index)
+        raise
+    mix = samples.pairwise(_chord, ends)
     fm = f.eval_array(mix)
     if log_space:
-        _require_positive_values(fx, px)
-        _require_positive_values(fy, py)
+        _require_positive_values(fe, ends)
         _require_positive_values(fm, mix)
-        return ts * np.log(fx) + (1.0 - ts) * np.log(fy) - np.log(fm)
-    return ts * fx + (1.0 - ts) * fy - fm
+    return fe, fm
 
 
-def _assemble(class_checked, xs, ys, ts, tolerance, margins=None, eval_error=None,
-              samples=None) -> ConvexityReport:
-    n = len(xs) if samples is None else samples
+def _margins(f, phi: PhiMap | None, samples: SampleSet, log_space: bool) -> np.ndarray:
+    fe, fm = _values(f, phi, samples, log_space)
+    if log_space:
+        fe, fm = np.log(fe), np.log(fm)
+    return samples.pairwise(_chord, fe) - fm
+
+
+def _assemble(class_checked, samples: SampleSet, tolerance, margins=None,
+              eval_error=None) -> ConvexityReport:
+    n = samples.size
     if eval_error is not None:
-        idx = eval_error.index or 0
-        witness = SampleTriple(float(xs[idx]), float(ys[idx]), float(ts[idx]))
         return ConvexityReport(
             class_checked=class_checked, verdict=VERDICT_VIOLATED, samples_tested=n,
-            min_margin=float("-inf"), witness=witness, tolerance=tolerance,
-            failure_kind="domain", failure_detail=str(eval_error),
+            min_margin=float("-inf"), witness=samples.point(eval_error.index or 0),
+            tolerance=tolerance, failure_kind="domain", failure_detail=str(eval_error),
         )
     if margins.size == 0:
         return ConvexityReport(class_checked, VERDICT_HOLDS, 0, float("inf"),
@@ -234,26 +337,25 @@ def _assemble(class_checked, xs, ys, ts, tolerance, margins=None, eval_error=Non
     min_margin = float(margins.min())
     if min_margin < -tolerance:
         # worst violation; argmin picks the smallest index among exact ties
-        idx = int(np.argmin(margins))
-        witness = SampleTriple(float(xs[idx]), float(ys[idx]), float(ts[idx]))
         return ConvexityReport(
             class_checked=class_checked, verdict=VERDICT_VIOLATED, samples_tested=n,
-            min_margin=min_margin, witness=witness, tolerance=tolerance,
-            failure_kind="inequality",
+            min_margin=min_margin, witness=samples.point(int(np.argmin(margins))),
+            tolerance=tolerance, failure_kind="inequality",
         )
     return ConvexityReport(class_checked, VERDICT_HOLDS, n, min_margin, None, tolerance)
 
 
 def _run_check(class_checked, f, phi, interval, sampler, tolerance, log_space,
                force_half_t=False) -> ConvexityReport:
-    xs, ys, ts = sampler.triples(interval)
+    samples = sampler.samples(interval)
     if force_half_t:
-        ts = np.full_like(ts, 0.5)
+        samples = samples._replace(gt=np.full_like(samples.gt, 0.5),
+                                   rt=np.full_like(samples.rt, 0.5))
     try:
-        margins = _margins(f, phi, xs, ys, ts, log_space)
+        margins = _margins(f, phi, samples, log_space)
     except EvalError as err:
-        return _assemble(class_checked, xs, ys, ts, tolerance, eval_error=err)
-    return _assemble(class_checked, xs, ys, ts, tolerance, margins=margins)
+        return _assemble(class_checked, samples, tolerance, eval_error=err)
+    return _assemble(class_checked, samples, tolerance, margins=margins)
 
 
 def _require_positivity(f, interval: Interval, grid: int) -> None:
@@ -317,35 +419,25 @@ def check_implication_chain(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), 
     hold for every positive f; only link 1 reflects the convexity class.
     """
     _require_positivity(f, phi.domain, positivity_grid)
-    xs, ys, ts = sampler.triples(phi.domain)
-    px = phi.eval_array(xs)
-    py = phi.eval_array(ys)
-    mix = ts * px + (1.0 - ts) * py
-    fx = f.eval_array(px)
-    fy = f.eval_array(py)
-    fm = f.eval_array(mix)
-    _require_positive_values(fx, px)
-    _require_positive_values(fy, py)
-    _require_positive_values(fm, mix)
-    lfx, lfy = np.log(fx), np.log(fy)
-    weighted_gm = np.exp(ts * lfx + (1.0 - ts) * lfy)
-    weighted_am = ts * fx + (1.0 - ts) * fy
+    samples = sampler.samples(phi.domain)
+    fe, fm = _values(f, phi, samples, log_space=True)
+    log_gm = samples.pairwise(_chord, np.log(fe))
+    weighted_am = samples.pairwise(_chord, fe)
 
     link_margins = (
-        ("multiplicative_bound", ts * lfx + (1.0 - ts) * lfy - np.log(fm)),
-        ("weighted_am_gm", weighted_am - weighted_gm),
-        ("max_bound", np.maximum(fx, fy) - weighted_am),
+        ("multiplicative_bound", log_gm - np.log(fm)),
+        ("weighted_am_gm", weighted_am - np.exp(log_gm)),
+        ("max_bound", samples.pairwise(_larger, fe) - weighted_am),
     )
     links = []
     for name, margins in link_margins:
         min_margin = float(margins.min())
         if min_margin < -tolerance:
-            idx = int(np.argmin(margins))
-            witness = SampleTriple(float(xs[idx]), float(ys[idx]), float(ts[idx]))
+            witness = samples.point(int(np.argmin(margins)))
             links.append(LinkCheck(name, VERDICT_VIOLATED, min_margin, witness))
         else:
             links.append(LinkCheck(name, VERDICT_HOLDS, min_margin, None))
-    return ImplicationLatticeReport(tuple(links), len(xs), tolerance)
+    return ImplicationLatticeReport(tuple(links), samples.size, tolerance)
 
 
 # ----------------------------- chord equivalences ----------------------------
@@ -365,11 +457,10 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
 
     # direct side on matched samples: the drawn pairs crossed with the t lattice
     gt = np.linspace(0.0, 1.0, sampler.t_points)
-    xs = np.repeat(pair_x, sampler.t_points)
-    ys = np.repeat(pair_y, sampler.t_points)
-    ts = np.tile(gt, pair_count)
-    direct_margins = _margins(f, phi, xs, ys, ts, log_space)
-    direct_violated = direct_margins < -tolerance
+    no_lattice = np.empty(0)
+    direct = SampleSet(no_lattice, no_lattice, np.repeat(pair_x, sampler.t_points),
+                       np.repeat(pair_y, sampler.t_points), np.tile(gt, pair_count))
+    direct_violated = _margins(f, phi, direct, log_space) < -tolerance
     direct_verdict = VERDICT_VIOLATED if direct_violated.any() else VERDICT_HOLDS
 
     # segment side: each pair induces g(t) = f(t*phi(x) + (1-t)*phi(y)) on [0, 1]
@@ -392,8 +483,8 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
         if segment_verdict == VERDICT_VIOLATED:
             disagreeing = first_bad_pair
         else:
-            idx = int(np.argmax(direct_violated))
-            disagreeing = (float(xs[idx]), float(ys[idx]))
+            w = direct.point(int(np.argmax(direct_violated)))
+            disagreeing = (w.x, w.y)
     return EquivalenceReport(kind, agree, pair_count, direct_verdict,
                              segment_verdict, disagreeing, seed)
 

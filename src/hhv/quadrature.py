@@ -112,7 +112,10 @@ def integrate(
 
 
 def _interleave(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return np.column_stack([left, right]).ravel()
+    out = np.empty(2 * len(left))
+    out[0::2] = left
+    out[1::2] = right
+    return out
 
 
 def mean_value(

@@ -205,6 +205,17 @@ class TestConfigFile:
         assert code == 2
         assert payload["error"]["type"] == "ConfigError"
 
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tolerance": 5, "sampels": 3}))
+        code, payload, _ = run_json(
+            capsys, "check", "--config", str(cfg),
+            "--class", "convex", "--f", "x^2", "--a", "-1", "--b", "1", *FAST)
+        assert code == 2
+        assert payload["error"]["type"] == "ConfigError"
+        assert "'sampels'" in payload["error"]["message"]
+        assert "'tolerance'" not in payload["error"]["message"]
+
     def test_config_values_take_field_types(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hhv import convexity
 from hhv.convexity import (
-    PhiMap, SamplePlan, SampleTriple, VERDICT_HOLDS, VERDICT_VIOLATED,
+    EquivalenceReport, LinkCheck, PhiMap, SamplePlan, SampleSet, SampleTriple,
+    VERDICT_HOLDS, VERDICT_VIOLATED,
     check_convex, check_implication_chain, check_phi_chord_equivalence,
     check_log_phi_chord_equivalence, check_log_convex, check_log_phi_convex,
     check_log_phi_midconvex, check_phi_convex,
 )
-from hhv.errors import PhiRangeViolated, PositivityViolated
-from hhv.expr import Interval, parse
+from hhv.errors import EvalError, PhiRangeViolated, PositivityViolated
+from hhv.expr import Interval, check_positive, parse
 
 UNIT = Interval(0.0, 1.0)
 SMALL = SamplePlan(x_points=9, t_points=9, random_count=64, seed=1)
@@ -278,3 +281,354 @@ class TestChordEquivalences:
         args = (parse("exp(x^2)"), PhiMap(parse("x^2"), UNIT), 16,
                 SamplePlan(x_points=5, t_points=5, random_count=8, seed=0))
         assert check_log_phi_chord_equivalence(*args, seed=9) == check_log_phi_chord_equivalence(*args, seed=9)
+
+
+# ----------------------------- flat reference engine -------------------------
+# The margin engine as it was before the sample set was stored factored:
+# phi and f are evaluated at every x, every y and every mix of the flat
+# triples of SamplePlan.triples().  The factored engine must reproduce its
+# margins bit for bit, and its reports and errors exactly.
+
+class _RefSegment:
+    def __init__(self, f, u, v):
+        self.f, self.u, self.v = f, float(u), float(v)
+
+    def eval_array(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        return self.f.eval_array(ts * self.u + (1.0 - ts) * self.v)
+
+
+def _ref_require_positive_values(vals, points):
+    bad = ~(vals > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PositivityViolated(float(points[i]), f"f = {vals[i]!r} is not positive")
+
+
+def _ref_require_positivity(f, interval):
+    res = check_positive(f, interval, convexity.POSITIVITY_GRID)
+    if not res.ok:
+        raise PositivityViolated(res.witness, res.detail)
+
+
+def _ref_values(f, phi, xs, ys, ts, log_space):
+    if phi is not None:
+        px = phi.eval_array(xs)
+        py = phi.eval_array(ys)
+    else:
+        px, py = xs, ys
+    mix = ts * px + (1.0 - ts) * py
+    fx = f.eval_array(px)
+    fy = f.eval_array(py)
+    fm = f.eval_array(mix)
+    if log_space:
+        _ref_require_positive_values(fx, px)
+        _ref_require_positive_values(fy, py)
+        _ref_require_positive_values(fm, mix)
+    return fx, fy, fm
+
+
+def _ref_margins(f, phi, xs, ys, ts, log_space):
+    fx, fy, fm = _ref_values(f, phi, xs, ys, ts, log_space)
+    if log_space:
+        return ts * np.log(fx) + (1.0 - ts) * np.log(fy) - np.log(fm)
+    return ts * fx + (1.0 - ts) * fy - fm
+
+
+def _ref_run_check(f, phi, interval, plan, log_space, half_t=False,
+                   tolerance=convexity.DEFAULT_TOLERANCE):
+    """(verdict, min_margin, witness, samples_tested, failure_detail)."""
+    xs, ys, ts = plan.triples(interval)
+    if half_t:
+        ts = np.full_like(ts, 0.5)
+    n = len(xs)
+    try:
+        margins = _ref_margins(f, phi, xs, ys, ts, log_space)
+    except EvalError as err:
+        i = err.index
+        witness = SampleTriple(float(xs[i]), float(ys[i]), float(ts[i]))
+        return VERDICT_VIOLATED, -math.inf, witness, n, str(err)
+    min_margin = float(margins.min())
+    if min_margin < -tolerance:
+        i = int(np.argmin(margins))
+        witness = SampleTriple(float(xs[i]), float(ys[i]), float(ts[i]))
+        return VERDICT_VIOLATED, min_margin, witness, n, None
+    return VERDICT_HOLDS, min_margin, None, n, None
+
+
+# name: (certifier, takes phi, log space, t pinned to 1/2)
+_CERTIFIERS = {
+    "convex": (check_convex, False, False, False),
+    "log_convex": (check_log_convex, False, True, False),
+    "phi_convex": (check_phi_convex, True, False, False),
+    "log_phi_convex": (check_log_phi_convex, True, True, False),
+    "log_phi_midconvex": (check_log_phi_midconvex, True, True, True),
+}
+
+
+def _ref_certify(name, f, phi, plan):
+    _, takes_phi, log_space, half_t = _CERTIFIERS[name]
+    if log_space:
+        _ref_require_positivity(f, phi.domain)
+    return _ref_run_check(f, phi if takes_phi else None, phi.domain, plan, log_space, half_t)
+
+
+def _certify(name, f, phi, plan):
+    fn, takes_phi, _, _ = _CERTIFIERS[name]
+    rep = fn(f, phi if takes_phi else phi.domain, plan)
+    return rep.verdict, rep.min_margin, rep.witness, rep.samples_tested, rep.failure_detail
+
+
+def _ref_implication_chain(f, phi, plan, tolerance=convexity.DEFAULT_TOLERANCE):
+    _ref_require_positivity(f, phi.domain)
+    xs, ys, ts = plan.triples(phi.domain)
+    fx, fy, fm = _ref_values(f, phi, xs, ys, ts, log_space=True)
+    lfx, lfy = np.log(fx), np.log(fy)
+    weighted_am = ts * fx + (1.0 - ts) * fy
+    link_margins = (
+        ("multiplicative_bound", ts * lfx + (1.0 - ts) * lfy - np.log(fm)),
+        ("weighted_am_gm", weighted_am - np.exp(ts * lfx + (1.0 - ts) * lfy)),
+        ("max_bound", np.maximum(fx, fy) - weighted_am),
+    )
+    links = []
+    for name, margins in link_margins:
+        min_margin = float(margins.min())
+        if min_margin < -tolerance:
+            i = int(np.argmin(margins))
+            witness = SampleTriple(float(xs[i]), float(ys[i]), float(ts[i]))
+            links.append(LinkCheck(name, VERDICT_VIOLATED, min_margin, witness))
+        else:
+            links.append(LinkCheck(name, VERDICT_HOLDS, min_margin, None))
+    return tuple(links), len(xs)
+
+
+def _ref_direct_triples(phi, pair_count, plan, seed):
+    dom = phi.domain
+    u = convexity._philox(seed, convexity._STREAM_PAIRS).random((pair_count, 2))
+    pair_x = dom.a + dom.width * u[:, 0]
+    pair_y = dom.a + dom.width * u[:, 1]
+    gt = np.linspace(0.0, 1.0, plan.t_points)
+    return (pair_x, pair_y, np.repeat(pair_x, plan.t_points),
+            np.repeat(pair_y, plan.t_points), np.tile(gt, pair_count))
+
+
+def _ref_chord_equivalence(f, phi, pair_count, plan, seed, log_space,
+                           tolerance=convexity.DEFAULT_TOLERANCE):
+    kind = "log_phi" if log_space else "phi"
+    if log_space:
+        _ref_require_positivity(f, phi.domain)
+    if pair_count == 0:
+        return EquivalenceReport(kind, True, 0, VERDICT_HOLDS, VERDICT_HOLDS, None, seed)
+    pair_x, pair_y, xs, ys, ts = _ref_direct_triples(phi, pair_count, plan, seed)
+    direct_violated = _ref_margins(f, phi, xs, ys, ts, log_space) < -tolerance
+    direct_verdict = VERDICT_VIOLATED if direct_violated.any() else VERDICT_HOLDS
+    px = phi.eval_array(pair_x)
+    py = phi.eval_array(pair_y)
+    segment_verdict, first_bad = VERDICT_HOLDS, None
+    for i in range(pair_count):
+        seg = _RefSegment(f, px[i], py[i])
+        if log_space:
+            _ref_require_positivity(seg, UNIT)
+        if _ref_run_check(seg, None, UNIT, plan, log_space)[0] == VERDICT_VIOLATED:
+            segment_verdict = VERDICT_VIOLATED
+            if first_bad is None:
+                first_bad = (float(pair_x[i]), float(pair_y[i]))
+    agree = direct_verdict == segment_verdict
+    disagreeing = None
+    if not agree:
+        if segment_verdict == VERDICT_VIOLATED:
+            disagreeing = first_bad
+        else:
+            i = int(np.argmax(direct_violated))
+            disagreeing = (float(xs[i]), float(ys[i]))
+    return EquivalenceReport(kind, agree, pair_count, direct_verdict, segment_verdict,
+                             disagreeing, seed)
+
+
+def _outcome(call):
+    """What a call returns, or the type, text and index of what it raises."""
+    try:
+        return call()
+    except (EvalError, PositivityViolated, PhiRangeViolated) as err:
+        return type(err), str(err), getattr(err, "index", None)
+
+
+def _assert_margins_match(f, phi, samples, log_space):
+    xs, ys, ts = samples.triples()
+    want = _outcome(lambda: _ref_margins(f, phi, xs, ys, ts, log_space))
+    got = _outcome(lambda: convexity._margins(f, phi, samples, log_space))
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        # bytes, not ==, so that -0.0 and 0.0 count as different
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+def _assert_all_match(f, phi, plan, pair_count=3, pair_seed=5):
+    samples = plan.samples(phi.domain)
+    for log_space in (False, True):
+        _assert_margins_match(f, None, samples, log_space)
+        _assert_margins_match(f, phi, samples, log_space)
+    for name in _CERTIFIERS:
+        assert (_outcome(lambda: _certify(name, f, phi, plan))
+                == _outcome(lambda: _ref_certify(name, f, phi, plan))), name
+
+    def implication():
+        rep = check_implication_chain(f, phi, plan)
+        return rep.links, rep.samples_tested
+
+    assert _outcome(implication) == _outcome(lambda: _ref_implication_chain(f, phi, plan))
+    for log_space, check in ((False, check_phi_chord_equivalence),
+                             (True, check_log_phi_chord_equivalence)):
+        got = _outcome(lambda: check(f, phi, pair_count, plan, pair_seed))
+        want = _outcome(lambda: _ref_chord_equivalence(f, phi, pair_count, plan,
+                                                       pair_seed, log_space))
+        assert got == want, log_space
+
+
+# ----------------------------- factored sample set ---------------------------
+
+_plans = st.builds(
+    SamplePlan,
+    x_points=st.integers(2, 9),
+    t_points=st.sampled_from([3, 5, 7, 9]),
+    random_count=st.integers(0, 64),
+    seed=st.integers(0, 2**32),
+)
+_domains = st.sampled_from([(0.0, 1.0), (0.5, 2.0), (-1.0, 0.25), (0.1, 0.35)])
+_map_kinds = st.sampled_from(["identity", "reversed", "contracting"])
+_smooth = ["x^2", "exp(x)", "x", "exp(x^2)", "1/(1 + x^2)", "x^3 - x",
+           "exp(-x^2)", "2 + x*(1 - x)", "exp(30*x)", "abs(x - 0.2) + 0.1"]
+# each fails, or is not positive, at or beyond the point c
+_failing = ["ln(x - {c})", "sqrt({c} - x)", "1/(x - {c})", "abs(x - {c})",
+            "(x - {c})^2 + 1/(x - {c})"]
+
+
+def _phi(kind, a, b):
+    mid = 0.5 * (a + b)
+    text = {"identity": "x",
+            "reversed": f"{a + b!r} - x",
+            "contracting": f"{mid!r} + 0.5*(x - {mid!r})"}[kind]
+    return PhiMap(parse(text), Interval(a, b))
+
+
+class TestFactoredSamples:
+    def test_triples_flatten_in_lattice_then_random_order(self):
+        plan = SamplePlan(x_points=3, t_points=3, random_count=4, seed=2)
+        samples = plan.samples(UNIT)
+        xs, ys, ts = plan.triples(UNIT)
+        assert len(xs) == samples.size == 3 * 3 * 3 + 4
+        assert list(xs[:27:9]) == [0.0, 0.5, 1.0]
+        assert list(ys[:9:3]) == [0.0, 0.5, 1.0]
+        assert list(ts[:3]) == [0.0, 0.5, 1.0]
+        assert (xs[27:] == samples.rx).all() and (ys[27:] == samples.ry).all()
+        assert (ts[27:] == samples.rt).all()
+        for i in range(samples.size):
+            assert samples.point(i) == SampleTriple(xs[i], ys[i], ts[i])
+
+    def test_first_index_is_first_flat_occurrence_x_before_y(self):
+        samples = SamplePlan(x_points=4, t_points=5, random_count=6, seed=3).samples(UNIT)
+        xs, ys, _ = samples.triples()
+        ends = samples.ends()
+        n_x = len(samples.gx) + len(samples.rx)
+        for k, value in enumerate(ends):
+            flat = xs if k < n_x else ys
+            hits = np.flatnonzero(flat == value)
+            assert samples.first_index(k) == hits[0]
+
+    @settings(max_examples=120, deadline=None)
+    @given(_plans, _domains, _map_kinds, st.data())
+    def test_matches_flat_reference(self, plan, domain, map_kind, data):
+        phi = _phi(map_kind, *domain)
+        samples = plan.samples(phi.domain)
+        ends = samples.ends()
+        template = data.draw(st.sampled_from(_smooth + _failing))
+        if "{c}" in template:
+            # c at a chord end, before or after phi, or anywhere in the domain
+            c = data.draw(st.one_of(
+                st.sampled_from(list(ends) + list(phi.eval_array(ends))),
+                st.floats(*domain),
+            ))
+            template = template.format(c=repr(float(c)))
+        _assert_all_match(parse(template), phi, plan,
+                          pair_count=data.draw(st.integers(0, 4)),
+                          pair_seed=data.draw(st.integers(0, 2**16)))
+
+
+class TestFactoredDomainFailures:
+    PLAN = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
+
+    def test_first_failure_before_a_lattice_y_end(self):
+        # sqrt(0.6 - x) fails at x = 0.75; in triple order the first triple
+        # holding it is (0, 0.75, 0), but every f(x) is evaluated before any
+        # f(y), so the reported triple is the first with x = 0.75
+        f = parse("sqrt(0.6 - x)")
+        rep = check_convex(f, UNIT, self.PLAN)
+        assert rep.failure_kind == "domain"
+        assert rep.witness == SampleTriple(0.75, 0.0, 0.0)
+        assert "x=0.75" in rep.failure_detail
+        _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
+
+    def test_lattice_x_failure(self):
+        f = parse("ln(x - 0.5)")
+        rep = check_convex(f, UNIT, self.PLAN)
+        assert rep.witness == SampleTriple(0.0, 0.0, 0.0)
+        _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
+
+    @pytest.mark.parametrize("end", ["rx", "ry"])
+    def test_failure_at_one_random_end(self, end):
+        samples = self.PLAN.samples(UNIT)
+        m = 7
+        c = float(getattr(samples, end)[m])
+        f = parse(f"1/(x - {c!r})")
+        rep = check_convex(f, UNIT, self.PLAN)
+        assert rep.failure_kind == "domain"
+        assert rep.witness == SampleTriple(float(samples.rx[m]), float(samples.ry[m]),
+                                           float(samples.rt[m]))
+        assert f"x={c!r}" in rep.failure_detail
+        _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
+
+    def test_zero_at_random_y_end_breaks_positivity(self):
+        samples = self.PLAN.samples(UNIT)
+        c = float(samples.ry[3])
+        f = parse(f"abs(x - {c!r})")
+        with pytest.raises(PositivityViolated, match=repr(c)):
+            check_log_phi_convex(f, PhiMap.identity(UNIT), self.PLAN)
+        _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
+
+    def test_zero_at_an_end_reported_before_zero_at_a_mix(self):
+        samples = self.PLAN.samples(UNIT)
+        c_end = float(samples.ry[3])
+        c_mix = float(samples.rt[5] * samples.rx[5] + (1.0 - samples.rt[5]) * samples.ry[5])
+        f = parse(f"abs(x - {c_mix!r})*abs(x - {c_end!r})")
+        with pytest.raises(PositivityViolated, match=repr(c_end)):
+            check_log_convex(f, UNIT, self.PLAN)
+        _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
+
+    def test_phi_range_checked_on_x_before_phi_fails_on_y(self):
+        # phi escapes the domain only at a random x end and cannot be
+        # evaluated only at a random y end; x ends are checked first
+        samples = self.PLAN.samples(UNIT)
+        cx, cy = float(samples.rx[2]), float(samples.ry[9])
+        phi = PhiMap(parse(f"0.5 + 0.25*x + 2*0^((x - {cx!r})^2) + 0/(x - {cy!r})"), UNIT)
+        with pytest.raises(PhiRangeViolated, match=repr(cx)):
+            check_phi_convex(parse("x^2"), phi, self.PLAN)
+        _assert_all_match(parse("x^2"), phi, self.PLAN)
+
+    def test_direct_side_error_index_refers_to_its_triples(self):
+        phi = PhiMap.identity(UNIT)
+        pair_x, _, xs, _, _ = _ref_direct_triples(phi, 3, self.PLAN, seed=6)
+        c = float(pair_x[1])
+        with pytest.raises(EvalError) as err:
+            check_phi_chord_equivalence(parse(f"1/(x - {c!r})"), phi, 3, self.PLAN, seed=6)
+        assert err.value.index == self.PLAN.t_points
+        assert xs[err.value.index] == c
+        _assert_all_match(parse(f"1/(x - {c!r})"), phi, self.PLAN, pair_seed=6)
+
+    def test_direct_side_margins_bit_identical(self):
+        phi = PhiMap(parse("x^2"), UNIT)
+        _, _, xs, ys, ts = _ref_direct_triples(phi, 5, self.PLAN, seed=8)
+        none = np.empty(0)
+        for text in ("exp(x^2)", "sqrt(x + 0.1)"):
+            _assert_margins_match(parse(text), phi, SampleSet(none, none, xs, ys, ts), True)
