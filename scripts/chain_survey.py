@@ -11,10 +11,11 @@ import argparse
 import csv
 import sys
 
-from hhv.chains import eval_classic_hh, eval_dragomir_mond, eval_theorem1, eval_theorem2
+from hhv.chains import CHAIN_IDS
 from hhv.convexity import PhiMap
 from hhv.errors import HHVError
 from hhv.expr import Interval, parse
+from hhv.search import SearchTarget, run_target
 
 CATALOG = [
     "exp(x)",          # equality case of the log-convex chains
@@ -39,26 +40,21 @@ def main() -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["function", "chain", "phi", "verdict", "worst_margin"])
 
+    targets = [SearchTarget("chain", chain_id) for chain_id in CHAIN_IDS]
+    # the chains without phi once, then those with phi once per map; theorem2
+    # takes f as its second integrand too
+    runs = ([(t, None) for t in targets if not t.takes_phi]
+            + [(t, pt) for pt in PHI_TEXTS for t in targets if t.takes_phi])
     for text in CATALOG:
         f = parse(text)
-        runs = [("classic_hh", None, lambda: eval_classic_hh(f, interval, args.quad_tol)),
-                ("dragomir_mond", None, lambda: eval_dragomir_mond(f, interval, args.quad_tol))]
-        for phi_text in PHI_TEXTS:
-            def run_t1(pt=phi_text):
-                return eval_theorem1(f, PhiMap(parse(pt), interval), args.quad_tol)
-
-            def run_t2(pt=phi_text):
-                return eval_theorem2(f, f, PhiMap(parse(pt), interval), args.quad_tol)
-
-            runs.append(("theorem1", phi_text, run_t1))
-            runs.append(("theorem2", phi_text, run_t2))
-        for chain_id, phi_text, run in runs:
+        for target, phi_text in runs:
             try:
-                rep = run()
+                phi = PhiMap(parse(phi_text), interval) if phi_text else None
+                rep, _ = run_target(target, f, f, phi, interval, quad_tol=args.quad_tol)
                 worst = min(rep.pair_margins)
-                writer.writerow([text, chain_id, phi_text or "", rep.verdict, repr(worst)])
+                writer.writerow([text, target.name, phi_text or "", rep.verdict, repr(worst)])
             except HHVError as err:
-                writer.writerow([text, chain_id, phi_text or "", "error", str(err)])
+                writer.writerow([text, target.name, phi_text or "", "error", str(err)])
     return 0
 
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import PhiMap
+from .convexity import PhiMap, _require_positivity
 from .errors import ChainTermError, DegeneratePhi, HHVError, PositivityViolated
-from .expr import Expr, Interval, check_positive
+from .expr import Expr, Interval
 from .means import PositivePair, arithmetic, logarithmic
 from .quadrature import mean_value
 
@@ -73,12 +73,6 @@ def _term(name: str, fn):
         return fn()
     except HHVError as err:
         raise ChainTermError(name, str(err)) from err
-
-
-def _require_positivity(f, interval: Interval, label: str) -> None:
-    res = check_positive(f, interval)
-    if not res.ok:
-        raise PositivityViolated(res.witness, f"{label}: {res.detail}")
 
 
 def _positive_vals(f, xs: np.ndarray, label: str) -> np.ndarray:

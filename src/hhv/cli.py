@@ -17,32 +17,18 @@ import time
 from dataclasses import asdict, dataclass, fields
 
 from . import __version__
-from .chains import (
-    CHAIN_IDS, ChainReport, eval_classic_hh, eval_dragomir_mond,
-    eval_theorem1, eval_theorem2, VERDICT_CHAIN_HOLDS,
-)
-from .convexity import (
-    ConvexityReport, PhiMap, SamplePlan, VERDICT_HOLDS,
-    check_convex, check_log_convex, check_log_phi_convex,
-    check_log_phi_midconvex, check_phi_convex,
-)
+from .chains import CHAIN_IDS, ChainReport, VERDICT_CHAIN_HOLDS
+from .convexity import ConvexityReport, PhiMap, SamplePlan, VERDICT_HOLDS
 from .errors import HHVError, ParseError
 from .expr import Interval, parse
-from .search import FAMILIES, FamilySpec, SearchTarget, find_counterexample
+from .search import (
+    _CHECKS, FAMILIES, FamilySpec, SearchTarget, find_counterexample, run_target,
+)
 
 EXIT_HOLDS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_CLASS_FLAGS = {
-    "convex": "convex",
-    "log-convex": "log_convex",
-    "phi-convex": "phi_convex",
-    "log-phi-convex": "log_phi_convex",
-    "log-phi-midconvex": "log_phi_midconvex",
-}
-_PHI_CLASSES = ("phi_convex", "log_phi_convex", "log_phi_midconvex")
 
 _HOLD_VERDICTS = (VERDICT_HOLDS, VERDICT_CHAIN_HOLDS, "no_violation_found")
 
@@ -80,7 +66,14 @@ class RunConfig:
     input_path: str | None = None
 
 
-_OUTPUT_FORMATS = ("json", "csv", "human")
+# the choices of the flags that have them, by RunConfig field; class names are
+# hyphenated on the command line and mapped back by _resolve_config
+_CHOICES = {
+    "check_class": sorted(name.replace("_", "-") for name in _CHECKS),
+    "f_family": FAMILIES,
+    "phi_family": ("identity", "poly"),
+    "output_format": ("json", "csv", "human"),
+}
 # base type of each field, read from its annotation: "float | None" -> "float"
 _FIELD_TYPES = {fld.name: fld.type.split(" | ")[0] for fld in fields(RunConfig)}
 
@@ -112,13 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-t", dest="grid_t", type=int, help="t lattice size (odd)")
         p.add_argument("--samples", type=int, help="random triples per check")
         p.add_argument("--format", dest="output_format",
-                       choices=_OUTPUT_FORMATS, help="stdout format")
+                       choices=_CHOICES["output_format"], help="stdout format")
         p.add_argument("--diagnostics", action="store_true", default=None,
                        help="include proof-intermediate diagnostic terms")
         p.add_argument("--config", help="JSON config file merged under explicit flags")
 
     p_check = sub.add_parser("check", help="certify a convexity class on samples")
-    p_check.add_argument("--class", dest="check_class", choices=sorted(_CLASS_FLAGS),
+    p_check.add_argument("--class", dest="check_class", choices=_CHOICES["check_class"],
                          help="convexity class to certify")
     common(p_check, functions=True)
 
@@ -129,12 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="seeded counterexample search")
     p_search.add_argument("--target", help="check:<class> or chain:<id>")
-    p_search.add_argument("--f-family", dest="f_family", choices=FAMILIES)
+    p_search.add_argument("--f-family", dest="f_family", choices=_CHOICES["f_family"])
     p_search.add_argument("--f-degree", dest="f_degree", type=int)
     p_search.add_argument("--f-coeff-min", dest="f_coeff_min", type=float)
     p_search.add_argument("--f-coeff-max", dest="f_coeff_max", type=float)
     p_search.add_argument("--phi-family", dest="phi_family",
-                          choices=("identity", "poly"))
+                          choices=_CHOICES["phi_family"])
     p_search.add_argument("--phi-degree", dest="phi_degree", type=int)
     p_search.add_argument("--budget", type=int, help="number of trials")
     p_search.add_argument("--a", type=float, help="left endpoint")
@@ -145,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--input", dest="input_path",
                           help="report path, or '-' for stdin")
     p_report.add_argument("--format", dest="output_format",
-                          choices=_OUTPUT_FORMATS)
+                          choices=_CHOICES["output_format"])
     return parser
 
 
@@ -153,12 +146,18 @@ def _file_value(field: str, value):
     """Convert a config-file value to the type of its :class:`RunConfig` field.
 
     Numbers may be given as JSON numbers or numeric strings; booleans are not
-    numbers here.
+    numbers here.  A field whose flag has choices takes only those; a class
+    may also be named with underscores, as the chain ids may.
     """
     kind = _FIELD_TYPES[field]
     if kind == "str":
         if isinstance(value, str):
-            return value
+            choices = _CHOICES.get(field)
+            name = value.replace("_", "-") if field == "check_class" else value
+            if choices is None or name in choices:
+                return value
+            raise ConfigError(f"config value for {field!r} must be one of "
+                              f"{', '.join(choices)}, got {value!r}")
     elif kind == "bool":
         if isinstance(value, bool):
             return value
@@ -175,75 +174,41 @@ def _file_value(field: str, value):
     raise ConfigError(f"config value for {field!r} must be of type {kind}, got {value!r}")
 
 
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = [k for k in file_cfg if k not in _FIELD_TYPES]
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+    # null leaves a field at its default, as an absent key does
+    return {k: _file_value(k, v) for k, v in file_cfg.items() if v is not None}
+
+
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
-    """Merge precedence: explicit flag > config file > built-in default."""
-    file_cfg: dict = {}
+    """Merge precedence: explicit flag > config file > built-in default.
+
+    ``seed`` falls back to ``$HHV_SEED`` before its default.
+    """
     cfg_path = getattr(ns, "config", None)
-    if cfg_path:
-        try:
-            with open(cfg_path, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise ConfigError(f"cannot read config file {cfg_path}: {err}") from err
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = [k for k in file_cfg if k not in _FIELD_TYPES]
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
-        # null leaves a field at its default, as an absent key does
-        file_cfg = {k: _file_value(k, v) for k, v in file_cfg.items() if v is not None}
-
-    defaults = RunConfig(command=ns.command)
-
-    def pick(field: str):
-        flag = getattr(ns, field, None)
-        if flag is not None:
-            return flag
-        if field in file_cfg:
-            return file_cfg[field]
-        return getattr(defaults, field)
-
-    seed = getattr(ns, "seed", None)
-    if seed is None:
-        seed = file_cfg.get("seed")
-    if seed is None:
-        seed = int(os.environ.get("HHV_SEED", "0"))
-    check_class = getattr(ns, "check_class", None)
-    if check_class is None and "check_class" in file_cfg:
-        check_class = file_cfg["check_class"]
-    if check_class in _CLASS_FLAGS:
-        check_class = _CLASS_FLAGS[check_class]
-    chain_id = pick("chain_id") if hasattr(ns, "chain_id") or "chain_id" in file_cfg else None
-    if isinstance(chain_id, str):
-        chain_id = chain_id.replace("-", "_")
-
-    cfg = RunConfig(
-        command=ns.command,
-        f_text=pick("f_text"),
-        g_text=pick("g_text"),
-        phi_text=pick("phi_text"),
-        a=pick("a"),
-        b=pick("b"),
-        check_class=check_class,
-        chain_id=chain_id,
-        target=pick("target"),
-        f_family=pick("f_family"),
-        f_degree=pick("f_degree"),
-        f_coeff_min=pick("f_coeff_min"),
-        f_coeff_max=pick("f_coeff_max"),
-        phi_family=pick("phi_family"),
-        phi_degree=pick("phi_degree"),
-        grid_x=pick("grid_x"),
-        grid_t=pick("grid_t"),
-        samples=pick("samples"),
-        seed=seed,
-        quad_tol=pick("quad_tol"),
-        tolerance=pick("tolerance"),
-        budget=pick("budget"),
-        output_format=pick("output_format") or "json",
-        diagnostics=pick("diagnostics"),
-        input_path=pick("input_path"),
-    )
+    file_cfg = _read_config(cfg_path) if cfg_path else {}
+    values = {}
+    for fld in fields(RunConfig):
+        value = getattr(ns, fld.name, None)
+        if value is None:
+            value = file_cfg.get(fld.name)
+        if value is None and fld.name == "seed":
+            value = int(os.environ.get("HHV_SEED", "0"))
+        if value is None:
+            value = fld.default
+        if fld.name in ("check_class", "chain_id") and isinstance(value, str):
+            value = value.replace("-", "_")
+        values[fld.name] = value
+    cfg = RunConfig(**values)
     _validate(cfg)
     return cfg
 
@@ -261,7 +226,7 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == "chain":
         if cfg.chain_id not in CHAIN_IDS:
             raise ConfigError(f"--id must be one of {', '.join(CHAIN_IDS)}")
-        if cfg.chain_id == "theorem2" and cfg.g_text is None:
+        if SearchTarget("chain", cfg.chain_id).takes_g and cfg.g_text is None:
             raise ConfigError("--g is required for the theorem2 chain")
     if cfg.command == "search":
         if cfg.target is None:
@@ -276,8 +241,6 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"--budget must be >= 1, got {cfg.budget}")
     if cfg.command == "report" and cfg.input_path is None:
         raise ConfigError("--input is required")
-    if cfg.output_format not in _OUTPUT_FORMATS:
-        raise ConfigError(f"--format must be one of {', '.join(_OUTPUT_FORMATS)}")
     # "not > 0" also rejects NaN
     if not cfg.quad_tol > 0:
         raise ConfigError("--quad-tol must be positive")
@@ -298,8 +261,22 @@ def _triple_dict(triple) -> dict | None:
     return {"x": triple.x, "y": triple.y, "t": triple.t}
 
 
-def _check_payload(report: ConvexityReport) -> tuple[dict, int]:
-    payload = {
+def _report_payload(report: ConvexityReport | ChainReport) -> dict:
+    if isinstance(report, ChainReport):
+        payload = {
+            "verdict": report.verdict,
+            "chain_id": report.chain_id,
+            "terms": [{"name": n, "value": v} for n, v in report.terms],
+            "margins": list(report.pair_margins),
+            "violated_links": list(report.violated_links),
+            "tolerance": report.tolerance,
+            "quad_tol": report.quad_tol,
+            "notes": list(report.notes),
+        }
+        if report.diagnostics is not None:
+            payload["diagnostics"] = report.diagnostics
+        return payload
+    return {
         "verdict": report.verdict,
         "class": report.class_checked,
         "min_margin": report.min_margin,
@@ -308,63 +285,23 @@ def _check_payload(report: ConvexityReport) -> tuple[dict, int]:
         "witness": _triple_dict(report.witness),
         "failure_kind": report.failure_kind,
     }
-    code = EXIT_HOLDS if report.verdict == VERDICT_HOLDS else EXIT_VIOLATION
-    return payload, code
 
 
-def _chain_payload(report: ChainReport) -> tuple[dict, int]:
-    payload = {
-        "verdict": report.verdict,
-        "chain_id": report.chain_id,
-        "terms": [{"name": n, "value": v} for n, v in report.terms],
-        "margins": list(report.pair_margins),
-        "violated_links": list(report.violated_links),
-        "tolerance": report.tolerance,
-        "quad_tol": report.quad_tol,
-        "notes": list(report.notes),
-    }
-    if report.diagnostics is not None:
-        payload["diagnostics"] = report.diagnostics
-    code = EXIT_HOLDS if report.verdict == VERDICT_CHAIN_HOLDS else EXIT_VIOLATION
-    return payload, code
-
-
-def _run_check(cfg: RunConfig) -> tuple[dict, int]:
+def _run_target(cfg: RunConfig) -> tuple[dict, int]:
+    """``check`` and ``chain``: parse f, and phi and g where the target takes
+    them, and run the target once."""
+    name = cfg.check_class if cfg.command == "check" else cfg.chain_id
+    target = SearchTarget(cfg.command, name)
     f = parse(cfg.f_text)
     interval = Interval(cfg.a, cfg.b)
-    sampler = _sampler(cfg)
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
-    name = cfg.check_class
-    if name in _PHI_CLASSES:
-        phi = PhiMap(parse(cfg.phi_text or "x"), interval)
-        fn = {"phi_convex": check_phi_convex,
-              "log_phi_convex": check_log_phi_convex,
-              "log_phi_midconvex": check_log_phi_midconvex}[name]
-        report = fn(f, phi, sampler, tolerance=tol)
-    elif name == "log_convex":
-        report = check_log_convex(f, interval, sampler, tolerance=tol)
-    else:
-        report = check_convex(f, interval, sampler, tolerance=tol)
-    return _check_payload(report)
-
-
-def _run_chain(cfg: RunConfig) -> tuple[dict, int]:
-    f = parse(cfg.f_text)
-    interval = Interval(cfg.a, cfg.b)
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-8
-    if cfg.chain_id == "classic_hh":
-        report = eval_classic_hh(f, interval, cfg.quad_tol, tol)
-    elif cfg.chain_id == "dragomir_mond":
-        report = eval_dragomir_mond(f, interval, cfg.quad_tol, tol)
-    elif cfg.chain_id == "theorem1":
-        phi = PhiMap(parse(cfg.phi_text or "x"), interval)
-        report = eval_theorem1(f, phi, cfg.quad_tol, tol,
-                               include_diagnostics=cfg.diagnostics)
-    else:
-        phi = PhiMap(parse(cfg.phi_text or "x"), interval)
-        report = eval_theorem2(f, parse(cfg.g_text), phi, cfg.quad_tol, tol,
-                               include_diagnostics=cfg.diagnostics)
-    return _chain_payload(report)
+    # the sample plan's sizes are checked only where a plan is used
+    sampler = _sampler(cfg) if cfg.command == "check" else SamplePlan()
+    phi = PhiMap(parse(cfg.phi_text or "x"), interval) if target.takes_phi else None
+    g = parse(cfg.g_text) if target.takes_g else None
+    report, violated = run_target(target, f, g, phi, interval, sampler,
+                                  tolerance=cfg.tolerance, quad_tol=cfg.quad_tol,
+                                  diagnostics=cfg.diagnostics)
+    return _report_payload(report), EXIT_VIOLATION if violated else EXIT_HOLDS
 
 
 def _run_search(cfg: RunConfig) -> tuple[dict, int]:
@@ -378,10 +315,9 @@ def _run_search(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.phi_family == "poly":
         phi_spec = FamilySpec("positive_poly", max(1, cfg.phi_degree),
                               (0.1, max(0.2, cfg.f_coeff_max)))
-    tol = cfg.tolerance if cfg.tolerance is not None else 1e-9
     outcome = find_counterexample(
         target, f_spec, phi_spec, domain, cfg.budget, cfg.seed,
-        sampler=_sampler(cfg), tolerance=tol, quad_tol=cfg.quad_tol,
+        sampler=_sampler(cfg), tolerance=cfg.tolerance, quad_tol=cfg.quad_tol,
     )
     payload: dict = {
         "verdict": "violation_found" if outcome.found else "no_violation_found",
@@ -393,13 +329,9 @@ def _run_search(cfg: RunConfig) -> tuple[dict, int]:
     }
     if outcome.witness is not None:
         w = outcome.witness
-        if isinstance(w.report, ChainReport):
-            detail, _ = _chain_payload(w.report)
-        else:
-            detail, _ = _check_payload(w.report)
         payload["witness"] = {
             "f": w.f_text, "phi": w.phi_text, "g": w.g_text,
-            "trial": w.trial, "report": detail,
+            "trial": w.trial, "report": _report_payload(w.report),
         }
     return payload, EXIT_VIOLATION if outcome.found else EXIT_HOLDS
 
@@ -495,8 +427,8 @@ def _emit_error(err: Exception, command: str, started: float, code: int) -> int:
 # ----------------------------- entry point ------------------------------------
 
 _RUNNERS = {
-    "check": _run_check,
-    "chain": _run_chain,
+    "check": _run_target,
+    "chain": _run_target,
     "search": _run_search,
     "report": _run_report,
 }

@@ -345,9 +345,8 @@ def _assemble(class_checked, samples: SampleSet, tolerance, margins=None,
     return ConvexityReport(class_checked, VERDICT_HOLDS, n, min_margin, None, tolerance)
 
 
-def _run_check(class_checked, f, phi, interval, sampler, tolerance, log_space,
+def _run_check(class_checked, f, phi, samples: SampleSet, tolerance, log_space,
                force_half_t=False) -> ConvexityReport:
-    samples = sampler.samples(interval)
     if force_half_t:
         samples = samples._replace(gt=np.full_like(samples.gt, 0.5),
                                    rt=np.full_like(samples.rt, 0.5))
@@ -358,10 +357,11 @@ def _run_check(class_checked, f, phi, interval, sampler, tolerance, log_space,
     return _assemble(class_checked, samples, tolerance, margins=margins)
 
 
-def _require_positivity(f, interval: Interval, grid: int) -> None:
-    res = check_positive(f, interval, grid)
+def _require_positivity(f, interval: Interval, label: str | None = None) -> None:
+    res = check_positive(f, interval, POSITIVITY_GRID)
     if not res.ok:
-        raise PositivityViolated(res.witness, res.detail)
+        detail = res.detail if label is None else f"{label}: {res.detail}"
+        raise PositivityViolated(res.witness, detail)
 
 
 # ----------------------------- certifiers ------------------------------------
@@ -369,37 +369,37 @@ def _require_positivity(f, interval: Interval, grid: int) -> None:
 def check_convex(f, interval: Interval, sampler: SamplePlan = SamplePlan(), *,
                  tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
     """Margins of t*f(x) + (1-t)*f(y) - f(t*x + (1-t)*y) over the sample plan."""
-    return _run_check("convex", f, None, interval, sampler, tolerance, log_space=False)
+    return _run_check("convex", f, None, sampler.samples(interval), tolerance,
+                      log_space=False)
 
 
 def check_log_convex(f, interval: Interval, sampler: SamplePlan = SamplePlan(), *,
-                     tolerance: float = DEFAULT_TOLERANCE,
-                     positivity_grid: int = POSITIVITY_GRID) -> ConvexityReport:
+                     tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
     """Log-space margins of the multiplicative bound f(mix) <= f(x)^t f(y)^(1-t)."""
-    _require_positivity(f, interval, positivity_grid)
-    return _run_check("log_convex", f, None, interval, sampler, tolerance, log_space=True)
+    _require_positivity(f, interval)
+    return _run_check("log_convex", f, None, sampler.samples(interval), tolerance,
+                      log_space=True)
 
 
 def check_phi_convex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), *,
                      tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
     """Convexity along the deformation: f(t*phi(x) + (1-t)*phi(y)) against the chord."""
-    return _run_check("phi_convex", f, phi, phi.domain, sampler, tolerance, log_space=False)
+    return _run_check("phi_convex", f, phi, sampler.samples(phi.domain), tolerance,
+                      log_space=False)
 
 
 def check_log_phi_convex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), *,
-                         tolerance: float = DEFAULT_TOLERANCE,
-                         positivity_grid: int = POSITIVITY_GRID) -> ConvexityReport:
-    _require_positivity(f, phi.domain, positivity_grid)
-    return _run_check("log_phi_convex", f, phi, phi.domain, sampler, tolerance,
+                         tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
+    _require_positivity(f, phi.domain)
+    return _run_check("log_phi_convex", f, phi, sampler.samples(phi.domain), tolerance,
                       log_space=True)
 
 
 def check_log_phi_midconvex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), *,
-                            tolerance: float = DEFAULT_TOLERANCE,
-                            positivity_grid: int = POSITIVITY_GRID) -> ConvexityReport:
+                            tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
     """The t = 1/2 restriction; the sampler's t component is ignored."""
-    _require_positivity(f, phi.domain, positivity_grid)
-    return _run_check("log_phi_midconvex", f, phi, phi.domain, sampler, tolerance,
+    _require_positivity(f, phi.domain)
+    return _run_check("log_phi_midconvex", f, phi, sampler.samples(phi.domain), tolerance,
                       log_space=True, force_half_t=True)
 
 
@@ -407,7 +407,6 @@ def check_log_phi_midconvex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), 
 
 def check_implication_chain(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), *,
                             tolerance: float = DEFAULT_TOLERANCE,
-                            positivity_grid: int = POSITIVITY_GRID,
                             ) -> ImplicationLatticeReport:
     """Per-link margins of the pointwise chain
 
@@ -418,7 +417,7 @@ def check_implication_chain(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), 
     Links 2 and 3 (weighted AM-GM, and convex combination below the max)
     hold for every positive f; only link 1 reflects the convexity class.
     """
-    _require_positivity(f, phi.domain, positivity_grid)
+    _require_positivity(f, phi.domain)
     samples = sampler.samples(phi.domain)
     fe, fm = _values(f, phi, samples, log_space=True)
     log_gm = samples.pairwise(_chord, np.log(fe))
@@ -466,12 +465,16 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
     # segment side: each pair induces g(t) = f(t*phi(x) + (1-t)*phi(y)) on [0, 1]
     px = phi.eval_array(pair_x)
     py = phi.eval_array(pair_y)
+    # each g is certified as check_convex or check_log_convex would, on one
+    # sample set drawn for all pairs
+    unit = sampler.samples(_UNIT)
     segment_verdict = VERDICT_HOLDS
     first_bad_pair: tuple[float, float] | None = None
-    check = check_log_convex if log_space else check_convex
     for i in range(pair_count):
         seg = _Segment(f, px[i], py[i])
-        rep = check(seg, _UNIT, sampler, tolerance=tolerance)
+        if log_space:
+            _require_positivity(seg, _UNIT)
+        rep = _run_check(kind, seg, None, unit, tolerance, log_space)
         if rep.verdict == VERDICT_VIOLATED:
             segment_verdict = VERDICT_VIOLATED
             if first_bad_pair is None:
@@ -493,11 +496,10 @@ def check_log_phi_chord_equivalence(f, phi: PhiMap, pair_count: int,
                                     sampler: SamplePlan = SamplePlan(),
                                     seed: int = 0, *,
                                     tolerance: float = DEFAULT_TOLERANCE,
-                                    positivity_grid: int = POSITIVITY_GRID,
                                     ) -> EquivalenceReport:
     """Empirical biconditional: the multiplicative bound along phi holds on
     sampled triples iff every induced chord map g is log-convex on [0, 1]."""
-    _require_positivity(f, phi.domain, positivity_grid)
+    _require_positivity(f, phi.domain)
     return _chord_equivalence("log_phi", f, phi, pair_count, sampler, seed,
                               tolerance, log_space=True)
 

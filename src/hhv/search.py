@@ -12,11 +12,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chains import (
-    CHAIN_IDS, ChainReport, eval_classic_hh, eval_dragomir_mond, eval_theorem1,
-    eval_theorem2, VERDICT_LINK_VIOLATED,
+    CHAIN_IDS, DEFAULT_CHAIN_TOL, DEFAULT_QUAD_TOL, ChainReport, eval_classic_hh,
+    eval_dragomir_mond, eval_theorem1, eval_theorem2, VERDICT_LINK_VIOLATED,
 )
 from .convexity import (
-    ConvexityReport, PhiMap, SamplePlan, VERDICT_VIOLATED,
+    DEFAULT_TOLERANCE, ConvexityReport, PhiMap, SamplePlan, VERDICT_VIOLATED, _philox,
     check_convex, check_log_convex, check_log_phi_convex,
     check_log_phi_midconvex, check_phi_convex,
 )
@@ -25,12 +25,11 @@ from .expr import Expr, Interval, check_positive, parse
 
 __all__ = [
     "FamilySpec", "SearchTarget", "SearchWitness", "SearchOutcome",
-    "FAMILIES", "generate", "generate_phi", "find_counterexample",
+    "FAMILIES", "generate", "generate_phi", "run_target", "find_counterexample",
 ]
 
 FAMILIES = ("exp_of_poly", "positive_poly", "affine_exp", "power")
 
-_MASK64 = (1 << 64) - 1
 _MAX_TRIES = 16
 _STREAM_GEN = 0x6765_6e00  # generation attempts occupy a block of streams
 
@@ -73,6 +72,18 @@ class SearchTarget:
         if self.name not in valid:
             raise ValueError(f"unknown {self.kind} target {self.name!r}; use one of {sorted(valid)}")
 
+    @property
+    def takes_phi(self) -> bool:
+        """Whether the target runs along a deformation map."""
+        if self.kind == "check":
+            return _CHECKS[self.name][0] == "phi"
+        return self.name in ("theorem1", "theorem2")
+
+    @property
+    def takes_g(self) -> bool:
+        """Whether the target takes a second integrand (the product chain)."""
+        return self.kind == "chain" and self.name == "theorem2"
+
 
 @dataclass(frozen=True)
 class SearchWitness:
@@ -93,10 +104,6 @@ class SearchOutcome:
 
 
 # ----------------------------- generation ------------------------------------
-
-def _philox(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
-
 
 def _derive_seed(seed: int, trial: int, role: int) -> int:
     digest = hashlib.blake2b(f"{seed}:{trial}:{role}".encode(), digest_size=8).digest()
@@ -193,6 +200,8 @@ def generate_phi(spec: FamilySpec, domain: Interval) -> PhiMap:
 
 # ----------------------------- search ----------------------------------------
 
+# {class: (style, certifier)}; "phi" certifiers take a PhiMap, "plain" ones
+# the interval
 _CHECKS = {
     "convex": ("plain", check_convex),
     "log_convex": ("plain", check_log_convex),
@@ -202,27 +211,38 @@ _CHECKS = {
 }
 
 
-def _run_target(target: SearchTarget, f: Expr, g: Expr | None, phi: PhiMap | None,
-                domain: Interval, sampler: SamplePlan, tolerance: float,
-                quad_tol: float, chain_tolerance: float):
+def run_target(target: SearchTarget, f: Expr, g: Expr | None, phi: PhiMap | None,
+               domain: Interval, sampler: SamplePlan = SamplePlan(), *,
+               tolerance: float | None = None, quad_tol: float = DEFAULT_QUAD_TOL,
+               diagnostics: bool = False) -> tuple[ConvexityReport | ChainReport, bool]:
+    """Certify or evaluate ``target`` for ``f``; return the report and whether
+    it is violated.
+
+    ``phi=None`` means the identity map on ``domain`` and ``g=None`` means
+    ``f``; each is used only by the targets that take it.  ``tolerance``
+    defaults to the certifiers' 1e-9 for checks and the chains' 1e-8 for
+    chains.  ``sampler`` serves checks, ``quad_tol`` and ``diagnostics``
+    chains (``diagnostics`` only those that take phi).
+    """
+    if phi is None and (target.takes_phi or target.kind == "chain"):
+        # the plain chains get one too, which they ignore
+        phi = PhiMap.identity(domain)
     if target.kind == "check":
         style, fn = _CHECKS[target.name]
-        if style == "plain":
-            report = fn(f, domain, sampler, tolerance=tolerance)
-        else:
-            report = fn(f, phi if phi is not None else PhiMap.identity(domain),
-                        sampler, tolerance=tolerance)
+        tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
+        report = fn(f, phi if style == "phi" else domain, sampler, tolerance=tol)
         return report, report.verdict == VERDICT_VIOLATED
-    phi_map = phi if phi is not None else PhiMap.identity(domain)
-    if target.name == "classic_hh":
-        report = eval_classic_hh(f, domain, quad_tol, chain_tolerance)
-    elif target.name == "dragomir_mond":
-        report = eval_dragomir_mond(f, domain, quad_tol, chain_tolerance)
-    elif target.name == "theorem1":
-        report = eval_theorem1(f, phi_map, quad_tol, chain_tolerance)
+    tol = DEFAULT_CHAIN_TOL if tolerance is None else tolerance
+    if target.takes_g:
+        inputs = (f, g if g is not None else f, phi)
+    elif target.takes_phi:
+        inputs = (f, phi)
     else:
-        report = eval_theorem2(f, g if g is not None else f, phi_map,
-                               quad_tol, chain_tolerance)
+        inputs = (f, domain)
+    extra = {"include_diagnostics": diagnostics} if target.takes_phi else {}
+    # looked up by name at call time, so a wrapper installed on this module
+    # sees the call
+    report = globals()[f"eval_{target.name}"](*inputs, quad_tol, tol, **extra)
     return report, report.verdict == VERDICT_LINK_VIOLATED
 
 
@@ -236,9 +256,8 @@ def find_counterexample(
     *,
     g_spec: FamilySpec | None = None,
     sampler: SamplePlan = SamplePlan(),
-    tolerance: float = 1e-9,
-    quad_tol: float = 1e-10,
-    chain_tolerance: float = 1e-8,
+    tolerance: float | None = None,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> SearchOutcome:
     """Iterate seeded candidates against ``target`` until one violates it.
 
@@ -246,10 +265,10 @@ def find_counterexample(
     second integrand is drawn from ``g_spec`` (default: ``f_spec`` on an
     independent stream).  Candidates whose generation or hypotheses fail
     count as trials with the skip reason tallied, never as violations.
+    ``tolerance`` defaults by target kind, as in :func:`run_target`.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    needs_g = target.kind == "chain" and target.name == "theorem2"
     skipped: dict[str, int] = {}
 
     def _skip(reason: str) -> None:
@@ -263,15 +282,15 @@ def find_counterexample(
                 phi = generate_phi(replace(phi_spec, seed=_derive_seed(seed, trial, 1)),
                                    domain)
             g = None
-            if needs_g:
+            if target.takes_g:
                 base = g_spec if g_spec is not None else f_spec
                 g = generate(replace(base, seed=_derive_seed(seed, trial, 2)), domain)
         except HHVError as err:
             _skip(type(err).__name__)
             continue
         try:
-            report, violated = _run_target(target, f, g, phi, domain, sampler,
-                                           tolerance, quad_tol, chain_tolerance)
+            report, violated = run_target(target, f, g, phi, domain, sampler,
+                                          tolerance=tolerance, quad_tol=quad_tol)
         except HHVError as err:
             _skip(type(err).__name__)
             continue

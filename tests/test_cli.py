@@ -195,13 +195,18 @@ class TestConfigFile:
         {"samples": True},
         {"diagnostics": "false"},
         {"a": [0.0]},
+        {"phi_family": "polynomial"},
+        {"f_family": "polynomial"},
+        {"check_class": "concave"},
     ])
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path, values):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(values))
+        # a class named only in the file is the file's to get right
+        class_flag = [] if "check_class" in values else ["--class", "convex"]
         code, payload, _ = run_json(
             capsys, "check", "--config", str(cfg),
-            "--class", "convex", "--f", "x^2", "--a", "-1", "--b", "1", *FAST)
+            *class_flag, "--f", "x^2", "--a", "-1", "--b", "1", *FAST)
         assert code == 2
         assert payload["error"]["type"] == "ConfigError"
 
@@ -305,6 +310,16 @@ class TestSearchCommand:
         assert code == 0
         assert payload["verdict"] == "no_violation_found"
         assert payload["trials"] == 50
+
+    def test_tol_reaches_chain_targets(self, capsys):
+        # at the default 1e-8 this search reports a rounding-level violation
+        code, payload, _ = run_json(
+            capsys, "search", "--target", "chain:theorem1",
+            "--f-family", "exp_of_poly", "--f-degree", "1",
+            "--f-coeff-min", "-30", "--f-coeff-max", "30",
+            "--a", "0", "--b", "1", "--budget", "5", "--tol", "1e6")
+        assert code == 0
+        assert payload["found"] is False
 
 
 class TestReportCommand:

@@ -4,7 +4,7 @@ from hhv.convexity import SamplePlan, VERDICT_VIOLATED, check_log_convex
 from hhv.errors import GenerationExhausted
 from hhv.expr import Interval, check_positive, parse
 from hhv.search import (
-    FamilySpec, SearchTarget, find_counterexample, generate, generate_phi,
+    FamilySpec, SearchTarget, find_counterexample, generate, generate_phi, run_target,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -144,3 +144,40 @@ class TestFindCounterexample:
                                        seed=_derive_seed(42, trial, 0))
             rep = check_log_convex(generate(spec, Interval(1, 2)), Interval(1, 2), LIGHT)
             assert rep.verdict != VERDICT_VIOLATED
+
+
+class TestRunTarget:
+    @pytest.mark.parametrize("target, takes_phi, takes_g", [
+        (SearchTarget("check", "convex"), False, False),
+        (SearchTarget("check", "log_convex"), False, False),
+        (SearchTarget("check", "phi_convex"), True, False),
+        (SearchTarget("check", "log_phi_convex"), True, False),
+        (SearchTarget("check", "log_phi_midconvex"), True, False),
+        (SearchTarget("chain", "classic_hh"), False, False),
+        (SearchTarget("chain", "dragomir_mond"), False, False),
+        (SearchTarget("chain", "theorem1"), True, False),
+        (SearchTarget("chain", "theorem2"), True, True),
+    ])
+    def test_inputs_each_target_takes(self, target, takes_phi, takes_g):
+        assert (target.takes_phi, target.takes_g) == (takes_phi, takes_g)
+
+    def test_default_tolerance_follows_target_kind(self):
+        f = parse("exp(x)")
+        check, _ = run_target(SearchTarget("check", "convex"), f, None, None, UNIT, LIGHT)
+        chain, _ = run_target(SearchTarget("chain", "classic_hh"), f, None, None, UNIT)
+        assert (check.tolerance, chain.tolerance) == (1e-9, 1e-8)
+        chain, _ = run_target(SearchTarget("chain", "classic_hh"), f, None, None, UNIT,
+                              tolerance=1e-3)
+        assert chain.tolerance == 1e-3
+
+    @pytest.mark.parametrize("name", ["classic_hh", "dragomir_mond", "theorem1", "theorem2"])
+    def test_diagnostics_reach_the_phi_chains(self, name):
+        rep, _ = run_target(SearchTarget("chain", name), parse("exp(x)"), None, None, UNIT,
+                            diagnostics=True)
+        assert (rep.diagnostics is not None) == (name in ("theorem1", "theorem2"))
+
+    def test_search_tolerance_reaches_chains(self):
+        args = (SearchTarget("chain", "theorem1"), FamilySpec("exp_of_poly", 1, (-30, 30)),
+                None, UNIT, 5, 0)
+        assert find_counterexample(*args).found
+        assert not find_counterexample(*args, tolerance=1e6).found
