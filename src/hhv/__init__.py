@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 
 from .errors import (
     ChainTermError, DegeneratePhi, DomainError, EvalError, GenerationExhausted,
-    HHVError, MaxDepthExceeded, Overflow, ParseError, PhiRangeViolated,
-    PositivityViolated, UnknownIdentifierError,
+    HHVError, MaxDepthExceeded, OpenPanelLimitExceeded, Overflow, ParseError,
+    PhiRangeViolated, PositivityViolated, UnknownIdentifierError,
 )
 from .expr import Expr, Interval, PositivityCheck, check_positive, evaluate, parse, serialize
 from .quadrature import QuadratureResult, integrate, mean_value
@@ -30,8 +30,8 @@ from .search import (
 __all__ = [
     "__version__",
     "HHVError", "ParseError", "UnknownIdentifierError", "EvalError", "DomainError",
-    "Overflow", "MaxDepthExceeded", "PositivityViolated", "PhiRangeViolated",
-    "DegeneratePhi", "GenerationExhausted", "ChainTermError",
+    "Overflow", "MaxDepthExceeded", "OpenPanelLimitExceeded", "PositivityViolated",
+    "PhiRangeViolated", "DegeneratePhi", "GenerationExhausted", "ChainTermError",
     "Expr", "Interval", "PositivityCheck", "parse", "serialize", "evaluate",
     "check_positive",
     "QuadratureResult", "integrate", "mean_value",

@@ -103,6 +103,16 @@ def _geometric_reflected(f, center: float):
     return integrand
 
 
+def _overflow_to_inf(integrand):
+    # an overflowing product or sum becomes inf without a RuntimeWarning;
+    # the quadrature then raises Overflow at that point
+    def quiet(xs: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return integrand(xs)
+
+    return quiet
+
+
 # ----------------------------- chain evaluators -------------------------------
 
 def eval_classic_hh(f: Expr, interval: Interval,
@@ -194,7 +204,7 @@ def eval_theorem1(f: Expr, phi: PhiMap,
     diagnostics = None
     if include_diagnostics:
         mean_arith = _term("mean_arithmetic_reflected", lambda: mean_value(
-            lambda xs: 0.5 * (f.eval_array(xs) + f.eval_array(center - xs)),
+            _overflow_to_inf(lambda xs: 0.5 * (f.eval_array(xs) + f.eval_array(center - xs))),
             span, quad_tol))
         diagnostics = {"mean_arithmetic_reflected": mean_arith}
     return _finish("theorem1", terms, tolerance, quad_tol, diagnostics, notes)
@@ -220,7 +230,8 @@ def eval_theorem2(f: Expr, g: Expr, phi: PhiMap,
     terms = [
         ("integral_mean_fg",
          _term("integral_mean_fg", lambda: mean_value(
-             lambda xs: f.eval_array(xs) * g.eval_array(xs), span, quad_tol))),
+             _overflow_to_inf(lambda xs: f.eval_array(xs) * g.eval_array(xs)),
+             span, quad_tol))),
         ("log_mean_product_endpoints",
          _term("log_mean_product_endpoints",
                lambda: logarithmic(PositivePair(fpb * gpb, fpa * gpa)))),
@@ -232,7 +243,8 @@ def eval_theorem2(f: Expr, g: Expr, phi: PhiMap,
     diagnostics = None
     if include_diagnostics:
         half_sq = _term("half_mean_square_sum", lambda: 0.5 * mean_value(
-            lambda xs: f.eval_array(xs) ** 2 + g.eval_array(xs) ** 2, span, quad_tol))
+            _overflow_to_inf(lambda xs: f.eval_array(xs) ** 2 + g.eval_array(xs) ** 2),
+            span, quad_tol))
         diagnostics = {
             "half_mean_square_sum": half_sq,
             "half_mean_square_sum_minus_term2": half_sq - terms[1][1],

@@ -264,9 +264,6 @@ class _Segment:
         ts = np.asarray(ts, dtype=float)
         return self.f.eval_array(ts * self.u + (1.0 - ts) * self.v)
 
-    def eval(self, t: float) -> float:
-        return float(self.eval_array(np.array([t]))[0])
-
 
 def _require_positive_values(vals: np.ndarray, points: np.ndarray) -> None:
     bad = ~(vals > 0)

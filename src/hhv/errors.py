@@ -61,6 +61,21 @@ class MaxDepthExceeded(HHVError):
         )
 
 
+class OpenPanelLimitExceeded(MaxDepthExceeded):
+    """Adaptive quadrature would leave more panels open than its limit;
+    ``a`` and ``b`` bound the first open panel."""
+
+    def __init__(self, a: float, b: float, depth: int, limit: int):
+        self.a = a
+        self.b = b
+        self.depth = depth
+        self.limit = limit
+        HHVError.__init__(
+            self, f"quadrature did not converge on [{a!r}, {b!r}]: more than "
+            f"{limit} panels left open at depth {depth}"
+        )
+
+
 class PositivityViolated(HHVError):
     """A positivity hypothesis failed; carries the witness point."""
 

@@ -5,6 +5,17 @@ Integrands are vectorized callables ``f(xs: ndarray) -> ndarray`` (an
 Panels that fail their local error budget are split breadth-first, which
 keeps the refinement identical to the classical recursion while letting
 each level evaluate the integrand in one batched call.
+
+The open panels of a level form one table, a 7-row float array with one
+column per panel: a, m, b, f(a), f(m), f(b) and the panel's Simpson
+value.  All panels of a level share one error budget, since every split
+halves it.  A level evaluates the quarter points of all panels in one
+call and forms both half-panel Simpson values as one 2-row expression.
+The next table is one stack of 2-row blocks, each a row of the left
+children above the same row of the right children; the columns of the
+rejected panels are kept and interleaved left, right.  A level may leave
+at most ``MAX_OPEN_PANELS`` panels open, which bounds the memory of
+integrands that keep refining everywhere.
 """
 from __future__ import annotations
 
@@ -13,13 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MaxDepthExceeded, Overflow
+from .errors import MaxDepthExceeded, OpenPanelLimitExceeded, Overflow
 from .expr import Interval
 
 __all__ = ["QuadratureResult", "integrate", "mean_value"]
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 50
+MAX_OPEN_PANELS = 2**16
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
@@ -33,9 +45,8 @@ class QuadratureResult:
 
 def _eval(f: Integrand, xs: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(xs), dtype=float)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not np.isfinite(vals).all():
+        i = int(np.argmin(np.isfinite(vals)))
         raise Overflow(x=float(xs[i]), index=i)
     return vals
 
@@ -52,7 +63,9 @@ def integrate(
     first whole-interval Simpson estimate; each split halves a panel's
     budget.  Raises :class:`~hhv.errors.MaxDepthExceeded` if some panel
     still misses its budget at ``max_depth`` (integrable endpoint
-    singularities fail loudly rather than returning a best effort).
+    singularities fail loudly rather than returning a best effort), and
+    its subclass :class:`~hhv.errors.OpenPanelLimitExceeded` if a level
+    leaves more than ``MAX_OPEN_PANELS`` panels open.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -61,61 +74,41 @@ def integrate(
     f0 = _eval(f, xs0)
     evaluations = 3
     s_whole = (b - a) / 6.0 * (f0[0] + 4.0 * f0[1] + f0[2])
-    budget0 = max(tol, tol * abs(s_whole))
-
-    # parallel arrays describing all panels at the current depth
-    pa = np.array([a])
-    pm = np.array([xs0[1]])
-    pb = np.array([b])
-    fa = f0[0:1]
-    fm = f0[1:2]
-    fb = f0[2:3]
-    s = np.array([s_whole])
-    budget = np.array([budget0])
+    table = np.array([a, xs0[1], b, *f0, s_whole])[:, None]
+    # every panel of a level has the same budget
+    budget = max(tol, tol * abs(s_whole))
 
     total = 0.0
     err_total = 0.0
     depth = 0
-    while pa.size:
-        lm = 0.5 * (pa + pm)
-        rm = 0.5 * (pm + pb)
-        fnew = _eval(f, np.concatenate([lm, rm]))
-        evaluations += fnew.size
-        flm = fnew[: lm.size]
-        frm = fnew[lm.size:]
-        s_left = (pm - pa) / 6.0 * (fa + 4.0 * flm + fm)
-        s_right = (pb - pm) / 6.0 * (fm + 4.0 * frm + fb)
-        s2 = s_left + s_right
-        err = (s2 - s) / 15.0
-        ok = np.abs(err) <= budget
-        total += float(np.sum((s2 + err)[ok]))
-        err_total += float(np.sum(np.abs(err)[ok]))
-        if not ok.all():
-            if depth >= max_depth:
-                j = int(np.argmax(~ok))
-                raise MaxDepthExceeded(float(pa[j]), float(pb[j]), depth)
-            keep = ~ok
-            pa, pm, pb, fa, fm, fb, s = (
-                _interleave(pa[keep], pm[keep]),
-                _interleave(lm[keep], rm[keep]),
-                _interleave(pm[keep], pb[keep]),
-                _interleave(fa[keep], fm[keep]),
-                _interleave(flm[keep], frm[keep]),
-                _interleave(fm[keep], fb[keep]),
-                _interleave(s_left[keep], s_right[keep]),
-            )
-            budget = _interleave(budget[keep] / 2.0, budget[keep] / 2.0)
-            depth += 1
-        else:
+    while True:
+        mids = 0.5 * (table[0:2] + table[1:3])  # rows lm, rm
+        fmid = _eval(f, mids.ravel()).reshape(2, -1)
+        evaluations += fmid.size
+        halves = (table[1:3] - table[0:2]) / 6.0 * (table[3:5] + 4.0 * fmid + table[4:6])
+        s2 = halves[0] + halves[1]
+        err = (s2 - table[6]) / 15.0
+        abs_err = np.abs(err)
+        ok = abs_err <= budget
+        accepted = np.count_nonzero(ok)
+        if accepted:
+            total += float(np.add.reduce((s2 + err)[ok]))
+            err_total += float(np.add.reduce(abs_err[ok]))
+        if accepted == ok.size:
             break
+        if depth >= max_depth or ok.size - accepted > MAX_OPEN_PANELS:
+            j = int(np.argmin(ok))  # the first open panel
+            first = float(table[0, j]), float(table[2, j])
+            if depth >= max_depth:
+                raise MaxDepthExceeded(*first, depth)
+            raise OpenPanelLimitExceeded(*first, depth, MAX_OPEN_PANELS)
+        # rows 2i and 2i + 1: row i of the left and of the right children
+        children = np.concatenate((table[0:2], mids, table[1:3], table[3:5], fmid,
+                                   table[4:6], halves)).reshape(7, 2, -1)
+        table = children.compress(~ok, axis=2).transpose(0, 2, 1).reshape(7, -1)
+        budget = budget / 2.0
+        depth += 1
     return QuadratureResult(value=total, error_estimate=err_total, evaluations=evaluations)
-
-
-def _interleave(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(left))
-    out[0::2] = left
-    out[1::2] = right
-    return out
 
 
 def mean_value(

@@ -224,8 +224,7 @@ def run_target(target: SearchTarget, f: Expr, g: Expr | None, phi: PhiMap | None
     chains.  ``sampler`` serves checks, ``quad_tol`` and ``diagnostics``
     chains (``diagnostics`` only those that take phi).
     """
-    if phi is None and (target.takes_phi or target.kind == "chain"):
-        # the plain chains get one too, which they ignore
+    if phi is None and target.takes_phi:
         phi = PhiMap.identity(domain)
     if target.kind == "check":
         style, fn = _CHECKS[target.name]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -7,7 +8,9 @@ from hhv.chains import (
     eval_classic_hh, eval_dragomir_mond, eval_theorem1, eval_theorem2,
 )
 from hhv.convexity import PhiMap, SamplePlan, check_log_phi_convex
-from hhv.errors import DegeneratePhi, PositivityViolated
+from hhv.errors import (
+    ChainTermError, DegeneratePhi, OpenPanelLimitExceeded, PositivityViolated,
+)
 from hhv.expr import Interval, parse
 
 UNIT = Interval(0.0, 1.0)
@@ -50,6 +53,26 @@ class TestTermErrors:
         with pytest.raises(ChainTermError) as exc:
             eval_classic_hh(parse("ln(x - 0.2)"), UNIT)
         assert exc.value.term == "integral_mean_f"
+
+    def test_open_panel_limit_ends_a_runaway_term(self):
+        # the reflected geometric mean of this f refines everywhere near
+        # both poles; the open-panel limit ends it before memory runs out
+        with pytest.raises(ChainTermError) as exc:
+            eval_theorem1(parse("1/(x-0.3001)^2"), PhiMap.identity(UNIT))
+        assert exc.value.term == "mean_geometric_reflected"
+        assert isinstance(exc.value.__cause__, OpenPanelLimitExceeded)
+
+    @pytest.mark.parametrize("g_text, term", [
+        ("exp(400*x)", "integral_mean_fg"),
+        ("exp(x)", "half_mean_square_sum"),
+    ])
+    def test_product_overflow_is_a_term_error_without_warning(self, g_text, term):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChainTermError) as exc:
+                eval_theorem2(parse("exp(400*x)"), parse(g_text), PhiMap.identity(UNIT),
+                              include_diagnostics=True)
+        assert exc.value.term == term
 
 
 class TestDragomirMond:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhv.errors import MaxDepthExceeded, Overflow
+from hhv.errors import HHVError, MaxDepthExceeded, OpenPanelLimitExceeded, Overflow
 from hhv.expr import Interval, parse
-from hhv.quadrature import QuadratureResult, integrate, mean_value
+from hhv.quadrature import MAX_OPEN_PANELS, QuadratureResult, integrate, mean_value
 
 UNIT = Interval(0.0, 1.0)
 
@@ -109,3 +109,170 @@ class TestFailures:
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, UNIT, 0.0)
+
+
+# ------------------- breadth-first loop with parallel arrays -------------------
+# The loop as it stood before the panel table: one array per panel field,
+# rebuilt by interleaving.  ``integrate`` must agree with it bit for bit.
+
+def _reference_eval(f, xs):
+    vals = np.asarray(f(xs), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise Overflow(x=float(xs[i]), index=i)
+    return vals
+
+
+def _interleave(left, right):
+    out = np.empty(2 * len(left))
+    out[0::2] = left
+    out[1::2] = right
+    return out
+
+
+def _reference_integrate(f, interval, tol=1e-10, max_depth=50):
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    a, b = interval.a, interval.b
+    xs0 = np.array([a, 0.5 * (a + b), b])
+    f0 = _reference_eval(f, xs0)
+    evaluations = 3
+    s_whole = (b - a) / 6.0 * (f0[0] + 4.0 * f0[1] + f0[2])
+    budget0 = max(tol, tol * abs(s_whole))
+    pa, pm, pb = np.array([a]), np.array([xs0[1]]), np.array([b])
+    fa, fm, fb = f0[0:1], f0[1:2], f0[2:3]
+    s = np.array([s_whole])
+    budget = np.array([budget0])
+    total = 0.0
+    err_total = 0.0
+    depth = 0
+    while pa.size:
+        lm = 0.5 * (pa + pm)
+        rm = 0.5 * (pm + pb)
+        fnew = _reference_eval(f, np.concatenate([lm, rm]))
+        evaluations += fnew.size
+        flm = fnew[: lm.size]
+        frm = fnew[lm.size:]
+        s_left = (pm - pa) / 6.0 * (fa + 4.0 * flm + fm)
+        s_right = (pb - pm) / 6.0 * (fm + 4.0 * frm + fb)
+        s2 = s_left + s_right
+        err = (s2 - s) / 15.0
+        ok = np.abs(err) <= budget
+        total += float(np.sum((s2 + err)[ok]))
+        err_total += float(np.sum(np.abs(err)[ok]))
+        if ok.all():
+            break
+        if depth >= max_depth:
+            j = int(np.argmax(~ok))
+            raise MaxDepthExceeded(float(pa[j]), float(pb[j]), depth)
+        keep = ~ok
+        pa, pm, pb, fa, fm, fb, s = (
+            _interleave(pa[keep], pm[keep]),
+            _interleave(lm[keep], rm[keep]),
+            _interleave(pm[keep], pb[keep]),
+            _interleave(fa[keep], fm[keep]),
+            _interleave(flm[keep], frm[keep]),
+            _interleave(fm[keep], fb[keep]),
+            _interleave(s_left[keep], s_right[keep]),
+        )
+        budget = _interleave(budget[keep] / 2.0, budget[keep] / 2.0)
+        depth += 1
+    return QuadratureResult(value=total, error_estimate=err_total, evaluations=evaluations)
+
+
+def _outcome(integrator, f, interval, tol, max_depth):
+    """Everything a caller can observe, with floats compared bit for bit."""
+    try:
+        res = integrator(f, interval, tol, max_depth)
+    except HHVError as err:
+        return (type(err), str(err)) + tuple(
+            getattr(err, name, None) for name in ("x", "index", "a", "b", "depth"))
+    return (float(res.value).hex(), float(res.error_estimate).hex(), res.evaluations)
+
+
+def _smooth(c, d):
+    return lambda x: np.exp(c * x * x + d * x)
+
+
+def _singular(s):
+    return lambda x: 1.0 / np.sqrt(np.abs(x - s) + 1e-300)
+
+
+def _stepped(s):
+    return lambda x: np.where(x < s, 1.0, 3.0)
+
+
+def _overflowing(s):
+    # finite below s, inf from s on: the integrand overflows there
+    return lambda x: np.where(x < s, np.exp(x), np.inf)
+
+
+_INTEGRANDS = st.one_of(
+    st.builds(_smooth, st.floats(-8, 8), st.floats(-8, 8)),
+    st.builds(_singular, st.floats(-1, 3)),
+    st.builds(_stepped, st.floats(-1, 3)),
+    st.builds(_overflowing, st.floats(-1, 3)),
+)
+
+
+class TestPanelTable:
+    @given(_INTEGRANDS, st.floats(-1, 1), st.floats(1e-3, 2),
+           st.floats(-14, -3), st.integers(0, 16))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_loop(self, f, a, width, log_tol, max_depth):
+        # max_depth <= 16 keeps the uncapped reference within 2**16 panels
+        interval = Interval(a, a + width)
+        tol = 10.0 ** log_tol
+        assert _outcome(integrate, f, interval, tol, max_depth) \
+            == _outcome(_reference_integrate, f, interval, tol, max_depth)
+
+    def test_depth_failure_names_first_open_panel(self):
+        # panels left of the step converge, so the first open panel is
+        # the one holding the step, not the leftmost one
+        f = _stepped(0.7)
+        ours = _outcome(integrate, f, UNIT, 1e-12, 12)
+        assert ours[0] is MaxDepthExceeded and ours[4] > 0.0
+        assert ours == _outcome(_reference_integrate, f, UNIT, 1e-12, 12)
+
+    def test_overflow_at_depth_three(self):
+        calls = []
+
+        def pole(x):
+            calls.append(x.size)
+            with np.errstate(divide="ignore"):
+                return 1.0 / (x - 13.0 / 32.0)
+
+        ours = _outcome(integrate, pole, UNIT, 1e-10, 50)
+        # initial points, then one call per level: depth 3 evaluates the
+        # odd multiples of 1/32
+        assert ours[0] is Overflow and ours[2] == 13.0 / 32.0 and len(calls) == 5
+        assert ours == _outcome(_reference_integrate, pole, UNIT, 1e-10, 50)
+
+    @pytest.mark.parametrize("f", [lambda x: x**2, np.exp])
+    def test_max_depth_zero(self, f):
+        ours = _outcome(integrate, f, UNIT, 1e-10, 0)
+        assert ours == _outcome(_reference_integrate, f, UNIT, 1e-10, 0)
+        # Simpson is exact on x^2; exp needs more than one split
+        assert (ours[0] is MaxDepthExceeded) == (f is np.exp)
+
+
+class TestOpenPanelLimit:
+    # no panel of this integrand meets its budget before depth 20, so every
+    # level doubles the open panels
+    @staticmethod
+    def wiggle(x):
+        return np.sin(1e6 * x)
+
+    def test_too_many_open_panels_raise(self):
+        with pytest.raises(OpenPanelLimitExceeded) as exc:
+            integrate(self.wiggle, UNIT, 1e-10)
+        err = exc.value
+        assert isinstance(err, MaxDepthExceeded)
+        assert (err.a, err.b, err.depth, err.limit) == (0.0, 2.0**-17, 17, MAX_OPEN_PANELS)
+        assert str(MAX_OPEN_PANELS) in str(err)
+
+    def test_depth_limit_is_checked_first(self):
+        with pytest.raises(MaxDepthExceeded) as exc:
+            integrate(self.wiggle, UNIT, 1e-10, max_depth=17)
+        assert type(exc.value) is MaxDepthExceeded

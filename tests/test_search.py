@@ -1,6 +1,6 @@
 import pytest
 
-from hhv.convexity import SamplePlan, VERDICT_VIOLATED, check_log_convex
+from hhv.convexity import PhiMap, SamplePlan, VERDICT_VIOLATED, check_log_convex
 from hhv.errors import GenerationExhausted
 from hhv.expr import Interval, check_positive, parse
 from hhv.search import (
@@ -169,6 +169,16 @@ class TestRunTarget:
         chain, _ = run_target(SearchTarget("chain", "classic_hh"), f, None, None, UNIT,
                               tolerance=1e-3)
         assert chain.tolerance == 1e-3
+
+    @pytest.mark.parametrize("name", ["classic_hh", "dragomir_mond"])
+    def test_plain_chains_build_no_phi(self, name, monkeypatch):
+        def refuse(domain):
+            raise AssertionError("a plain chain built an identity phi")
+
+        monkeypatch.setattr(PhiMap, "identity", staticmethod(refuse))
+        rep, violated = run_target(SearchTarget("chain", name), parse("exp(x)"), None, None,
+                                   UNIT)
+        assert (rep.chain_id, violated) == (name, False)
 
     @pytest.mark.parametrize("name", ["classic_hh", "dragomir_mond", "theorem1", "theorem2"])
     def test_diagnostics_reach_the_phi_chains(self, name):
