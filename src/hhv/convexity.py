@@ -265,11 +265,12 @@ class _Segment:
         return self.f.eval_array(ts * self.u + (1.0 - ts) * self.v)
 
 
-def _require_positive_values(vals: np.ndarray, points: np.ndarray) -> None:
+def _require_positive_values(vals: np.ndarray, points: np.ndarray, label="f") -> np.ndarray:
     bad = ~(vals > 0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise PositivityViolated(float(points[i]), f"f = {vals[i]!r} is not positive")
+        raise PositivityViolated(float(points[i]), f"{label} = {vals[i]!r} is not positive")
+    return vals
 
 
 def _chord(t, u, v):

@@ -260,10 +260,11 @@ def find_counterexample(
 ) -> SearchOutcome:
     """Iterate seeded candidates against ``target`` until one violates it.
 
-    ``phi_spec=None`` means the identity map.  For the product chain a
-    second integrand is drawn from ``g_spec`` (default: ``f_spec`` on an
-    independent stream).  Candidates whose generation or hypotheses fail
-    count as trials with the skip reason tallied, never as violations.
+    ``phi_spec=None`` means the identity map, and phi is drawn only for
+    targets that take it.  For the product chain a second integrand is
+    drawn from ``g_spec`` (default: ``f_spec`` on an independent stream).
+    Candidates whose generation or hypotheses fail count as trials with the
+    skip reason tallied, never as violations.
     ``tolerance`` defaults by target kind, as in :func:`run_target`.
     """
     if budget < 1:
@@ -277,7 +278,7 @@ def find_counterexample(
         try:
             f = generate(replace(f_spec, seed=_derive_seed(seed, trial, 0)), domain)
             phi = None
-            if phi_spec is not None:
+            if phi_spec is not None and target.takes_phi:
                 phi = generate_phi(replace(phi_spec, seed=_derive_seed(seed, trial, 1)),
                                    domain)
             g = None

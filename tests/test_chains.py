@@ -1,17 +1,22 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhv.chains import (
+    DEFAULT_CHAIN_TOL, DEFAULT_QUAD_TOL, DEGENERATE_PHI_EPS,
     VERDICT_CHAIN_HOLDS, VERDICT_LINK_VIOLATED,
-    eval_classic_hh, eval_dragomir_mond, eval_theorem1, eval_theorem2,
+    ChainReport, eval_classic_hh, eval_dragomir_mond, eval_theorem1, eval_theorem2,
 )
-from hhv.convexity import PhiMap, SamplePlan, check_log_phi_convex
+from hhv.convexity import PhiMap, SamplePlan, _require_positivity, check_log_phi_convex
 from hhv.errors import (
-    ChainTermError, DegeneratePhi, OpenPanelLimitExceeded, PositivityViolated,
+    ChainTermError, DegeneratePhi, HHVError, OpenPanelLimitExceeded, PositivityViolated,
 )
 from hhv.expr import Interval, parse
+from hhv.means import PositivePair, arithmetic, logarithmic
+from hhv.quadrature import mean_value
 
 UNIT = Interval(0.0, 1.0)
 E = math.e
@@ -197,3 +202,290 @@ class TestTheorem2:
     def test_positivity_of_both_required(self):
         with pytest.raises(PositivityViolated):
             eval_theorem2(parse("exp(x)"), parse("x - 2"), PhiMap.identity(UNIT))
+
+
+class TestProductChainOracle:
+    # a product of log-phi-convex functions is log-phi-convex, so theorem2's
+    # first two terms are theorem1's integral mean and logarithmic mean of
+    # the endpoint values for the product, with the same integrand values
+    @given(st.floats(-3, 3), st.floats(0.1, 5), st.floats(-3, 3), st.floats(0, 2),
+           st.sampled_from(["x", "x^2", "1 - x", "0.1 + 0.7*x^3"]))
+    @settings(max_examples=200, deadline=None)
+    def test_first_two_terms_are_theorem1_of_the_product(self, k, c, m, q, phi_text):
+        f_text, g_text = f"exp({k!r}*x^2 + x)", f"{c!r} + {q!r}*x^2 + {m!r}*x^3"
+        f, g = parse(f_text), parse(g_text)
+        phi = PhiMap(parse(phi_text), UNIT)
+        try:
+            product = eval_theorem2(f, g, phi)
+        except PositivityViolated:
+            return  # g is not positive on the domain
+        single = eval_theorem1(parse(f"({f_text})*({g_text})"), phi)
+        pairs = [(product.terms[0], single.terms[2]), (product.terms[1], single.terms[3])]
+        assert [(a[0], b[0]) for a, b in pairs] == [
+            ("integral_mean_fg", "integral_mean_f"),
+            ("log_mean_product_endpoints", "log_mean_phi_endpoints")]
+        assert [a[1].hex() for a, _ in pairs] == [b[1].hex() for _, b in pairs]
+
+
+# ------------------ the hand-written evaluators, as a reference ------------------
+# The chains as they stood before the (name, thunk) term loop: each term
+# named twice, ends checked point by point, products computed under their
+# own errstate.  The evaluators must agree with them report for report and
+# error for error.
+
+def _ref_finish(chain_id, named_terms, tolerance, quad_tol, diagnostics=None, notes=()):
+    values = [v for _, v in named_terms]
+    margins = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
+    violated = tuple(i for i, m in enumerate(margins) if m < -tolerance)
+    verdict = VERDICT_LINK_VIOLATED if violated else VERDICT_CHAIN_HOLDS
+    return ChainReport(
+        chain_id=chain_id, terms=tuple(named_terms), pair_margins=margins,
+        verdict=verdict, violated_links=violated, tolerance=tolerance,
+        quad_tol=quad_tol, diagnostics=diagnostics, notes=tuple(notes),
+    )
+
+
+def _ref_term(name, fn):
+    try:
+        return fn()
+    except HHVError as err:
+        raise ChainTermError(name, str(err)) from err
+
+
+def _ref_positive_vals(f, xs, label):
+    vals = f.eval_array(xs)
+    bad = ~(vals > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PositivityViolated(float(np.asarray(xs).ravel()[i]),
+                                 f"{label} = {vals.ravel()[i]!r} is not positive")
+    return vals
+
+
+def _ref_positive_point(f, x, label):
+    v = f.eval(x)
+    if not v > 0:
+        raise PositivityViolated(x, f"{label} = {v!r} is not positive")
+    return v
+
+
+def _ref_geometric_reflected(f, center):
+    def integrand(xs):
+        fx = _ref_positive_vals(f, xs, "f(x)")
+        fr = _ref_positive_vals(f, center - xs, "f(reflected x)")
+        return np.exp(0.5 * (np.log(fx) + np.log(fr)))
+
+    return integrand
+
+
+def _ref_overflow_to_inf(integrand):
+    def quiet(xs):
+        with np.errstate(over="ignore"):
+            return integrand(xs)
+
+    return quiet
+
+
+def _ref_classic_hh(f, interval, quad_tol=DEFAULT_QUAD_TOL, tolerance=DEFAULT_CHAIN_TOL):
+    terms = [
+        ("f_at_midpoint", _ref_term("f_at_midpoint", lambda: f.eval(interval.midpoint))),
+        ("integral_mean_f", _ref_term("integral_mean_f",
+                                      lambda: mean_value(f.eval_array, interval, quad_tol))),
+        ("endpoint_arithmetic_mean",
+         _ref_term("endpoint_arithmetic_mean",
+                   lambda: 0.5 * (f.eval(interval.a) + f.eval(interval.b)))),
+    ]
+    return _ref_finish("classic_hh", terms, tolerance, quad_tol)
+
+
+def _ref_dragomir_mond(f, interval, quad_tol=DEFAULT_QUAD_TOL, tolerance=DEFAULT_CHAIN_TOL):
+    _require_positivity(f, interval, "dragomir_mond integrand")
+    a, b = interval.a, interval.b
+    center = a + b
+    fa = _ref_positive_point(f, a, "f(a)")
+    fb = _ref_positive_point(f, b, "f(b)")
+    terms = [
+        ("f_at_midpoint", _ref_term("f_at_midpoint", lambda: f.eval(interval.midpoint))),
+        ("exp_mean_log_f",
+         _ref_term("exp_mean_log_f", lambda: float(np.exp(mean_value(
+             lambda xs: np.log(_ref_positive_vals(f, xs, "f(x)")), interval, quad_tol))))),
+        ("mean_geometric_reflected",
+         _ref_term("mean_geometric_reflected", lambda: mean_value(
+             _ref_geometric_reflected(f, center), interval, quad_tol))),
+        ("integral_mean_f",
+         _ref_term("integral_mean_f", lambda: mean_value(f.eval_array, interval, quad_tol))),
+        ("log_mean_endpoints",
+         _ref_term("log_mean_endpoints", lambda: logarithmic(PositivePair(fa, fb)))),
+        ("arithmetic_mean_endpoints",
+         _ref_term("arithmetic_mean_endpoints", lambda: arithmetic(PositivePair(fa, fb)))),
+    ]
+    return _ref_finish("dragomir_mond", terms, tolerance, quad_tol)
+
+
+def _ref_phi_endpoints(phi):
+    pa, pb = phi.at_a, phi.at_b
+    if abs(pb - pa) < DEGENERATE_PHI_EPS:
+        raise DegeneratePhi(
+            f"phi({phi.domain.a!r}) = {pa!r} and phi({phi.domain.b!r}) = {pb!r} coincide"
+        )
+    notes = ()
+    if pa > pb:
+        notes = ("phi(a) > phi(b); integrals taken over the reversed interval "
+                 f"[{pb!r}, {pa!r}], which leaves every mean unchanged",)
+    span = Interval(min(pa, pb), max(pa, pb))
+    return pa, pb, span, notes
+
+
+def _ref_theorem1(f, phi, quad_tol=DEFAULT_QUAD_TOL, tolerance=DEFAULT_CHAIN_TOL,
+                  include_diagnostics=False):
+    _require_positivity(f, phi.domain, "theorem1 integrand")
+    pa, pb, span, notes = _ref_phi_endpoints(phi)
+    center = pa + pb
+    fpa = _ref_positive_point(f, pa, "f(phi(a))")
+    fpb = _ref_positive_point(f, pb, "f(phi(b))")
+    terms = [
+        ("f_at_phi_midpoint",
+         _ref_term("f_at_phi_midpoint", lambda: f.eval(0.5 * center))),
+        ("mean_geometric_reflected",
+         _ref_term("mean_geometric_reflected", lambda: mean_value(
+             _ref_geometric_reflected(f, center), span, quad_tol))),
+        ("integral_mean_f",
+         _ref_term("integral_mean_f", lambda: mean_value(f.eval_array, span, quad_tol))),
+        ("log_mean_phi_endpoints",
+         _ref_term("log_mean_phi_endpoints", lambda: logarithmic(PositivePair(fpb, fpa)))),
+        ("arithmetic_mean_phi_endpoints",
+         _ref_term("arithmetic_mean_phi_endpoints",
+                   lambda: arithmetic(PositivePair(fpa, fpb)))),
+    ]
+    diagnostics = None
+    if include_diagnostics:
+        mean_arith = _ref_term("mean_arithmetic_reflected", lambda: mean_value(
+            _ref_overflow_to_inf(
+                lambda xs: 0.5 * (f.eval_array(xs) + f.eval_array(center - xs))),
+            span, quad_tol))
+        diagnostics = {"mean_arithmetic_reflected": mean_arith}
+    return _ref_finish("theorem1", terms, tolerance, quad_tol, diagnostics, notes)
+
+
+def _ref_theorem2(f, g, phi, quad_tol=DEFAULT_QUAD_TOL, tolerance=DEFAULT_CHAIN_TOL,
+                  include_diagnostics=False):
+    _require_positivity(f, phi.domain, "theorem2 integrand f")
+    _require_positivity(g, phi.domain, "theorem2 integrand g")
+    pa, pb, span, notes = _ref_phi_endpoints(phi)
+    fpa = _ref_positive_point(f, pa, "f(phi(a))")
+    fpb = _ref_positive_point(f, pb, "f(phi(b))")
+    gpa = _ref_positive_point(g, pa, "g(phi(a))")
+    gpb = _ref_positive_point(g, pb, "g(phi(b))")
+    terms = [
+        ("integral_mean_fg",
+         _ref_term("integral_mean_fg", lambda: mean_value(
+             _ref_overflow_to_inf(lambda xs: f.eval_array(xs) * g.eval_array(xs)),
+             span, quad_tol))),
+        ("log_mean_product_endpoints",
+         _ref_term("log_mean_product_endpoints",
+                   lambda: logarithmic(PositivePair(fpb * gpb, fpa * gpa)))),
+        ("quarter_sum_log_mean_bound",
+         _ref_term("quarter_sum_log_mean_bound", lambda:
+                   0.25 * (fpb + fpa) * logarithmic(PositivePair(fpb, fpa))
+                   + 0.25 * (gpb + gpa) * logarithmic(PositivePair(gpb, gpa)))),
+    ]
+    diagnostics = None
+    if include_diagnostics:
+        half_sq = _ref_term("half_mean_square_sum", lambda: 0.5 * mean_value(
+            _ref_overflow_to_inf(lambda xs: f.eval_array(xs) ** 2 + g.eval_array(xs) ** 2),
+            span, quad_tol))
+        diagnostics = {
+            "half_mean_square_sum": half_sq,
+            "half_mean_square_sum_minus_term2": half_sq - terms[1][1],
+            "term3_minus_half_mean_square_sum": terms[2][1] - half_sq,
+        }
+    return _ref_finish("theorem2", terms, tolerance, quad_tol, diagnostics, notes)
+
+
+_CHAINS = {
+    "classic_hh": (eval_classic_hh, _ref_classic_hh),
+    "dragomir_mond": (eval_dragomir_mond, _ref_dragomir_mond),
+    "theorem1": (eval_theorem1, _ref_theorem1),
+    "theorem2": (eval_theorem2, _ref_theorem2),
+}
+
+
+def _chain_outcome(fn, chain, f, g, phi, diagnostics):
+    """Everything a caller can observe: the report's repr, or the error's
+    type, message, term and cause type."""
+    if chain in ("classic_hh", "dragomir_mond"):
+        args, extra = (f, phi.domain), {}
+    else:
+        args = (f, g, phi) if chain == "theorem2" else (f, phi)
+        extra = {"include_diagnostics": diagnostics}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return repr(fn(*args, **extra))
+        except (HHVError, ValueError) as err:  # PositivePair raises ValueError
+            return (type(err), str(err), getattr(err, "term", None),
+                    type(err.__cause__))
+
+
+def _assert_matches_reference(chain, f_text, g_text, phi_text, domain, diagnostics):
+    f, g = parse(f_text), parse(g_text)
+    phi = PhiMap(parse(phi_text), domain)
+    new, ref = _CHAINS[chain]
+    assert _chain_outcome(new, chain, f, g, phi, diagnostics) \
+        == _chain_outcome(ref, chain, f, g, phi, diagnostics)
+
+
+def _phi_texts(domain):
+    a, b, w = domain.a, domain.b, domain.width
+    return st.sampled_from([
+        "x",
+        f"{a!r} + (x - {a!r})^2/{w!r}",
+        f"{a + b!r} - x",
+        f"{domain.midpoint!r}",
+    ])
+
+
+_SHIFT = st.floats(-0.5, 2.5)
+_F_TEXTS = st.one_of(
+    st.builds(lambda k, c: f"exp({k!r}*x + {c!r})", st.floats(-40, 40), st.floats(-25, 25)),
+    st.builds(lambda cs: " + ".join(f"({c!r})*x^{i}" for i, c in enumerate(cs)),
+              st.lists(st.floats(-3, 3), min_size=1, max_size=4)),
+    st.builds(lambda c0, cs: f"{c0!r}" + "".join(f" + {c!r}*x^{i + 1}"
+                                               for i, c in enumerate(cs)),
+              st.floats(0.1, 5), st.lists(st.floats(0, 3), max_size=3)),
+    st.builds(lambda form, s: form.format(s=f"({s!r})"),
+              st.sampled_from(["ln(x - {s})", "1/(x - {s})", "sqrt(x - {s})",
+                               "sqrt({s} - x)", "exp(x)*sqrt(x - {s})"]),
+              _SHIFT),
+    st.sampled_from(["exp(400*x)", "exp(709.5*x)", "exp(709.7*(1-x)) + exp(707.5*x)",
+                     "exp(360*x)", "exp(-745*x)"]),
+)
+
+
+class TestTermLoopMatchesReference:
+    @given(st.sampled_from(sorted(_CHAINS)), _F_TEXTS, _F_TEXTS,
+           st.sampled_from([Interval(0.0, 1.0), Interval(0.5, 2.0)]), st.data(),
+           st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_evaluators(self, chain, f_text, g_text, domain, data,
+                                          diagnostics):
+        phi_text = data.draw(_phi_texts(domain))
+        _assert_matches_reference(chain, f_text, g_text, phi_text, domain, diagnostics)
+
+    @pytest.mark.parametrize("chain, f_text, g_text, phi_text, diagnostics", [
+        # f vanishes at phi(a), between the points of the positivity grid:
+        # the end check fails before any term runs
+        ("theorem1", "(x - 0.25)^2", "1", "0.25 + x/2", False),
+        ("theorem2", "exp(x)", "(x - 0.75)^2 + 0*x", "0.25 + x/2", True),
+        # a degenerate phi is reported before the ends are checked
+        ("theorem1", "(x - 0.5)^2", "1", "0.5", False),
+        # a term and the diagnostic both overflow: the term is reported
+        ("theorem1", "exp(709.5*x)", "1", "x", True),
+        ("theorem2", "exp(400*x)", "exp(400*x)", "x", True),
+        # the first failing term is reported, in chain order
+        ("classic_hh", "ln(x - 0.7)", "1", "x", False),
+        ("classic_hh", "ln(x - 0.2)", "1", "x", False),
+        ("theorem2", "exp(x)", "exp(2*x)", "1 - x", True),
+    ])
+    def test_regression_cases(self, chain, f_text, g_text, phi_text, diagnostics):
+        _assert_matches_reference(chain, f_text, g_text, phi_text, UNIT, diagnostics)

@@ -130,13 +130,27 @@ class TestSchema:
         schema = json.loads(
             (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json")
             .read_text())
-        for argv in (
-            ["check", "--class", "convex", "--f", "x^2", "--a", "-1", "--b", "1", *FAST],
-            ["chain", "--id", "dragomir_mond", "--f", "exp(x)", "--a", "0", "--b", "1"],
-            ["search", "--target", "check:log-convex", "--f-family", "positive_poly",
-             "--a", "1", "--b", "2", "--budget", "5", *FAST],
+        unit = ["--a", "0", "--b", "1"]
+        diag = ["--phi", "1 - x", "--diagnostics", *unit]
+        for argv, code, keys in (
+            (["check", "--class", "convex", "--f", "x^2", "--a", "-1", "--b", "1", *FAST],
+             0, {"witness"}),
+            (["chain", "--id", "classic_hh", "--f", "x^2", *unit], 0, {"terms"}),
+            (["chain", "--id", "dragomir_mond", "--f", "exp(x)", *unit], 0, {"terms"}),
+            (["chain", "--id", "theorem1", "--f", "exp(x^2)", *diag], 0, {"diagnostics"}),
+            (["chain", "--id", "theorem2", "--f", "exp(x)", "--g", "exp(2*x)", *diag],
+             0, {"diagnostics"}),
+            (["search", "--target", "check:log-convex", "--f-family", "positive_poly",
+              "--a", "1", "--b", "2", "--budget", "5", *FAST], 1, {"witness"}),
+            (["check", "--class", "convex", "--f", "x", "--a", "2", "--b", "1"], 2, {"error"}),
+            (["chain", "--id", "theorem1", "--f", "ln(x)", *unit], 3, {"error"}),
         ):
-            _, payload, _ = run_json(capsys, *argv)
+            got, payload, _ = run_json(capsys, *argv)
+            assert got == code and keys <= payload.keys()
+            if "diagnostics" in keys:
+                assert payload["notes"]
+            if argv[0] == "search":
+                assert payload["found"] and payload["witness"] is not None
             jsonschema.validate(payload, schema)
 
 
@@ -342,15 +356,28 @@ class TestReportCommand:
 
 
 class TestSubprocessEntry:
-    def test_module_execution(self):
+    @staticmethod
+    def run_module(*argv):
         # the child does not see pytest's sys.path, so point it at src/
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hhv", "check", "--class", "convex",
-             "--f", "x^2", "--a", "-1", "--b", "1", *FAST],
-            capture_output=True, text=True, timeout=120, env=env)
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              timeout=120, env=env)
+
+    def test_module_execution(self):
+        proc = self.run_module("-m", "hhv", "check", "--class", "convex",
+                               "--f", "x^2", "--a", "-1", "--b", "1", *FAST)
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["verdict"] == "holds_on_samples"
+
+    def test_overflowing_simpson_sum_exits_three_without_warning(self):
+        # f itself stays finite; the Simpson sums near x = 1 overflow
+        proc = self.run_module("-W", "error", "-m", "hhv", "chain", "--id", "theorem1",
+                               "--f", "exp(709.5*x)", "--diagnostics", "--a", "0", "--b", "1")
+        assert proc.returncode == 3
+        assert json.loads(proc.stdout)["error"] == {
+            "type": "ChainTermError",
+            "message": "term 'integral_mean_f' failed: non-finite result"}
+        assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ class TestFailures:
 
         with pytest.raises(Overflow):
             integrate(risky, UNIT, 1e-10)
+
+    @pytest.mark.parametrize("text", [
+        "exp(709.7*(1-x)) + exp(707.5*x)",  # the whole-interval sum overflows
+        "exp(709.5*x)",  # the sums of the panels at x = 1 overflow at every depth
+        "1e308 + 0*x",  # every sum overflows, so every level doubles the open panels
+    ])
+    def test_overflowing_simpson_sum_raises_overflow(self, text):
+        # the integrand is finite everywhere; only Simpson's sums overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow):
+                integrate(parse(text).eval_array, UNIT, 1e-10)
 
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):

@@ -123,6 +123,24 @@ class TestFindCounterexample:
         assert out.found
         assert out.witness.report.verdict == "link_violated"
 
+    @pytest.mark.parametrize("target", [SearchTarget("check", "convex"),
+                                        SearchTarget("chain", "dragomir_mond")])
+    def test_no_phi_drawn_for_targets_without_phi(self, target, monkeypatch):
+        import hhv.search as search
+        calls = []
+
+        def counting(spec, domain):
+            calls.append(spec)
+            return generate_phi(spec, domain)
+
+        monkeypatch.setattr(search, "generate_phi", counting)
+        out = find_counterexample(
+            target, FamilySpec("power", 0, (0.0, 1.0)),
+            FamilySpec("positive_poly", 2, (0.1, 2.0)),
+            Interval(0.5, 2.0), budget=50, seed=3, sampler=LIGHT)
+        assert out.found and out.witness.phi_text is None
+        assert calls == []
+
     def test_outcome_deterministic(self):
         args = dict(target=SearchTarget("check", "log_convex"),
                     f_spec=FamilySpec("positive_poly", 2, (0.0, 2.0)),
