@@ -21,6 +21,7 @@ from .chains import CHAIN_IDS, ChainReport, VERDICT_CHAIN_HOLDS
 from .convexity import ConvexityReport, PhiMap, SamplePlan, VERDICT_HOLDS
 from .errors import HHVError, ParseError
 from .expr import Interval, parse
+from .quadrature import DEFAULT_TOL
 from .search import (
     _CHECKS, FAMILIES, FamilySpec, SearchTarget, find_counterexample, run_target,
 )
@@ -54,11 +55,11 @@ class RunConfig:
     f_coeff_max: float = 2.0
     phi_family: str = "identity"
     phi_degree: int = 2
-    grid_x: int = 33
-    grid_t: int = 17
-    samples: int = 4096
+    grid_x: int = SamplePlan.x_points
+    grid_t: int = SamplePlan.t_points
+    samples: int = SamplePlan.random_count
     seed: int = 0
-    quad_tol: float = 1e-10
+    quad_tol: float = DEFAULT_TOL
     tolerance: float | None = None
     budget: int = 100
     output_format: str = "json"
@@ -214,9 +215,14 @@ def _resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.command in ("check", "chain"):
-        if cfg.f_text is None:
-            raise ConfigError("--f is required")
+    if cfg.command in ("check", "chain") and cfg.f_text is None:
+        raise ConfigError("--f is required")
+    if cfg.command == "search":
+        if cfg.target is None:
+            raise ConfigError("--target is required (check:<class> or chain:<id>)")
+        if cfg.f_family is None:
+            raise ConfigError("--f-family is required")
+    if cfg.command != "report":
         if cfg.a is None or cfg.b is None:
             raise ConfigError("--a and --b are required")
         if not cfg.a < cfg.b:
@@ -228,17 +234,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"--id must be one of {', '.join(CHAIN_IDS)}")
         if SearchTarget("chain", cfg.chain_id).takes_g and cfg.g_text is None:
             raise ConfigError("--g is required for the theorem2 chain")
-    if cfg.command == "search":
-        if cfg.target is None:
-            raise ConfigError("--target is required (check:<class> or chain:<id>)")
-        if cfg.f_family is None:
-            raise ConfigError("--f-family is required")
-        if cfg.a is None or cfg.b is None:
-            raise ConfigError("--a and --b are required")
-        if not cfg.a < cfg.b:
-            raise ConfigError(f"need a < b, got a={cfg.a}, b={cfg.b}")
-        if cfg.budget < 1:
-            raise ConfigError(f"--budget must be >= 1, got {cfg.budget}")
+    if cfg.command == "search" and cfg.budget < 1:
+        raise ConfigError(f"--budget must be >= 1, got {cfg.budget}")
     if cfg.command == "report" and cfg.input_path is None:
         raise ConfigError("--input is required")
     # "not > 0" also rejects NaN
@@ -253,12 +250,6 @@ def _validate(cfg: RunConfig) -> None:
 def _sampler(cfg: RunConfig) -> SamplePlan:
     return SamplePlan(x_points=cfg.grid_x, t_points=cfg.grid_t,
                       random_count=cfg.samples, seed=cfg.seed)
-
-
-def _triple_dict(triple) -> dict | None:
-    if triple is None:
-        return None
-    return {"x": triple.x, "y": triple.y, "t": triple.t}
 
 
 def _report_payload(report: ConvexityReport | ChainReport) -> dict:
@@ -282,7 +273,7 @@ def _report_payload(report: ConvexityReport | ChainReport) -> dict:
         "min_margin": report.min_margin,
         "samples_tested": report.samples_tested,
         "tolerance": report.tolerance,
-        "witness": _triple_dict(report.witness),
+        "witness": None if report.witness is None else asdict(report.witness),
         "failure_kind": report.failure_kind,
     }
 
@@ -441,19 +432,13 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage to stderr
         return int(exc.code or 0)
-    command = ns.command
     try:
         cfg = _resolve_config(ns)
-    except (ConfigError, ValueError) as err:
-        return _emit_error(err, command, started, EXIT_USAGE)
-    try:
-        payload, code = _RUNNERS[command](cfg)
-    except (ParseError, ConfigError) as err:
-        return _emit_error(err, command, started, EXIT_USAGE)
-    except ValueError as err:
-        return _emit_error(err, command, started, EXIT_USAGE)
+        payload, code = _RUNNERS[ns.command](cfg)
+    except (ParseError, ValueError) as err:  # a ConfigError is a ValueError
+        return _emit_error(err, ns.command, started, EXIT_USAGE)
     except HHVError as err:
-        return _emit_error(err, command, started, EXIT_NUMERIC)
+        return _emit_error(err, ns.command, started, EXIT_NUMERIC)
     _emit(payload, cfg, started)
     return code
 

@@ -320,39 +320,29 @@ def _margins(f, phi: PhiMap | None, samples: SampleSet, log_space: bool) -> np.n
     return samples.pairwise(_chord, fe) - fm
 
 
-def _assemble(class_checked, samples: SampleSet, tolerance, margins=None,
-              eval_error=None) -> ConvexityReport:
-    n = samples.size
-    if eval_error is not None:
-        return ConvexityReport(
-            class_checked=class_checked, verdict=VERDICT_VIOLATED, samples_tested=n,
-            min_margin=float("-inf"), witness=samples.point(eval_error.index or 0),
-            tolerance=tolerance, failure_kind="domain", failure_detail=str(eval_error),
-        )
-    if margins.size == 0:
-        return ConvexityReport(class_checked, VERDICT_HOLDS, 0, float("inf"),
-                               None, tolerance)
+def _judge(margins: np.ndarray, samples: SampleSet,
+           tolerance: float) -> tuple[str, float, SampleTriple | None]:
+    """(verdict, min margin, witness): the one place a margin meets the tolerance.
+
+    A margin below ``-tolerance`` is violated; the witness is the worst, the
+    smallest index among exact ties."""
     min_margin = float(margins.min())
     if min_margin < -tolerance:
-        # worst violation; argmin picks the smallest index among exact ties
-        return ConvexityReport(
-            class_checked=class_checked, verdict=VERDICT_VIOLATED, samples_tested=n,
-            min_margin=min_margin, witness=samples.point(int(np.argmin(margins))),
-            tolerance=tolerance, failure_kind="inequality",
-        )
-    return ConvexityReport(class_checked, VERDICT_HOLDS, n, min_margin, None, tolerance)
+        return VERDICT_VIOLATED, min_margin, samples.point(int(np.argmin(margins)))
+    return VERDICT_HOLDS, min_margin, None
 
 
-def _run_check(class_checked, f, phi, samples: SampleSet, tolerance, log_space,
-               force_half_t=False) -> ConvexityReport:
-    if force_half_t:
-        samples = samples._replace(gt=np.full_like(samples.gt, 0.5),
-                                   rt=np.full_like(samples.rt, 0.5))
+def _run_check(class_checked, f, phi, samples: SampleSet, tolerance,
+               log_space) -> ConvexityReport:
     try:
         margins = _margins(f, phi, samples, log_space)
     except EvalError as err:
-        return _assemble(class_checked, samples, tolerance, eval_error=err)
-    return _assemble(class_checked, samples, tolerance, margins=margins)
+        return ConvexityReport(class_checked, VERDICT_VIOLATED, samples.size,
+                               float("-inf"), samples.point(err.index or 0), tolerance,
+                               failure_kind="domain", failure_detail=str(err))
+    verdict, min_margin, witness = _judge(margins, samples, tolerance)
+    return ConvexityReport(class_checked, verdict, samples.size, min_margin, witness,
+                           tolerance, failure_kind=None if witness is None else "inequality")
 
 
 def _require_positivity(f, interval: Interval, label: str | None = None) -> None:
@@ -397,8 +387,10 @@ def check_log_phi_midconvex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), 
                             tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
     """The t = 1/2 restriction; the sampler's t component is ignored."""
     _require_positivity(f, phi.domain)
-    return _run_check("log_phi_midconvex", f, phi, sampler.samples(phi.domain), tolerance,
-                      log_space=True, force_half_t=True)
+    samples = sampler.samples(phi.domain)
+    samples = samples._replace(gt=np.full_like(samples.gt, 0.5),
+                               rt=np.full_like(samples.rt, 0.5))
+    return _run_check("log_phi_midconvex", f, phi, samples, tolerance, log_space=True)
 
 
 # ----------------------------- implication lattice ---------------------------
@@ -421,19 +413,11 @@ def check_implication_chain(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), 
     log_gm = samples.pairwise(_chord, np.log(fe))
     weighted_am = samples.pairwise(_chord, fe)
 
-    link_margins = (
+    links = [LinkCheck(name, *_judge(margins, samples, tolerance)) for name, margins in (
         ("multiplicative_bound", log_gm - np.log(fm)),
         ("weighted_am_gm", weighted_am - np.exp(log_gm)),
         ("max_bound", samples.pairwise(_larger, fe) - weighted_am),
-    )
-    links = []
-    for name, margins in link_margins:
-        min_margin = float(margins.min())
-        if min_margin < -tolerance:
-            witness = samples.point(int(np.argmin(margins)))
-            links.append(LinkCheck(name, VERDICT_VIOLATED, min_margin, witness))
-        else:
-            links.append(LinkCheck(name, VERDICT_HOLDS, min_margin, None))
+    )]
     return ImplicationLatticeReport(tuple(links), samples.size, tolerance)
 
 
@@ -452,42 +436,32 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
     pair_x = dom.a + dom.width * u[:, 0]
     pair_y = dom.a + dom.width * u[:, 1]
 
+    # one sample set for all pairs: each g is certified on it as check_convex
+    # or check_log_convex would, and the direct side takes its t lattice
+    unit = sampler.samples(_UNIT)
     # direct side on matched samples: the drawn pairs crossed with the t lattice
-    gt = np.linspace(0.0, 1.0, sampler.t_points)
     no_lattice = np.empty(0)
     direct = SampleSet(no_lattice, no_lattice, np.repeat(pair_x, sampler.t_points),
-                       np.repeat(pair_y, sampler.t_points), np.tile(gt, pair_count))
-    direct_violated = _margins(f, phi, direct, log_space) < -tolerance
-    direct_verdict = VERDICT_VIOLATED if direct_violated.any() else VERDICT_HOLDS
+                       np.repeat(pair_y, sampler.t_points), np.tile(unit.gt, pair_count))
+    direct_verdict = _judge(_margins(f, phi, direct, log_space), direct, tolerance)[0]
 
     # segment side: each pair induces g(t) = f(t*phi(x) + (1-t)*phi(y)) on [0, 1]
     px = phi.eval_array(pair_x)
     py = phi.eval_array(pair_y)
-    # each g is certified as check_convex or check_log_convex would, on one
-    # sample set drawn for all pairs
-    unit = sampler.samples(_UNIT)
-    segment_verdict = VERDICT_HOLDS
-    first_bad_pair: tuple[float, float] | None = None
+    bad_pairs = []
     for i in range(pair_count):
         seg = _Segment(f, px[i], py[i])
         if log_space:
             _require_positivity(seg, _UNIT)
-        rep = _run_check(kind, seg, None, unit, tolerance, log_space)
-        if rep.verdict == VERDICT_VIOLATED:
-            segment_verdict = VERDICT_VIOLATED
-            if first_bad_pair is None:
-                first_bad_pair = (float(pair_x[i]), float(pair_y[i]))
+        if _run_check(kind, seg, None, unit, tolerance, log_space).verdict == VERDICT_VIOLATED:
+            bad_pairs.append((float(pair_x[i]), float(pair_y[i])))
+    segment_verdict = VERDICT_VIOLATED if bad_pairs else VERDICT_HOLDS
 
+    # a pair's direct margins are, bit for bit, its segment margins at lattice
+    # (x, y) = (1, 0): only a segment can fail alone, so it names a disagreement
     agree = direct_verdict == segment_verdict
-    disagreeing: tuple[float, float] | None = None
-    if not agree:
-        if segment_verdict == VERDICT_VIOLATED:
-            disagreeing = first_bad_pair
-        else:
-            w = direct.point(int(np.argmax(direct_violated)))
-            disagreeing = (w.x, w.y)
-    return EquivalenceReport(kind, agree, pair_count, direct_verdict,
-                             segment_verdict, disagreeing, seed)
+    return EquivalenceReport(kind, agree, pair_count, direct_verdict, segment_verdict,
+                             None if agree else bad_pairs[0], seed)
 
 
 def check_log_phi_chord_equivalence(f, phi: PhiMap, pair_count: int,

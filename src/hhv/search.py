@@ -253,7 +253,6 @@ def find_counterexample(
     budget: int,
     seed: int,
     *,
-    g_spec: FamilySpec | None = None,
     sampler: SamplePlan = SamplePlan(),
     tolerance: float | None = None,
     quad_tol: float = DEFAULT_QUAD_TOL,
@@ -262,7 +261,7 @@ def find_counterexample(
 
     ``phi_spec=None`` means the identity map, and phi is drawn only for
     targets that take it.  For the product chain a second integrand is
-    drawn from ``g_spec`` (default: ``f_spec`` on an independent stream).
+    drawn from ``f_spec`` on an independent stream.
     Candidates whose generation or hypotheses fail count as trials with the
     skip reason tallied, never as violations.
     ``tolerance`` defaults by target kind, as in :func:`run_target`.
@@ -283,8 +282,7 @@ def find_counterexample(
                                    domain)
             g = None
             if target.takes_g:
-                base = g_spec if g_spec is not None else f_spec
-                g = generate(replace(base, seed=_derive_seed(seed, trial, 2)), domain)
+                g = generate(replace(f_spec, seed=_derive_seed(seed, trial, 2)), domain)
         except HHVError as err:
             _skip(type(err).__name__)
             continue

@@ -79,6 +79,19 @@ class TestTermErrors:
                               include_diagnostics=True)
         assert exc.value.term == term
 
+    @pytest.mark.parametrize("g_text, end", [
+        ("exp(-745*x)", "b"),
+        ("exp(-745*(1 - x))", "a"),
+    ])
+    def test_endpoint_product_underflow_is_a_term_error(self, g_text, end):
+        # f and g are positive at both ends, but f*g underflows to 0 at one
+        with pytest.raises(ChainTermError) as exc:
+            eval_theorem2(parse("exp(-1)"), parse(g_text), PhiMap.identity(UNIT))
+        assert exc.value.term == "log_mean_product_endpoints"
+        assert isinstance(exc.value.__cause__, PositivityViolated)
+        assert f"f(phi({end}))*g(phi({end})) = 0.0 is not finite" in str(exc.value)
+        _assert_matches_reference("theorem2", "exp(-1)", g_text, "x", UNIT, False)
+
 
 class TestDragomirMond:
     def test_exp_closed_forms(self):
@@ -376,14 +389,22 @@ def _ref_theorem2(f, g, phi, quad_tol=DEFAULT_QUAD_TOL, tolerance=DEFAULT_CHAIN_
     fpb = _ref_positive_point(f, pb, "f(phi(b))")
     gpa = _ref_positive_point(g, pa, "g(phi(a))")
     gpb = _ref_positive_point(g, pb, "g(phi(b))")
+
+    def log_mean_products():
+        # the endpoint products may underflow to 0 or overflow to inf
+        for p, end in ((fpb * gpb, "b"), (fpa * gpa, "a")):
+            if not (math.isfinite(p) and p > 0):
+                raise PositivityViolated(None, f"f(phi({end}))*g(phi({end})) = {p!r} "
+                                               "is not finite and positive")
+        return logarithmic(PositivePair(fpb * gpb, fpa * gpa))
+
     terms = [
         ("integral_mean_fg",
          _ref_term("integral_mean_fg", lambda: mean_value(
              _ref_overflow_to_inf(lambda xs: f.eval_array(xs) * g.eval_array(xs)),
              span, quad_tol))),
         ("log_mean_product_endpoints",
-         _ref_term("log_mean_product_endpoints",
-                   lambda: logarithmic(PositivePair(fpb * gpb, fpa * gpa)))),
+         _ref_term("log_mean_product_endpoints", log_mean_products)),
         ("quarter_sum_log_mean_bound",
          _ref_term("quarter_sum_log_mean_bound", lambda:
                    0.25 * (fpb + fpa) * logarithmic(PositivePair(fpb, fpa))
@@ -422,7 +443,7 @@ def _chain_outcome(fn, chain, f, g, phi, diagnostics):
         warnings.simplefilter("error")
         try:
             return repr(fn(*args, **extra))
-        except (HHVError, ValueError) as err:  # PositivePair raises ValueError
+        except HHVError as err:
             return (type(err), str(err), getattr(err, "term", None),
                     type(err.__cause__))
 

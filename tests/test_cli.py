@@ -58,6 +58,29 @@ class TestExitCodes:
         assert code == 2
         assert payload["error"]["type"] == "ConfigError"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["check"], "--f is required"),
+        (["check", "--f", "x"], "--a and --b are required"),
+        (["check", "--f", "x", "--a", "2", "--b", "1"], "need a < b, got a=2.0, b=1.0"),
+        (["chain", "--f", "x", "--a", "0", "--b", "1"], "--id must be one of"),
+        (["chain", "--id", "theorem2", "--f", "x", "--a", "0", "--b", "1"],
+         "--g is required"),
+        (["search", "--budget", "0"], "--target is required"),
+        (["search", "--target", "check:convex", "--a", "0"], "--f-family is required"),
+        (["search", "--target", "check:convex", "--f-family", "power", "--budget", "0"],
+         "--a and --b are required"),
+        (["search", "--target", "check:convex", "--f-family", "power",
+          "--a", "1", "--b", "1", "--budget", "0"], "need a < b"),
+        (["search", "--target", "check:convex", "--f-family", "power",
+          "--a", "0", "--b", "1", "--budget", "0"], "--budget must be >= 1"),
+        (["report"], "--input is required"),
+    ])
+    def test_first_missing_input_is_reported(self, capsys, argv, message):
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 2
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["message"].startswith(message)
+
     def test_parse_error_is_two(self, capsys):
         code, payload, _ = run_json(
             capsys, "check", "--class", "convex", "--f", "exp(", "--a", "0", "--b", "1")
@@ -380,4 +403,14 @@ class TestSubprocessEntry:
         assert json.loads(proc.stdout)["error"] == {
             "type": "ChainTermError",
             "message": "term 'integral_mean_f' failed: non-finite result"}
+        assert "Traceback" not in proc.stderr
+
+    def test_endpoint_product_underflow_exits_three(self):
+        # f*g underflows to 0 at b: a term failure, not a usage error
+        proc = self.run_module("-W", "error", "-m", "hhv", "chain", "--id", "theorem2",
+                               "--f", "exp(-1)", "--g", "exp(-745*x)", "--a", "0", "--b", "1")
+        assert proc.returncode == 3
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "ChainTermError"
+        assert error["message"].startswith("term 'log_mean_product_endpoints' failed")
         assert "Traceback" not in proc.stderr

@@ -556,6 +556,35 @@ class TestFactoredSamples:
                           pair_seed=data.draw(st.integers(0, 2**16)))
 
 
+# positive on every domain of _domains, so that the log space applies
+_positive_smooth = ["exp(x)", "exp(x^2)", "1/(1 + x^2)", "exp(-x^2)", "exp(30*x)",
+                    "abs(x - 0.2) + 0.1"]
+
+
+class TestDirectSegmentIdentity:
+    """A pair's direct margins in the chord check are, bit for bit, its
+    segment margins at the lattice triples (x, y) = (1, 0), t on the lattice.
+    So a violated direct side always comes with a violated segment, and a
+    disagreement is always named by a segment."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_plans, _domains, _map_kinds, st.integers(1, 4), st.integers(0, 2**16),
+           st.booleans(), st.data())
+    def test_direct_margins_are_segment_margins(self, plan, domain, map_kind, pair_count,
+                                                pair_seed, log_space, data):
+        f = parse(data.draw(st.sampled_from(_positive_smooth if log_space else _smooth)))
+        phi = _phi(map_kind, *domain)
+        pair_x, pair_y, xs, ys, ts = _ref_direct_triples(phi, pair_count, plan, pair_seed)
+        none = np.empty(0)
+        direct = convexity._margins(f, phi, SampleSet(none, none, xs, ys, ts), log_space)
+        unit = plan.samples(UNIT)
+        nx, nt = plan.x_points, plan.t_points
+        start = (nx - 1) * nx * nt
+        for i, (u, v) in enumerate(zip(phi.eval_array(pair_x), phi.eval_array(pair_y))):
+            segment = convexity._margins(convexity._Segment(f, u, v), None, unit, log_space)
+            assert segment[start:start + nt].tobytes() == direct[i * nt:(i + 1) * nt].tobytes()
+
+
 class TestFactoredDomainFailures:
     PLAN = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
 

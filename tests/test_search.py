@@ -141,6 +141,14 @@ class TestFindCounterexample:
         assert out.found and out.witness.phi_text is None
         assert calls == []
 
+    def test_endpoint_product_underflow_skips_the_trial(self):
+        # f and g near exp(-410): f*g underflows at both ends in every trial
+        out = find_counterexample(
+            SearchTarget("chain", "theorem2"), FamilySpec("exp_of_poly", 0, (-420, -400)),
+            None, UNIT, budget=3, seed=0)
+        assert not out.found
+        assert out.skipped == {"ChainTermError": 3}
+
     def test_outcome_deterministic(self):
         args = dict(target=SearchTarget("check", "log_convex"),
                     f_spec=FamilySpec("positive_poly", 2, (0.0, 2.0)),
