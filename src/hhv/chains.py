@@ -61,6 +61,8 @@ class ChainReport:
 
 
 def _finish(chain_id, terms, tolerance, quad_tol, diagnostics=None, notes=()):
+    if not tolerance >= 0:  # NaN would make every link hold
+        raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
     # a list, not a generator, which raised the chains benchmark's peak RSS by 3 MB
     named = tuple([(name, _term(name, thunk)) for name, thunk in terms])
     values = [v for _, v in named]

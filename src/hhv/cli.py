@@ -95,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--g", dest="g_text", help="expression for g(x)")
             p.add_argument("--phi", dest="phi_text",
                            help="deformation map (default: identity 'x')")
-            p.add_argument("--a", type=float, help="left endpoint")
-            p.add_argument("--b", type=float, help="right endpoint")
+        p.add_argument("--a", type=float, help="left endpoint")
+        p.add_argument("--b", type=float, help="right endpoint")
         p.add_argument("--seed", type=int, help="seed (default: $HHV_SEED or 0)")
         p.add_argument("--quad-tol", dest="quad_tol", type=float,
                        help="quadrature tolerance (default 1e-10)")
@@ -131,8 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=_CHOICES["phi_family"])
     p_search.add_argument("--phi-degree", dest="phi_degree", type=int)
     p_search.add_argument("--budget", type=int, help="number of trials")
-    p_search.add_argument("--a", type=float, help="left endpoint")
-    p_search.add_argument("--b", type=float, help="right endpoint")
     common(p_search, functions=False)
 
     p_report = sub.add_parser("report", help="re-render a saved JSON report")
@@ -252,30 +250,18 @@ def _sampler(cfg: RunConfig) -> SamplePlan:
                       random_count=cfg.samples, seed=cfg.seed)
 
 
+_RENAMED = {"class_checked": "class", "pair_margins": "margins"}
+
+
 def _report_payload(report: ConvexityReport | ChainReport) -> dict:
-    if isinstance(report, ChainReport):
-        payload = {
-            "verdict": report.verdict,
-            "chain_id": report.chain_id,
-            "terms": [{"name": n, "value": v} for n, v in report.terms],
-            "margins": list(report.pair_margins),
-            "violated_links": list(report.violated_links),
-            "tolerance": report.tolerance,
-            "quad_tol": report.quad_tol,
-            "notes": list(report.notes),
-        }
-        if report.diagnostics is not None:
-            payload["diagnostics"] = report.diagnostics
-        return payload
-    return {
-        "verdict": report.verdict,
-        "class": report.class_checked,
-        "min_margin": report.min_margin,
-        "samples_tested": report.samples_tested,
-        "tolerance": report.tolerance,
-        "witness": None if report.witness is None else asdict(report.witness),
-        "failure_kind": report.failure_kind,
-    }
+    """The report's fields, renamed as the schema names them, with a chain's
+    terms as ``{name, value}`` objects; the failure detail and absent
+    diagnostics are left out."""
+    payload = {_RENAMED.get(k, k): v for k, v in asdict(report).items()
+               if k != "failure_detail" and not (k == "diagnostics" and v is None)}
+    if "terms" in payload:
+        payload["terms"] = [{"name": n, "value": v} for n, v in report.terms]
+    return payload
 
 
 def _run_target(cfg: RunConfig) -> tuple[dict, int]:
@@ -383,36 +369,29 @@ def _to_human(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(payload: dict, cfg: RunConfig, started: float) -> None:
-    payload = dict(payload)
-    payload["tool_version"] = __version__
-    payload["command"] = cfg.command
-    payload["config_echo"] = asdict(cfg)
-    payload["seed"] = cfg.seed
-    payload["timings"] = {"total_s": round(time.perf_counter() - started, 6)}
-    if cfg.output_format == "csv":
+def _emit(payload: dict, command: str, started: float, cfg: RunConfig | None) -> None:
+    """Write ``payload`` in its envelope to stdout and a summary to stderr.
+
+    An error report has no ``cfg``: it is JSON whatever ``--format`` says,
+    and carries no ``config_echo`` or ``seed``.
+    """
+    payload = dict(payload, tool_version=__version__, command=command,
+                   timings={"total_s": round(time.perf_counter() - started, 6)})
+    if cfg is not None:
+        payload.update(config_echo=asdict(cfg), seed=cfg.seed)
+    output_format = "json" if cfg is None else cfg.output_format
+    if output_format == "csv":
         sys.stdout.write(_to_csv(payload))
-    elif cfg.output_format == "human":
+    elif output_format == "human":
         sys.stdout.write(_to_human(payload))
     else:
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    summary = f"hhv {cfg.command}: {payload.get('verdict', 'error')}"
+    summary = f"hhv {command}: {payload['verdict']}"
+    if cfg is None:
+        summary += f": {payload['error']['message']}"
     if "min_margin" in payload:
         summary += f" (min margin {payload['min_margin']!r})"
     print(summary, file=sys.stderr)
-
-
-def _emit_error(err: Exception, command: str, started: float, code: int) -> int:
-    payload = {
-        "tool_version": __version__,
-        "command": command,
-        "error": {"type": type(err).__name__, "message": str(err)},
-        "verdict": "error",
-        "timings": {"total_s": round(time.perf_counter() - started, 6)},
-    }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(f"hhv {command}: error: {err}", file=sys.stderr)
-    return code
 
 
 # ----------------------------- entry point ------------------------------------
@@ -435,11 +414,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(ns)
         payload, code = _RUNNERS[ns.command](cfg)
-    except (ParseError, ValueError) as err:  # a ConfigError is a ValueError
-        return _emit_error(err, ns.command, started, EXIT_USAGE)
-    except HHVError as err:
-        return _emit_error(err, ns.command, started, EXIT_NUMERIC)
-    _emit(payload, cfg, started)
+    except (ValueError, HHVError) as err:  # a ConfigError is a ValueError
+        payload = {"verdict": "error", "error": {"type": type(err).__name__,
+                                                 "message": str(err)}}
+        cfg = None
+        code = EXIT_USAGE if isinstance(err, (ParseError, ValueError)) else EXIT_NUMERIC
+    _emit(payload, ns.command, started, cfg)
     return code
 
 

@@ -31,6 +31,7 @@ VERDICT_HOLDS = "holds_on_samples"
 VERDICT_VIOLATED = "violated"
 
 DEFAULT_TOLERANCE = 1e-9
+MAX_SAMPLES = 2**22
 POSITIVITY_GRID = 257
 PHI_GRID = 257
 
@@ -54,6 +55,8 @@ class SamplePlan:
     The t grid must be odd so that it contains 0, 1/2, and 1; random
     triples come from a counter-based generator keyed on (seed, index),
     so a larger ``random_count`` extends rather than reshuffles the set.
+    A plan holds at most ``MAX_SAMPLES`` triples, so that its arrays fit in
+    memory.
     """
 
     x_points: int = 33
@@ -68,6 +71,9 @@ class SamplePlan:
             raise ValueError(f"t_points must be odd and >= 3, got {self.t_points}")
         if self.random_count < 0:
             raise ValueError(f"random_count must be >= 0, got {self.random_count}")
+        size = self.x_points**2 * self.t_points + self.random_count
+        if size > MAX_SAMPLES:
+            raise ValueError(f"sample plan holds {size} triples, more than {MAX_SAMPLES}")
 
     def samples(self, interval: Interval) -> "SampleSet":
         """The sample set over ``interval``, stored factored."""
@@ -325,7 +331,10 @@ def _judge(margins: np.ndarray, samples: SampleSet,
     """(verdict, min margin, witness): the one place a margin meets the tolerance.
 
     A margin below ``-tolerance`` is violated; the witness is the worst, the
-    smallest index among exact ties."""
+    smallest index among exact ties.  A NaN or negative tolerance raises
+    ``ValueError``."""
+    if not tolerance >= 0:  # NaN would make every margin hold
+        raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
     min_margin = float(margins.min())
     if min_margin < -tolerance:
         return VERDICT_VIOLATED, min_margin, samples.point(int(np.argmin(margins)))

@@ -68,7 +68,7 @@ def integrate(
     leaves more than ``MAX_OPEN_PANELS`` panels open.  Overflow in the
     integrand or in a Simpson sum raises :class:`~hhv.errors.Overflow`.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = interval.a, interval.b

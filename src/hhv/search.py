@@ -20,7 +20,7 @@ from .convexity import (
     check_convex, check_log_convex, check_log_phi_convex,
     check_log_phi_midconvex, check_phi_convex,
 )
-from .errors import GenerationExhausted, HHVError, PhiRangeViolated
+from .errors import GenerationExhausted, HHVError, Overflow, PhiRangeViolated
 from .expr import Expr, Interval, check_positive, parse
 
 __all__ = [
@@ -183,11 +183,14 @@ def generate_phi(spec: FamilySpec, domain: Interval) -> PhiMap:
         deg = int(rng.integers(1, degree + 1))
         coeffs = _open_closed(rng, max(spec.coeff_range[0], 0.0),
                               spec.coeff_range[1], deg + 1)
-        var = f"((x - {a!r})/{w!r})"
-        raw_text = _poly_text(coeffs, var=var)
-        raw = parse(raw_text)
-        r0 = raw.eval(domain.a)
-        r1 = raw.eval(domain.b)
+        raw_text = _poly_text(coeffs, var=f"((x - {a!r})/{w!r})")
+        # the raw polynomial at a and b: the rescaled variable is exactly 0 and
+        # 1 there, and the parsed text adds its terms from the highest degree
+        # down; an overflowing sum fails as evaluating the text at b did
+        r0 = float(coeffs[0])
+        r1 = sum(float(c) for c in coeffs[::-1])
+        if not np.isfinite(r1):
+            raise Overflow(x=domain.b, index=0)
         if not r1 > r0:
             continue
         text = f"{a!r} + {w!r}*({raw_text} - {r0!r})/{(r1 - r0)!r}"
@@ -269,10 +272,6 @@ def find_counterexample(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     skipped: dict[str, int] = {}
-
-    def _skip(reason: str) -> None:
-        skipped[reason] = skipped.get(reason, 0) + 1
-
     for trial in range(budget):
         try:
             f = generate(replace(f_spec, seed=_derive_seed(seed, trial, 0)), domain)
@@ -283,14 +282,11 @@ def find_counterexample(
             g = None
             if target.takes_g:
                 g = generate(replace(f_spec, seed=_derive_seed(seed, trial, 2)), domain)
-        except HHVError as err:
-            _skip(type(err).__name__)
-            continue
-        try:
             report, violated = run_target(target, f, g, phi, domain, sampler,
                                           tolerance=tolerance, quad_tol=quad_tol)
         except HHVError as err:
-            _skip(type(err).__name__)
+            reason = type(err).__name__
+            skipped[reason] = skipped.get(reason, 0) + 1
             continue
         if violated:
             witness = SearchWitness(

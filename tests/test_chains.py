@@ -92,6 +92,16 @@ class TestTermErrors:
         assert f"f(phi({end}))*g(phi({end})) = 0.0 is not finite" in str(exc.value)
         _assert_matches_reference("theorem2", "exp(-1)", g_text, "x", UNIT, False)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1e-8])
+    def test_nan_or_negative_tolerance_rejected(self, tolerance):
+        # a NaN tolerance would let every link hold; at 1e-8 both links fail
+        with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
+            eval_classic_hh(parse("sqrt(x)"), UNIT, tolerance=tolerance)
+        # checked before any term runs: this chain's product term would fail
+        with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
+            eval_theorem2(parse("exp(-1)"), parse("exp(-745*x)"), PhiMap.identity(UNIT),
+                          tolerance=tolerance)
+
 
 class TestDragomirMond:
     def test_exp_closed_forms(self):

@@ -4,11 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hhv import cli
+from hhv.chains import CHAIN_IDS, ChainReport
 from hhv.cli import main
+from hhv.convexity import ConvexityReport, SampleTriple
 
 FAST = ["--grid-x", "9", "--grid-t", "5", "--samples", "32"]
 
@@ -49,6 +54,15 @@ class TestExitCodes:
             capsys, "check", "--class", "convex", "--f", "x", "--a", "2", "--b", "1")
         assert code == 2
         assert payload["error"]["type"] == "ConfigError"
+
+    def test_oversized_sample_plan_is_two(self, capsys):
+        # 100000^2 * 17 triples would need terabytes
+        code, payload, _ = run_json(
+            capsys, "check", "--class", "convex", "--f", "x^2",
+            "--a", "0", "--b", "1", "--grid-x", "100000")
+        assert code == 2
+        assert payload["error"]["type"] == "ValueError"
+        assert "more than 4194304" in payload["error"]["message"]
 
     @pytest.mark.parametrize("flag", ["--tol", "--quad-tol"])
     def test_nan_tolerance_is_two(self, capsys, flag):
@@ -321,11 +335,78 @@ class TestFormats:
         assert "verdict: violated" in out
         assert "witness" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_error_report_is_json_in_every_format(self, capsys, fmt):
+        code, out, err = run_cli(
+            capsys, "check", "--class", "convex", "--f", "x", "--a", "2", "--b", "1",
+            "--format", fmt)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["verdict"] == "error" and "config_echo" not in payload
+        assert err == f"hhv check: error: {payload['error']['message']}\n"
+        assert err == "hhv check: error: need a < b, got a=2.0, b=1.0\n"
+
     def test_stderr_summary_always_present(self, capsys):
         _, _, err = run_cli(
             capsys, "check", "--class", "convex", "--f", "x^2",
             "--a", "-1", "--b", "1", *FAST)
         assert "hhv check" in err
+
+
+def _ref_report_payload(report):
+    """The payload as it was built before it was taken from the report
+    fields: every field copied by hand."""
+    if isinstance(report, ChainReport):
+        payload = {
+            "verdict": report.verdict,
+            "chain_id": report.chain_id,
+            "terms": [{"name": n, "value": v} for n, v in report.terms],
+            "margins": list(report.pair_margins),
+            "violated_links": list(report.violated_links),
+            "tolerance": report.tolerance,
+            "quad_tol": report.quad_tol,
+            "notes": list(report.notes),
+        }
+        if report.diagnostics is not None:
+            payload["diagnostics"] = report.diagnostics
+        return payload
+    return {
+        "verdict": report.verdict,
+        "class": report.class_checked,
+        "min_margin": report.min_margin,
+        "samples_tested": report.samples_tested,
+        "tolerance": report.tolerance,
+        "witness": None if report.witness is None else asdict(report.witness),
+        "failure_kind": report.failure_kind,
+    }
+
+
+_values = st.floats()
+_texts = st.text(max_size=12)
+_convexity_reports = st.builds(
+    ConvexityReport, st.sampled_from(sorted(cli._CHECKS)),
+    st.sampled_from(["holds_on_samples", "violated"]), st.integers(0, 10**6), _values,
+    st.none() | st.builds(SampleTriple, _values, _values, _values), _values,
+    st.sampled_from([None, "inequality", "domain"]), st.none() | _texts)
+_chain_reports = st.builds(
+    ChainReport, st.sampled_from(CHAIN_IDS),
+    st.lists(st.tuples(_texts, _values), min_size=1, max_size=6).map(tuple),
+    st.lists(_values, max_size=5).map(tuple),
+    st.sampled_from(["chain_holds", "link_violated"]),
+    st.lists(st.integers(0, 5), max_size=5).map(tuple), _values, _values,
+    st.none() | st.dictionaries(_texts, _values, max_size=3),
+    st.lists(_texts, max_size=3).map(tuple))
+
+
+class TestReportPayload:
+    @given(st.one_of(_convexity_reports, _chain_reports))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_hand_listed_payload(self, report):
+        got, want = cli._report_payload(report), _ref_report_payload(report)
+        assert (json.dumps(got, sort_keys=True, indent=2)
+                == json.dumps(want, sort_keys=True, indent=2))
+        assert cli._to_csv(got) == cli._to_csv(want)
+        assert cli._to_human(got) == cli._to_human(want)
 
 
 class TestSearchCommand:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hhv import convexity
 from hhv.convexity import (
-    EquivalenceReport, LinkCheck, PhiMap, SamplePlan, SampleSet, SampleTriple,
+    MAX_SAMPLES, EquivalenceReport, LinkCheck, PhiMap, SamplePlan, SampleSet, SampleTriple,
     VERDICT_HOLDS, VERDICT_VIOLATED,
     check_convex, check_implication_chain, check_phi_chord_equivalence,
     check_log_phi_chord_equivalence, check_log_convex, check_log_phi_convex,
@@ -65,6 +65,34 @@ class TestSamplePlan:
         assert (xs_b[: lattice + 100] == xs_s).all()
         assert (ys_b[: lattice + 100] == ys_s).all()
         assert (ts_b[: lattice + 100] == ts_s).all()
+
+    def test_plan_above_max_samples_rejected(self):
+        # 1024^2 * 3 lattice triples plus the random ones reach the cap exactly
+        random_count = MAX_SAMPLES - 1024**2 * 3
+        assert SamplePlan(x_points=1024, t_points=3, random_count=random_count)
+        with pytest.raises(ValueError, match="more than"):
+            SamplePlan(x_points=1024, t_points=3, random_count=random_count + 1)
+        with pytest.raises(ValueError, match="more than"):
+            SamplePlan(x_points=100000)
+
+
+class TestToleranceContract:
+    # a NaN tolerance would let every margin hold
+    @pytest.mark.parametrize("tolerance", [math.nan, -1e-9])
+    @pytest.mark.parametrize("check", [
+        lambda tol: check_convex(parse("sqrt(x)"), UNIT, SMALL, tolerance=tol),
+        lambda tol: check_implication_chain(parse("x"), PhiMap.identity(Interval(1, 2)),
+                                            SMALL, tolerance=tol),
+        lambda tol: check_phi_chord_equivalence(parse("sqrt(x)"), PhiMap.identity(UNIT), 4,
+                                                SMALL, tolerance=tol),
+    ], ids=["certifier", "implication_chain", "chord_check"])
+    def test_nan_or_negative_tolerance_rejected(self, check, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
+            check(tolerance)
+
+    def test_zero_tolerance_allowed(self):
+        rep = check_convex(parse("sqrt(x)"), UNIT, SMALL, tolerance=0.0)
+        assert rep.verdict == VERDICT_VIOLATED
 
 
 class TestPhiMap:

@@ -123,6 +123,12 @@ class TestFailures:
         with pytest.raises(ValueError):
             integrate(lambda x: x, UNIT, 0.0)
 
+    def test_nan_tolerance_rejected(self):
+        # "tol <= 0" lets NaN through, and every panel then refines until the
+        # open-panel limit
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            integrate(parse("x^2").eval_array, UNIT, tol=math.nan)
+
 
 # ------------------- breadth-first loop with parallel arrays -------------------
 # The loop as it stood before the panel table: one array per panel field,

@@ -1,7 +1,11 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hhv import search
 from hhv.convexity import PhiMap, SamplePlan, VERDICT_VIOLATED, check_log_convex
-from hhv.errors import GenerationExhausted
+from hhv.errors import GenerationExhausted, PhiRangeViolated
 from hhv.expr import Interval, check_positive, parse
 from hhv.search import (
     FamilySpec, SearchTarget, find_counterexample, generate, generate_phi, run_target,
@@ -69,7 +73,59 @@ class TestGeneratePhi:
         assert phi.at_b == pytest.approx(3.0, abs=1e-9)
 
 
+def _ref_generate_phi(spec, domain):
+    """generate_phi as it stood with two parses per attempt: the raw
+    polynomial is parsed and evaluated at both ends of the domain."""
+    a, w = domain.a, domain.width
+    degree = max(1, spec.degree_bound)
+    for attempt in range(search._MAX_TRIES):
+        rng = search._philox(spec.seed, search._STREAM_GEN + attempt)
+        deg = int(rng.integers(1, degree + 1))
+        coeffs = search._open_closed(rng, max(spec.coeff_range[0], 0.0),
+                                     spec.coeff_range[1], deg + 1)
+        var = f"((x - {a!r})/{w!r})"
+        raw_text = search._poly_text(coeffs, var=var)
+        raw = parse(raw_text)
+        r0 = raw.eval(domain.a)
+        r1 = raw.eval(domain.b)
+        if not r1 > r0:
+            continue
+        text = f"{a!r} + {w!r}*({raw_text} - {r0!r})/{(r1 - r0)!r}"
+        try:
+            return PhiMap(parse(text), domain)
+        except PhiRangeViolated:
+            continue
+    raise GenerationExhausted("phi", search._MAX_TRIES)
+
+
+def _phi_outcome(spec, domain, draw):
+    try:
+        return draw(spec, domain).phi.source_text
+    except Exception as err:  # compared by type, message and abscissa
+        return type(err).__name__, str(err), getattr(err, "x", None)
+
+
+class TestGeneratePhiMatchesReference:
+    # huge coefficient ranges make the raw polynomial overflow at b
+    @given(st.integers(0, 6), st.floats(0, 10),
+           st.one_of(st.floats(1e-9, 1e3), st.floats(1e300, 1.7e308)),
+           st.integers(0, 2**64 - 1), st.floats(-1e3, 1e3), st.floats(-9, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_parse_draw(self, degree, lo, spread, seed, a, log_width):
+        spec = FamilySpec("positive_poly", degree, (lo, lo + spread), seed)
+        domain = Interval(a, a + 10**log_width)
+        assert (_phi_outcome(spec, domain, generate_phi)
+                == _phi_outcome(spec, domain, _ref_generate_phi))
+
+
 class TestFindCounterexample:
+    def test_nan_tolerance_rejected(self):
+        # a NaN tolerance would report no violation for any target
+        for target in (SearchTarget("check", "convex"), SearchTarget("chain", "classic_hh")):
+            with pytest.raises(ValueError, match="tolerance must be a non-negative number"):
+                find_counterexample(target, FamilySpec("power"), None, Interval(0.5, 2.0),
+                                    budget=3, seed=3, sampler=LIGHT, tolerance=math.nan)
+
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             find_counterexample(SearchTarget("check", "log_convex"),
