@@ -18,10 +18,16 @@ chain ends, then hands ``_finish`` its terms as ``(name, thunk)`` pairs.
 failing term in a ChainTermError, then the optional diagnostics, which may
 read the term values.  Each report lists the ordered term values, adjacent
 margins (terms[i+1] - terms[i]), and the indices of any violated links.
+
+Integral means go through ``_mean``, which keeps the ``_MEANS_SIZE`` newest,
+keyed on the integrand's kind, the trees it reads, its reflection centre,
+the span and ``quad_tol``: the chains of one f share means, and a hit is the
+float a fresh integration gives.  A failing integration is not kept.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,10 @@ CHAIN_IDS = ("classic_hh", "dragomir_mond", "theorem1", "theorem2")
 
 DEFAULT_CHAIN_TOL = 1e-8
 DEGENERATE_PHI_EPS = 1e-12
+
+_MEANS_SIZE = 32
+_means: dict = {}
+_means_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -84,6 +94,19 @@ def _term(name: str, thunk):
         raise ChainTermError(name, str(err)) from err
 
 
+def _mean(key: tuple, integrand, span: Interval, quad_tol: float) -> float:
+    """``mean_value(integrand, span, quad_tol)``; ``key`` names the integrand."""
+    key = (*key, span, quad_tol)
+    value = _means.get(key)
+    if value is None:
+        value = mean_value(integrand, span, quad_tol)
+        with _means_lock:
+            if len(_means) >= _MEANS_SIZE:  # the first key is the oldest
+                del _means[next(iter(_means))]
+            _means[key] = value
+    return value
+
+
 def _positive_ends(f, xa: float, xb: float, label: str) -> list[float]:
     """[f(xa), f(xb)], each required positive; ``label`` has a {} for a or b."""
     ends = []
@@ -120,7 +143,7 @@ def eval_classic_hh(f: Expr, interval: Interval,
     """Midpoint value, integral mean, endpoint average."""
     return _finish("classic_hh", [
         ("f_at_midpoint", lambda: f.eval(interval.midpoint)),
-        ("integral_mean_f", lambda: mean_value(f.eval_array, interval, quad_tol)),
+        ("integral_mean_f", lambda: _mean(("f", f.root), f.eval_array, interval, quad_tol)),
         ("endpoint_arithmetic_mean",
          lambda: 0.5 * (f.eval(interval.a) + f.eval(interval.b))),
     ], tolerance, quad_tol)
@@ -135,12 +158,13 @@ def eval_dragomir_mond(f: Expr, interval: Interval,
     fa, fb = _positive_ends(f, interval.a, interval.b, "f({})")
     return _finish("dragomir_mond", [
         ("f_at_midpoint", lambda: f.eval(interval.midpoint)),
-        ("exp_mean_log_f", lambda: float(np.exp(mean_value(
+        ("exp_mean_log_f", lambda: float(np.exp(_mean(("ln f", f.root),
             lambda xs: np.log(_require_positive_values(f.eval_array(xs), xs, "f(x)")),
             interval, quad_tol)))),
-        ("mean_geometric_reflected", lambda: mean_value(
+        ("mean_geometric_reflected", lambda: _mean(
+            ("geometric", f.root, interval.a + interval.b),
             _geometric_reflected(f, interval.a + interval.b), interval, quad_tol)),
-        ("integral_mean_f", lambda: mean_value(f.eval_array, interval, quad_tol)),
+        ("integral_mean_f", lambda: _mean(("f", f.root), f.eval_array, interval, quad_tol)),
         ("log_mean_endpoints", lambda: logarithmic(PositivePair(fa, fb))),
         ("arithmetic_mean_endpoints", lambda: arithmetic(PositivePair(fa, fb))),
     ], tolerance, quad_tol)
@@ -176,15 +200,16 @@ def eval_theorem1(f: Expr, phi: PhiMap,
     fpa, fpb = _positive_ends(f, pa, pb, "f(phi({}))")
 
     def diagnostics(values):
-        mean_arith = _term("mean_arithmetic_reflected", lambda: mean_value(
+        mean_arith = _term("mean_arithmetic_reflected", lambda: _mean(
+            ("arithmetic", f.root, center),
             lambda xs: 0.5 * (f.eval_array(xs) + f.eval_array(center - xs)), span, quad_tol))
         return {"mean_arithmetic_reflected": mean_arith}
 
     return _finish("theorem1", [
         ("f_at_phi_midpoint", lambda: f.eval(0.5 * center)),
-        ("mean_geometric_reflected",
-         lambda: mean_value(_geometric_reflected(f, center), span, quad_tol)),
-        ("integral_mean_f", lambda: mean_value(f.eval_array, span, quad_tol)),
+        ("mean_geometric_reflected", lambda: _mean(
+            ("geometric", f.root, center), _geometric_reflected(f, center), span, quad_tol)),
+        ("integral_mean_f", lambda: _mean(("f", f.root), f.eval_array, span, quad_tol)),
         ("log_mean_phi_endpoints", lambda: logarithmic(PositivePair(fpb, fpa))),
         ("arithmetic_mean_phi_endpoints", lambda: arithmetic(PositivePair(fpa, fpb))),
     ], tolerance, quad_tol, diagnostics if include_diagnostics else None, notes)
@@ -207,7 +232,7 @@ def eval_theorem2(f: Expr, g: Expr, phi: PhiMap,
     gpa, gpb = _positive_ends(g, pa, pb, "g(phi({}))")
 
     def diagnostics(values):
-        half_sq = _term("half_mean_square_sum", lambda: 0.5 * mean_value(
+        half_sq = _term("half_mean_square_sum", lambda: 0.5 * _mean(("f^2+g^2", f.root, g.root),
             lambda xs: f.eval_array(xs) ** 2 + g.eval_array(xs) ** 2, span, quad_tol))
         return {
             "half_mean_square_sum": half_sq,
@@ -216,7 +241,7 @@ def eval_theorem2(f: Expr, g: Expr, phi: PhiMap,
         }
 
     return _finish("theorem2", [
-        ("integral_mean_fg", lambda: mean_value(
+        ("integral_mean_fg", lambda: _mean(("f*g", f.root, g.root),
             lambda xs: f.eval_array(xs) * g.eval_array(xs), span, quad_tol)),
         # the label names the end: a witness would capture pa and pb in this
         # closure, and those two cells moved the cyclic collector enough to

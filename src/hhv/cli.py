@@ -32,6 +32,9 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _HOLD_VERDICTS = (VERDICT_HOLDS, VERDICT_CHAIN_HOLDS, "no_violation_found")
+# errors that exit EXIT_USAGE, subclasses included; any other error exits
+# EXIT_NUMERIC.  A ConfigError is a ValueError.
+_USAGE_ERRORS = (ParseError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -81,6 +84,33 @@ _FIELD_TYPES = {fld.name: fld.type.split(" | ")[0] for fld in fields(RunConfig)}
 
 # ----------------------------- argument handling ------------------------------
 
+# each flag is declared only on the subcommands that read it, so that argparse
+# rejects it on the others
+_RUN = ("check", "chain", "search")
+_RUN_FLAGS = (
+    (("check", "chain"), "--f", dict(dest="f_text", help="expression for f(x)")),
+    (("chain",), "--g", dict(dest="g_text", help="expression for g(x)")),
+    (("check", "chain"), "--phi",
+     dict(dest="phi_text", help="deformation map (default: identity 'x')")),
+    (_RUN, "--a", dict(type=float, help="left endpoint")),
+    (_RUN, "--b", dict(type=float, help="right endpoint")),
+    (_RUN, "--seed", dict(type=int, help="seed (default: $HHV_SEED or 0)")),
+    (("chain", "search"), "--quad-tol",
+     dict(dest="quad_tol", type=float, help="quadrature tolerance (default 1e-10)")),
+    (_RUN, "--tol", dict(dest="tolerance", type=float,
+                         help="margin tolerance (default 1e-9 checks, 1e-8 chains)")),
+    (("check", "search"), "--grid-x", dict(dest="grid_x", type=int, help="x lattice size")),
+    (("check", "search"), "--grid-t",
+     dict(dest="grid_t", type=int, help="t lattice size (odd)")),
+    (("check", "search"), "--samples", dict(type=int, help="random triples per check")),
+    (_RUN, "--format", dict(dest="output_format", choices=_CHOICES["output_format"],
+                            help="stdout format")),
+    (("chain",), "--diagnostics", dict(action="store_true", default=None,
+                                       help="include proof-intermediate diagnostic terms")),
+    (_RUN, "--config", dict(help="JSON config file merged under explicit flags")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hhv",
@@ -89,38 +119,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, functions: bool) -> None:
-        if functions:
-            p.add_argument("--f", dest="f_text", help="expression for f(x)")
-            p.add_argument("--g", dest="g_text", help="expression for g(x)")
-            p.add_argument("--phi", dest="phi_text",
-                           help="deformation map (default: identity 'x')")
-        p.add_argument("--a", type=float, help="left endpoint")
-        p.add_argument("--b", type=float, help="right endpoint")
-        p.add_argument("--seed", type=int, help="seed (default: $HHV_SEED or 0)")
-        p.add_argument("--quad-tol", dest="quad_tol", type=float,
-                       help="quadrature tolerance (default 1e-10)")
-        p.add_argument("--tol", dest="tolerance", type=float,
-                       help="margin tolerance (default 1e-9 checks, 1e-8 chains)")
-        p.add_argument("--grid-x", dest="grid_x", type=int, help="x lattice size")
-        p.add_argument("--grid-t", dest="grid_t", type=int, help="t lattice size (odd)")
-        p.add_argument("--samples", type=int, help="random triples per check")
-        p.add_argument("--format", dest="output_format",
-                       choices=_CHOICES["output_format"], help="stdout format")
-        p.add_argument("--diagnostics", action="store_true", default=None,
-                       help="include proof-intermediate diagnostic terms")
-        p.add_argument("--config", help="JSON config file merged under explicit flags")
-
     p_check = sub.add_parser("check", help="certify a convexity class on samples")
     p_check.add_argument("--class", dest="check_class", choices=_CHOICES["check_class"],
                          help="convexity class to certify")
-    common(p_check, functions=True)
-
     p_chain = sub.add_parser("chain", help="evaluate an inequality chain term by term")
     p_chain.add_argument("--id", dest="chain_id",
                          help=f"chain id: {', '.join(CHAIN_IDS)}")
-    common(p_chain, functions=True)
-
     p_search = sub.add_parser("search", help="seeded counterexample search")
     p_search.add_argument("--target", help="check:<class> or chain:<id>")
     p_search.add_argument("--f-family", dest="f_family", choices=_CHOICES["f_family"])
@@ -131,7 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=_CHOICES["phi_family"])
     p_search.add_argument("--phi-degree", dest="phi_degree", type=int)
     p_search.add_argument("--budget", type=int, help="number of trials")
-    common(p_search, functions=False)
+    runs = {"check": p_check, "chain": p_chain, "search": p_search}
+    for commands, flag, options in _RUN_FLAGS:
+        for command in commands:
+            runs[command].add_argument(flag, **options)
 
     p_report = sub.add_parser("report", help="re-render a saved JSON report")
     p_report.add_argument("--input", dest="input_path",
@@ -191,7 +198,8 @@ def _read_config(path: str) -> dict:
 def _resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Merge precedence: explicit flag > config file > built-in default.
 
-    ``seed`` falls back to ``$HHV_SEED`` before its default.
+    ``seed`` falls back to ``$HHV_SEED`` before its default.  A field whose
+    flag the subcommand does not declare counts as an unset flag.
     """
     cfg_path = getattr(ns, "config", None)
     file_cfg = _read_config(cfg_path) if cfg_path else {}
@@ -324,8 +332,21 @@ def _run_report(cfg: RunConfig) -> tuple[dict, int]:
         raise ConfigError(f"cannot read report: {err}") from err
     if not isinstance(saved, dict) or "verdict" not in saved:
         raise ConfigError("input is not a report produced by this tool")
-    code = EXIT_HOLDS if saved.get("verdict") in _HOLD_VERDICTS else EXIT_VIOLATION
-    return saved, code
+    if saved["verdict"] == "error":  # the code main gave when it saved the report
+        error = saved.get("error")
+        name = error.get("type") if isinstance(error, dict) else None
+        return saved, EXIT_USAGE if name in _usage_error_names() else EXIT_NUMERIC
+    return saved, EXIT_HOLDS if saved["verdict"] in _HOLD_VERDICTS else EXIT_VIOLATION
+
+
+def _usage_error_names() -> set[str]:
+    """The names of ``_USAGE_ERRORS`` and of every subclass of them."""
+    names, todo = set(), list(_USAGE_ERRORS)
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo += cls.__subclasses__()
+    return names
 
 
 # ----------------------------- output ----------------------------------------
@@ -414,11 +435,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(ns)
         payload, code = _RUNNERS[ns.command](cfg)
-    except (ValueError, HHVError) as err:  # a ConfigError is a ValueError
+    except (ValueError, HHVError) as err:
         payload = {"verdict": "error", "error": {"type": type(err).__name__,
                                                  "message": str(err)}}
         cfg = None
-        code = EXIT_USAGE if isinstance(err, (ParseError, ValueError)) else EXIT_NUMERIC
+        code = EXIT_USAGE if isinstance(err, _USAGE_ERRORS) else EXIT_NUMERIC
     _emit(payload, ns.command, started, cfg)
     return code
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hhv import chains, quadrature
 from hhv.chains import (
     DEFAULT_CHAIN_TOL, DEFAULT_QUAD_TOL, DEGENERATE_PHI_EPS,
     VERDICT_CHAIN_HOLDS, VERDICT_LINK_VIOLATED,
@@ -20,6 +21,12 @@ from hhv.quadrature import mean_value
 
 UNIT = Interval(0.0, 1.0)
 E = math.e
+
+
+@pytest.fixture(autouse=True)
+def fresh_means():
+    """Every test starts with no shared means, whatever ran before it."""
+    chains._means.clear()
 
 
 def values(report):
@@ -441,14 +448,14 @@ _CHAINS = {
 }
 
 
-def _chain_outcome(fn, chain, f, g, phi, diagnostics):
+def _chain_outcome(fn, chain, f, g, phi, diagnostics, quad_tol=DEFAULT_QUAD_TOL):
     """Everything a caller can observe: the report's repr, or the error's
     type, message, term and cause type."""
     if chain in ("classic_hh", "dragomir_mond"):
-        args, extra = (f, phi.domain), {}
+        args, extra = (f, phi.domain), {"quad_tol": quad_tol}
     else:
         args = (f, g, phi) if chain == "theorem2" else (f, phi)
-        extra = {"include_diagnostics": diagnostics}
+        extra = {"quad_tol": quad_tol, "include_diagnostics": diagnostics}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -520,3 +527,83 @@ class TestTermLoopMatchesReference:
     ])
     def test_regression_cases(self, chain, f_text, g_text, phi_text, diagnostics):
         _assert_matches_reference(chain, f_text, g_text, phi_text, UNIT, diagnostics)
+
+
+# ------------------ integral means shared across chain calls ------------------
+
+_JOBS = [("classic_hh", False), ("dragomir_mond", False), ("theorem1", False),
+         ("theorem1", True), ("theorem2", False), ("theorem2", True)]
+
+
+class TestSharedMeans:
+    @given(_F_TEXTS, st.permutations(_JOBS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_means_match_fresh_calls(self, f_text, jobs, data):
+        # the six chain jobs of the chains benchmark on one f, in any order,
+        # each on its own parse of f, g and phi, as the benchmark runs them;
+        # each job draws its own g, domain, phi and quad_tol, so that means
+        # of other integrands, spans or tolerances sit in the memo
+        calls = []
+        for chain, diagnostics in jobs:
+            g_text = data.draw(_F_TEXTS)
+            domain = data.draw(st.sampled_from([Interval(0.0, 1.0), Interval(0.5, 2.0)]))
+            phi_text = data.draw(_phi_texts(domain))
+            quad_tol = data.draw(st.sampled_from([1e-10, 1e-8]))
+            calls.append((chain, diagnostics, g_text, domain, phi_text, quad_tol))
+
+        def outcome(chain, diagnostics, g_text, domain, phi_text, quad_tol, which=0):
+            f, g = parse(f_text), parse(g_text)
+            phi = PhiMap(parse(phi_text), domain)
+            return _chain_outcome(_CHAINS[chain][which], chain, f, g, phi, diagnostics,
+                                  quad_tol)
+
+        chains._means.clear()
+        shared = [outcome(*call) for call in calls]
+        for call, got in zip(calls, shared):
+            chains._means.clear()
+            assert got == outcome(*call)
+            # and the hand-written evaluator, which shares nothing, agrees
+            assert got == outcome(*call, which=1)
+
+    @pytest.fixture
+    def integrations(self, monkeypatch):
+        """The span of every ``quadrature.integrate`` call the test makes."""
+        calls = []
+        integrate = quadrature.integrate
+
+        def counting(integrand, interval, *args):
+            calls.append(interval)
+            return integrate(integrand, interval, *args)
+
+        monkeypatch.setattr(quadrature, "integrate", counting)
+        return calls
+
+    def test_one_integration_per_distinct_mean(self, integrations):
+        text = "exp(x^2) + 1"
+        eval_classic_hh(parse(text), UNIT)
+        eval_dragomir_mond(parse(text), UNIT)
+        eval_theorem1(parse(text), PhiMap.identity(UNIT), include_diagnostics=True)
+        eval_theorem2(parse(text), parse("x + 1"), PhiMap.identity(UNIT),
+                      include_diagnostics=True)
+        # f, ln f, the reflected geometric and arithmetic means, f*g, f^2 + g^2;
+        # nine integrations without sharing
+        assert len(integrations) == len(chains._means) == 6
+
+    def test_failing_integration_is_not_kept(self, integrations):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ChainTermError) as exc:
+                eval_theorem1(parse("1/(x-0.3001)^2"), PhiMap.identity(UNIT))
+            errors.append((str(exc.value), exc.value.term, type(exc.value.__cause__)))
+        assert errors[0] == errors[1]
+        assert errors[0][1:] == ("mean_geometric_reflected", OpenPanelLimitExceeded)
+        assert len(integrations) == 2 and not chains._means
+
+    def test_size_is_bounded_oldest_dropped_first(self):
+        size = chains._MEANS_SIZE
+        for k in range(size + 5):
+            eval_classic_hh(parse(f"x + {k}"), UNIT)
+        assert len(chains._means) == size
+        kept = {key[1] for key in chains._means}
+        assert parse("x + 0").root not in kept
+        assert parse(f"x + {size + 4}").root in kept

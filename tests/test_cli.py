@@ -66,9 +66,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--tol", "--quad-tol"])
     def test_nan_tolerance_is_two(self, capsys, flag):
+        # check takes no --quad-tol; chain takes both flags
         code, payload, _ = run_json(
-            capsys, "check", "--class", "convex", "--f", "x^2",
-            "--a", "-1", "--b", "1", flag, "nan", *FAST)
+            capsys, "chain", "--id", "classic_hh", "--f", "x^2",
+            "--a", "-1", "--b", "1", flag, "nan")
         assert code == 2
         assert payload["error"]["type"] == "ConfigError"
 
@@ -114,6 +115,45 @@ class TestExitCodes:
             "--a", "0", "--b", "1")
         assert code == 1
         assert payload["verdict"] == "link_violated"
+
+
+class TestSubcommandFlags:
+    UNIT = ["--f", "x^2", "--a", "0", "--b", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--id", "classic_hh", "--grid-t", "8"],
+        ["chain", "--id", "classic_hh", "--grid-x", "9"],
+        ["chain", "--id", "classic_hh", "--samples", "32"],
+        ["check", "--class", "convex", "--g", "bad("],
+        ["check", "--class", "convex", "--quad-tol", "1e-3"],
+        ["check", "--class", "convex", "--diagnostics"],
+    ])
+    def test_flag_a_subcommand_ignores_is_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, *self.UNIT)
+        assert code == 2
+        # argparse's usage error: unrecognized, or for --g on check an
+        # ambiguous prefix of --grid-x and --grid-t
+        assert out == "" and "error: " in err
+
+    @pytest.mark.parametrize("flag", [["--diagnostics"], ["--f", "x"], ["--g", "x"],
+                                      ["--phi", "x"]])
+    def test_search_rejects_flags_it_ignores(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "search", "--target", "chain:theorem1", "--f-family", "power",
+            "--a", "0", "--b", "1", "--budget", "1", *flag)
+        assert code == 2
+        assert out == "" and "error: " in err
+
+    def test_undeclared_flags_resolve_to_defaults(self, capsys):
+        code, payload, _ = run_json(capsys, "chain", "--id", "classic_hh", *self.UNIT)
+        assert code == 0
+        echo = payload["config_echo"]
+        defaults = cli.RunConfig(command="chain")
+        assert (echo["grid_x"], echo["grid_t"], echo["samples"]) \
+            == (defaults.grid_x, defaults.grid_t, defaults.samples)
+        _, payload, _ = run_json(capsys, "check", "--class", "convex", *self.UNIT, *FAST)
+        assert payload["config_echo"]["quad_tol"] == defaults.quad_tol
+        assert payload["config_echo"]["diagnostics"] is False
 
 
 class TestChainCommand:
@@ -451,6 +491,30 @@ class TestReportCommand:
                                     "--format", "csv")
         assert code == 1  # mirrors the saved link_violated verdict
         assert rendered.splitlines()[0] == "index,name,value,margin_to_next"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    @pytest.mark.parametrize("f_text, a, code, error_type", [
+        ("ln(x)", "0", 3, "PositivityViolated"),
+        ("ln(", "0", 2, "ParseError"),
+        ("lg(x)", "0", 2, "UnknownIdentifierError"),
+        ("x", "2", 2, "ConfigError"),
+    ])
+    def test_error_report_keeps_its_exit_code(self, capsys, tmp_path, f_text, a, code,
+                                              error_type, fmt):
+        saved_code, out, _ = run_cli(capsys, "chain", "--id", "theorem1", "--f", f_text,
+                                     "--a", a, "--b", "1")
+        assert saved_code == code
+        assert json.loads(out)["error"]["type"] == error_type
+        saved = tmp_path / "report.json"
+        saved.write_text(out)
+        got, rendered, err = run_cli(capsys, "report", "--input", str(saved),
+                                     "--format", fmt)
+        assert got == code
+        assert err == "hhv report: error\n"
+        if fmt == "json":
+            assert json.loads(rendered)["error"]["type"] == error_type
+        else:
+            assert "error" in rendered
 
     def test_invalid_input_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
