@@ -172,7 +172,7 @@ def eval_dragomir_mond(f: Expr, interval: Interval,
 
 def _phi_endpoints(phi: PhiMap) -> tuple[float, float, Interval, tuple[str, ...]]:
     pa, pb = phi.at_a, phi.at_b
-    if abs(pb - pa) < DEGENERATE_PHI_EPS:
+    if abs(pb - pa) < DEGENERATE_PHI_EPS * phi.domain.width:
         raise DegeneratePhi(
             f"phi({phi.domain.a!r}) = {pa!r} and phi({phi.domain.b!r}) = {pb!r} coincide"
         )

@@ -70,45 +70,55 @@ class RunConfig:
     input_path: str | None = None
 
 
-# the choices of the flags that have them, by RunConfig field; class names are
-# hyphenated on the command line and mapped back by _resolve_config
-_CHOICES = {
-    "check_class": sorted(name.replace("_", "-") for name in _CHECKS),
-    "f_family": FAMILIES,
-    "phi_family": ("identity", "poly"),
-    "output_format": ("json", "csv", "human"),
-}
 # base type of each field, read from its annotation: "float | None" -> "float"
 _FIELD_TYPES = {fld.name: fld.type.split(" | ")[0] for fld in fields(RunConfig)}
 
 
 # ----------------------------- argument handling ------------------------------
 
-# each flag is declared only on the subcommands that read it, so that argparse
-# rejects it on the others
+_SUBCOMMANDS = {
+    "check": "certify a convexity class on samples",
+    "chain": "evaluate an inequality chain term by term",
+    "search": "seeded counterexample search",
+    "report": "re-render a saved JSON report",
+}
 _RUN = ("check", "chain", "search")
-_RUN_FLAGS = (
-    (("check", "chain"), "--f", dict(dest="f_text", help="expression for f(x)")),
-    (("chain",), "--g", dict(dest="g_text", help="expression for g(x)")),
-    (("check", "chain"), "--phi",
-     dict(dest="phi_text", help="deformation map (default: identity 'x')")),
-    (_RUN, "--a", dict(type=float, help="left endpoint")),
-    (_RUN, "--b", dict(type=float, help="right endpoint")),
-    (_RUN, "--seed", dict(type=int, help="seed (default: $HHV_SEED or 0)")),
-    (("chain", "search"), "--quad-tol",
-     dict(dest="quad_tol", type=float, help="quadrature tolerance (default 1e-10)")),
-    (_RUN, "--tol", dict(dest="tolerance", type=float,
-                         help="margin tolerance (default 1e-9 checks, 1e-8 chains)")),
-    (("check", "search"), "--grid-x", dict(dest="grid_x", type=int, help="x lattice size")),
-    (("check", "search"), "--grid-t",
-     dict(dest="grid_t", type=int, help="t lattice size (odd)")),
-    (("check", "search"), "--samples", dict(type=int, help="random triples per check")),
-    (_RUN, "--format", dict(dest="output_format", choices=_CHOICES["output_format"],
-                            help="stdout format")),
-    (("chain",), "--diagnostics", dict(action="store_true", default=None,
-                                       help="include proof-intermediate diagnostic terms")),
-    (_RUN, "--config", dict(help="JSON config file merged under explicit flags")),
+# every flag, once, in the order of --help: (the subcommands that read it, so
+# that argparse rejects it on the others; the flag; its RunConfig field, whose
+# annotation gives its type; its help; its choices).  Class names are
+# hyphenated on the command line and mapped back by _resolve_config.
+_FLAGS = (
+    (("check",), "--class", "check_class", "convexity class to certify",
+     sorted(name.replace("_", "-") for name in _CHECKS)),
+    (("chain",), "--id", "chain_id", f"chain id: {', '.join(CHAIN_IDS)}", None),
+    (("search",), "--target", "target", "check:<class> or chain:<id>", None),
+    (("search",), "--f-family", "f_family", None, FAMILIES),
+    (("search",), "--f-degree", "f_degree", None, None),
+    (("search",), "--f-coeff-min", "f_coeff_min", None, None),
+    (("search",), "--f-coeff-max", "f_coeff_max", None, None),
+    (("search",), "--phi-family", "phi_family", None, ("identity", "poly")),
+    (("search",), "--phi-degree", "phi_degree", None, None),
+    (("search",), "--budget", "budget", "number of trials", None),
+    (("report",), "--input", "input_path", "report path, or '-' for stdin", None),
+    (("check", "chain"), "--f", "f_text", "expression for f(x)", None),
+    (("chain",), "--g", "g_text", "expression for g(x)", None),
+    (("check", "chain"), "--phi", "phi_text", "deformation map (default: identity 'x')", None),
+    (_RUN, "--a", "a", "left endpoint", None),
+    (_RUN, "--b", "b", "right endpoint", None),
+    (("check", "search"), "--seed", "seed", "seed (default: $HHV_SEED or 0)", None),
+    (("chain", "search"), "--quad-tol", "quad_tol", "quadrature tolerance (default 1e-10)",
+     None),
+    (_RUN, "--tol", "tolerance", "margin tolerance (default 1e-9 checks, 1e-8 chains)", None),
+    (("check", "search"), "--grid-x", "grid_x", "x lattice size", None),
+    (("check", "search"), "--grid-t", "grid_t", "t lattice size (odd)", None),
+    (("check", "search"), "--samples", "samples", "random triples per check", None),
+    (_RUN + ("report",), "--format", "output_format", "stdout format", ("json", "csv", "human")),
+    (("chain",), "--diagnostics", "diagnostics", "include proof-intermediate diagnostic terms",
+     None),
+    # the one flag without a field: _resolve_config reads the file it names
+    (_RUN, "--config", "config", "JSON config file merged under explicit flags", None),
 )
+_CHOICES = {field: choices for _, _, field, _, choices in _FLAGS if choices}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,33 +128,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Hermite-Hadamard-type inequality chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="certify a convexity class on samples")
-    p_check.add_argument("--class", dest="check_class", choices=_CHOICES["check_class"],
-                         help="convexity class to certify")
-    p_chain = sub.add_parser("chain", help="evaluate an inequality chain term by term")
-    p_chain.add_argument("--id", dest="chain_id",
-                         help=f"chain id: {', '.join(CHAIN_IDS)}")
-    p_search = sub.add_parser("search", help="seeded counterexample search")
-    p_search.add_argument("--target", help="check:<class> or chain:<id>")
-    p_search.add_argument("--f-family", dest="f_family", choices=_CHOICES["f_family"])
-    p_search.add_argument("--f-degree", dest="f_degree", type=int)
-    p_search.add_argument("--f-coeff-min", dest="f_coeff_min", type=float)
-    p_search.add_argument("--f-coeff-max", dest="f_coeff_max", type=float)
-    p_search.add_argument("--phi-family", dest="phi_family",
-                          choices=_CHOICES["phi_family"])
-    p_search.add_argument("--phi-degree", dest="phi_degree", type=int)
-    p_search.add_argument("--budget", type=int, help="number of trials")
-    runs = {"check": p_check, "chain": p_chain, "search": p_search}
-    for commands, flag, options in _RUN_FLAGS:
+    subparsers = {name: sub.add_parser(name, help=text) for name, text in _SUBCOMMANDS.items()}
+    for commands, flag, field, help_text, choices in _FLAGS:
+        kind = _FIELD_TYPES.get(field)
+        # a bool flag defaults to None, so that a config file can still set it
+        options = (dict(action="store_true", default=None) if kind == "bool" else
+                   dict(type={"int": int, "float": float}.get(kind), choices=choices))
         for command in commands:
-            runs[command].add_argument(flag, **options)
-
-    p_report = sub.add_parser("report", help="re-render a saved JSON report")
-    p_report.add_argument("--input", dest="input_path",
-                          help="report path, or '-' for stdin")
-    p_report.add_argument("--format", dest="output_format",
-                          choices=_CHOICES["output_format"])
+            subparsers[command].add_argument(flag, dest=field, help=help_text, **options)
     return parser
 
 

@@ -174,9 +174,10 @@ class SampleSet(NamedTuple):
 class PhiMap:
     """A deformation map together with the domain it must map into itself.
 
-    Self-mapping is checked at construction on a fixed grid, with an
-    absolute slack proportional to the domain scale so that maps whose
-    range touches an endpoint survive rounding.
+    Self-mapping is checked at construction on a fixed grid.  A value may
+    lie outside the domain by ``1e-9 * max(|a|, |b|)``, rounding at the size
+    of the ends, so that maps whose range touches an endpoint survive it on
+    a domain of any scale.
     """
 
     phi: Expr
@@ -188,7 +189,7 @@ class PhiMap:
         self._require_in_domain(grid, vals)
 
     def _require_in_domain(self, xs: np.ndarray, vals: np.ndarray) -> None:
-        slack = 1e-9 * max(1.0, abs(self.domain.a), abs(self.domain.b))
+        slack = 1e-9 * max(abs(self.domain.a), abs(self.domain.b))
         bad = (vals < self.domain.a - slack) | (vals > self.domain.b + slack)
         if bad.any():
             i = int(np.argmax(bad))
@@ -275,7 +276,8 @@ def _require_positive_values(vals: np.ndarray, points: np.ndarray, label="f") ->
     bad = ~(vals > 0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise PositivityViolated(float(points[i]), f"{label} = {vals[i]!r} is not positive")
+        raise PositivityViolated(float(points[i]),
+                                 f"{label} = {float(vals[i])!r} is not positive")
     return vals
 
 

@@ -422,19 +422,17 @@ def check_positive(f: Expr, interval: Interval, n: int = 257) -> PositivityCheck
     if n < 2:
         raise ValueError(f"grid size must be >= 2, got {n}")
     xs = np.linspace(interval.a, interval.b, n + 1)
+    result = PositivityCheck(True, None, None)
     try:
         vals = f.eval_array(xs)
     except EvalError as err:
-        k = err.index or 0
-        if k > 0:
-            head = f.eval_array(xs[:k])  # indices below k are evaluable
-            nonpos = ~(head > 0)
-            if nonpos.any():
-                j = int(np.argmax(nonpos))
-                return PositivityCheck(False, float(xs[j]), f"f(x) = {head[j]!r} is not positive")
-        return PositivityCheck(False, err.x, str(err))
+        # keep only the error's point and text: the error itself would hold
+        # this frame through its traceback
+        result = PositivityCheck(False, err.x, str(err))
+        xs = xs[:err.index or 0]  # the points before the failure are evaluable
+        vals = f.eval_array(xs) if xs.size else xs
     nonpos = ~(vals > 0)
     if nonpos.any():
         j = int(np.argmax(nonpos))
-        return PositivityCheck(False, float(xs[j]), f"f(x) = {vals[j]!r} is not positive")
-    return PositivityCheck(True, None, None)
+        return PositivityCheck(False, float(xs[j]), f"f(x) = {float(vals[j])!r} is not positive")
+    return result

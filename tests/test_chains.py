@@ -20,6 +20,7 @@ from hhv.means import PositivePair, arithmetic, logarithmic
 from hhv.quadrature import mean_value
 
 UNIT = Interval(0.0, 1.0)
+TINY = Interval(0.0, 1e-13)
 E = math.e
 
 
@@ -168,6 +169,16 @@ class TestTheorem1:
         with pytest.raises(DegeneratePhi):
             eval_theorem1(parse("exp(x)"), PhiMap(parse("0.5"), UNIT))
 
+    @pytest.mark.parametrize("phi_text", ["x", "1e-13 - x"])
+    def test_tiny_domain_is_not_degenerate(self, phi_text):
+        # |phi(b) - phi(a)| = 1e-13 is the whole width of the domain
+        rep = eval_theorem1(parse("exp(x)"), PhiMap(parse(phi_text), TINY))
+        assert rep.verdict == VERDICT_CHAIN_HOLDS
+
+    def test_constant_phi_on_a_tiny_domain_is_degenerate(self):
+        with pytest.raises(DegeneratePhi, match="coincide"):
+            eval_theorem1(parse("exp(x)"), PhiMap(parse("0"), TINY))
+
     def test_diagnostic_dominates_geometric_term(self):
         rep = eval_theorem1(parse("exp(x^2)"), PhiMap.identity(UNIT),
                             include_diagnostics=True)
@@ -229,6 +240,10 @@ class TestTheorem2:
         # the verdict must not depend on the diagnostic margins
         assert rep.verdict == VERDICT_CHAIN_HOLDS
 
+    def test_tiny_domain_is_not_degenerate(self):
+        rep = eval_theorem2(parse("exp(x)"), parse("exp(x)"), PhiMap.identity(TINY))
+        assert rep.verdict == VERDICT_CHAIN_HOLDS
+
     def test_positivity_of_both_required(self):
         with pytest.raises(PositivityViolated):
             eval_theorem2(parse("exp(x)"), parse("x - 2"), PhiMap.identity(UNIT))
@@ -288,7 +303,7 @@ def _ref_positive_vals(f, xs, label):
     if bad.any():
         i = int(np.argmax(bad))
         raise PositivityViolated(float(np.asarray(xs).ravel()[i]),
-                                 f"{label} = {vals.ravel()[i]!r} is not positive")
+                                 f"{label} = {float(vals.ravel()[i])!r} is not positive")
     return vals
 
 
@@ -354,7 +369,7 @@ def _ref_dragomir_mond(f, interval, quad_tol=DEFAULT_QUAD_TOL, tolerance=DEFAULT
 
 def _ref_phi_endpoints(phi):
     pa, pb = phi.at_a, phi.at_b
-    if abs(pb - pa) < DEGENERATE_PHI_EPS:
+    if abs(pb - pa) < DEGENERATE_PHI_EPS * phi.domain.width:
         raise DegeneratePhi(
             f"phi({phi.domain.a!r}) = {pa!r} and phi({phi.domain.b!r}) = {pb!r} coincide"
         )

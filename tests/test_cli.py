@@ -109,6 +109,19 @@ class TestExitCodes:
         assert code == 3
         assert payload["error"]["type"] == "PositivityViolated"
 
+    def test_positivity_message_prints_a_float(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "check", "--class", "log-convex", "--f", "x - 0.5", "--a", "0", "--b", "1")
+        assert code == 3
+        assert payload["error"]["message"] == (
+            "positivity hypothesis violated at x=0.0 (f(x) = -0.5 is not positive)")
+
+    def test_tiny_domain_identity_phi_is_not_degenerate(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "chain", "--id", "theorem1", "--f", "exp(x)", "--a", "0", "--b", "1e-13")
+        assert code == 0
+        assert payload["verdict"] == "chain_holds"
+
     def test_exit_matches_verdict_field(self, capsys):
         code, payload, _ = run_json(
             capsys, "chain", "--id", "classic_hh", "--f", "sqrt(x)",
@@ -127,6 +140,7 @@ class TestSubcommandFlags:
         ["check", "--class", "convex", "--g", "bad("],
         ["check", "--class", "convex", "--quad-tol", "1e-3"],
         ["check", "--class", "convex", "--diagnostics"],
+        ["chain", "--id", "classic_hh", "--seed", "5"],
     ])
     def test_flag_a_subcommand_ignores_is_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, *self.UNIT)
@@ -143,6 +157,10 @@ class TestSubcommandFlags:
             "--a", "0", "--b", "1", "--budget", "1", *flag)
         assert code == 2
         assert out == "" and "error: " in err
+
+    def test_every_field_has_one_flag(self):
+        flagged = [field for _, _, field, _, _ in cli._FLAGS]
+        assert sorted(flagged) == sorted(set(cli._FIELD_TYPES) - {"command"} | {"config"})
 
     def test_undeclared_flags_resolve_to_defaults(self, capsys):
         code, payload, _ = run_json(capsys, "chain", "--id", "classic_hh", *self.UNIT)
@@ -241,7 +259,7 @@ class TestDeterminism:
         ["check", "--class", "log-convex", "--f", "exp(x^2)", "--a", "0", "--b", "1",
          "--seed", "13", *FAST],
         ["chain", "--id", "theorem1", "--f", "exp(x)", "--phi", "x^2",
-         "--a", "0", "--b", "1", "--seed", "13"],
+         "--a", "0", "--b", "1"],
         ["search", "--target", "check:log-convex", "--f-family", "positive_poly",
          "--a", "1", "--b", "2", "--budget", "10", "--seed", "13", *FAST],
     ])
@@ -311,6 +329,24 @@ class TestConfigFile:
         assert payload["error"]["type"] == "ConfigError"
         assert "'sampels'" in payload["error"]["message"]
         assert "'tolerance'" not in payload["error"]["message"]
+
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        code, payload, _ = run_json(
+            capsys, "check", "--config", str(cfg),
+            "--class", "convex", "--f", "x^2", "--a", "-1", "--b", "1", *FAST)
+        assert code == 2
+        assert payload["error"]["message"] == "config file must hold a JSON object"
+
+    def test_config_sets_diagnostics(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"diagnostics": True}))
+        code, payload, _ = run_json(
+            capsys, "chain", "--config", str(cfg),
+            "--id", "theorem1", "--f", "exp(x)", "--a", "0", "--b", "1")
+        assert code == 0
+        assert "mean_arithmetic_reflected" in payload["diagnostics"]
 
     def test_config_values_take_field_types(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -450,6 +486,24 @@ class TestReportPayload:
 
 
 class TestSearchCommand:
+    def test_poly_phi_family_draws_phi(self, capsys):
+        argv = ["search", "--target", "check:log-phi-convex", "--f-family", "positive_poly",
+                "--a", "1", "--b", "2", "--budget", "5", "--seed", "1", *FAST]
+        _, identity, _ = run_json(capsys, *argv)
+        code, poly, _ = run_json(capsys, *argv, "--phi-family", "poly")
+        assert code == 1
+        assert identity["witness"]["phi"] is None
+        assert poly["witness"]["phi"].startswith("1.0 + 1.0*(")
+
+    def test_human_format_of_a_witness(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "search", "--target", "check:log-convex", "--f-family", "positive_poly",
+            "--a", "1", "--b", "2", "--budget", "5", "--seed", "1", "--format", "human",
+            *FAST)
+        assert code == 1
+        assert "found: True after 1 trials\n" in out
+        assert "witness f: 1.6367515228082496*x^2 + " in out
+
     def test_chain_target_with_witness_report(self, capsys):
         code, payload, _ = run_json(
             capsys, "search", "--target", "chain:classic_hh",
@@ -521,6 +575,19 @@ class TestReportCommand:
         bad.write_text("[1, 2, 3]")
         code, _, _ = run_cli(capsys, "report", "--input", str(bad))
         assert code == 2
+
+    def test_missing_input_is_usage_error(self, capsys, tmp_path):
+        code, payload, _ = run_json(capsys, "report", "--input", str(tmp_path / "none.json"))
+        assert code == 2
+        assert payload["error"]["message"].startswith("cannot read report: ")
+
+    def test_input_from_stdin(self, capsys, monkeypatch):
+        _, out, _ = run_cli(
+            capsys, "chain", "--id", "classic_hh", "--f", "sqrt(x)", "--a", "0", "--b", "1")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, rendered, _ = run_cli(capsys, "report", "--input", "-", "--format", "csv")
+        assert code == 1
+        assert rendered.splitlines()[0] == "index,name,value,margin_to_next"
 
 
 class TestSubprocessEntry:

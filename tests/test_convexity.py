@@ -56,6 +56,14 @@ class TestSamplePlan:
         with pytest.raises(ValueError):
             SamplePlan(t_points=8)
 
+    @pytest.mark.parametrize("sizes, message", [
+        (dict(x_points=1), "x_points must be >= 2, got 1"),
+        (dict(random_count=-1), "random_count must be >= 0, got -1"),
+    ])
+    def test_too_small_plan_rejected(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            SamplePlan(**sizes)
+
     def test_random_block_is_prefix_stable(self):
         small = SamplePlan(x_points=3, t_points=3, random_count=100, seed=9)
         big = SamplePlan(x_points=3, t_points=3, random_count=200, seed=9)
@@ -110,6 +118,15 @@ class TestPhiMap:
     def test_shifted_domain(self):
         with pytest.raises(PhiRangeViolated):
             PhiMap(parse("x^2"), Interval(1.0, 2.0))  # 2^2 = 4 escapes
+
+    def test_slack_scales_with_a_small_domain(self):
+        # phi(0) lies 500 domain widths above b
+        with pytest.raises(PhiRangeViolated):
+            PhiMap(parse("x + 5e-10"), Interval(0.0, 1e-12))
+
+    def test_reflection_of_a_small_domain_accepted(self):
+        phi = PhiMap(parse("1e-12 - x"), Interval(0.0, 1e-12))
+        assert (phi.at_a, phi.at_b) == (1e-12, 0.0)
 
 
 class TestCheckConvex:
@@ -268,6 +285,13 @@ class TestImplicationChain:
         assert rep.links[1].verdict == VERDICT_HOLDS
         assert rep.links[2].verdict == VERDICT_HOLDS
 
+    def test_violated_link_makes_the_chain_violated(self):
+        rep = check_implication_chain(parse("x^2 + 0.5"), PhiMap.identity(UNIT))
+        assert [link.verdict for link in rep.links] == [
+            VERDICT_VIOLATED, VERDICT_HOLDS, VERDICT_HOLDS]
+        assert rep.links[0].name == "multiplicative_bound"
+        assert rep.verdict == VERDICT_VIOLATED
+
     def test_am_gm_and_max_links_unconditional(self):
         # links 2 and 3 hold for every positive f, convex or not
         for text in ("x", "1/(1 + x)", "2 + x*(1 - x)", "exp(-x^2)"):
@@ -292,6 +316,10 @@ class TestChordEquivalences:
         assert rep.agree
         assert rep.direct_verdict == VERDICT_VIOLATED
         assert rep.segment_verdict == VERDICT_VIOLATED
+
+    def test_negative_pair_count_rejected(self):
+        with pytest.raises(ValueError, match="pair_count must be >= 0, got -1"):
+            check_log_phi_chord_equivalence(parse("exp(x)"), PhiMap.identity(UNIT), -1)
 
     def test_zero_pairs_vacuous(self):
         rep = check_log_phi_chord_equivalence(parse("exp(x)"), PhiMap.identity(UNIT), 0)
@@ -330,7 +358,7 @@ def _ref_require_positive_values(vals, points):
     bad = ~(vals > 0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise PositivityViolated(float(points[i]), f"f = {vals[i]!r} is not positive")
+        raise PositivityViolated(float(points[i]), f"f = {float(vals[i])!r} is not positive")
 
 
 def _ref_require_positivity(f, interval):
@@ -646,6 +674,16 @@ class TestFactoredDomainFailures:
         assert f"x={c!r}" in rep.failure_detail
         _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
 
+    def test_phi_failure_at_a_random_x_end(self):
+        plan = SamplePlan()
+        samples = plan.samples(UNIT)
+        c = float(samples.rx[5])
+        phi = PhiMap(parse(f"x + 0/(x - {c!r})"), UNIT)  # the 257-point grid misses c
+        rep = check_phi_convex(parse("x^2"), phi, plan)
+        assert rep.failure_kind == "domain"
+        assert rep.witness == SampleTriple(c, float(samples.ry[5]), float(samples.rt[5]))
+        assert f"x={c!r}" in rep.failure_detail
+
     def test_zero_at_random_y_end_breaks_positivity(self):
         samples = self.PLAN.samples(UNIT)
         c = float(samples.ry[3])
@@ -653,6 +691,13 @@ class TestFactoredDomainFailures:
         with pytest.raises(PositivityViolated, match=repr(c)):
             check_log_phi_convex(f, PhiMap.identity(UNIT), self.PLAN)
         _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
+
+    def test_positivity_message_prints_a_float(self):
+        c = float(self.PLAN.samples(UNIT).ry[3])
+        with pytest.raises(PositivityViolated) as exc:
+            check_log_phi_convex(parse(f"abs(x - {c!r})"), PhiMap.identity(UNIT), self.PLAN)
+        assert str(exc.value) == (
+            f"positivity hypothesis violated at x={c!r} (f = 0.0 is not positive)")
 
     def test_zero_at_an_end_reported_before_zero_at_a_mix(self):
         samples = self.PLAN.samples(UNIT)

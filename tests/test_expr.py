@@ -1,9 +1,12 @@
+import gc
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hhv import expr
 from hhv.errors import DomainError, EvalError, Overflow, ParseError, UnknownIdentifierError
 from hhv.expr import (
     Binary, Const, Expr, Interval, Num, Unary, Var,
@@ -70,6 +73,15 @@ class TestParse:
     def test_unbalanced_parens(self):
         with pytest.raises(ParseError):
             parse("exp(x")
+
+    @pytest.mark.parametrize("text, message, offset", [
+        ("x $ 2", "unexpected character '$'", 2),
+        ("1e999", "number literal '1e999' overflows", 0),
+    ])
+    def test_lexical_errors(self, text, message, offset):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse(text)
+        assert exc.value.offset == offset
 
 
 # strategy for random ASTs; leaves kept positive so texts stay short
@@ -366,6 +378,39 @@ class TestCheckPositive:
     def test_grid_size_validated(self):
         with pytest.raises(ValueError):
             check_positive(parse("x"), Interval(0, 1), 1)
+
+    @pytest.mark.parametrize("text, detail", [
+        ("x - 0.5", "f(x) = -0.5 is not positive"),
+        ("-sqrt(1 - x)", "f(x) = -1.0 is not positive"),
+    ])
+    def test_detail_prints_a_float(self, text, detail):
+        res = check_positive(parse(text), Interval(0, 2), 64)
+        assert res.detail == detail
+
+    @pytest.mark.parametrize("text, calls", [
+        ("exp(x)", 1),
+        ("ln(x)", 1),  # fails at the first point: nothing before it to scan
+        ("exp(sqrt(0.5 - x))", 2),  # the points before the failure are scanned again
+    ])
+    def test_evaluations_per_check(self, text, calls, monkeypatch):
+        seen = []
+        monkeypatch.setattr(expr, "evaluate_array",
+                            lambda f, xs: seen.append(len(xs)) or evaluate_array(f, xs))
+        check_positive(parse(text), Interval(0, 1), 64)
+        assert len(seen) == calls
+
+    def test_failure_leaves_no_reference_cycle(self):
+        # a kept EvalError would hold this frame through its traceback
+        f = parse("exp(sqrt(0.5 - x))")
+        check_positive(f, Interval(0, 1), 64)  # first-call set-up may hold cycles
+        gc.collect()
+        gc.disable()
+        try:
+            res = check_positive(f, Interval(0, 1), 64)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert res.witness > 0.5 and res.detail.startswith("sqrt of negative argument")
 
 
 class TestInterval:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,26 @@ class TestFamilySpec:
     def test_positive_poly_needs_nonnegative_range(self):
         with pytest.raises(ValueError):
             FamilySpec("positive_poly", coeff_range=(-1.0, 1.0))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(degree_bound=-1), "degree_bound must be >= 0, got -1"),
+        (dict(coeff_range=(1.0, 1.0)), "coeff_range must be increasing"),
+        (dict(coeff_range=(2.0, 1.0)), "coeff_range must be increasing"),
+    ])
+    def test_bad_parameters_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FamilySpec("exp_of_poly", **kwargs)
+
+
+class TestSearchTarget:
+    @pytest.mark.parametrize("kind, name, message", [
+        ("proof", "convex", "target kind must be 'check' or 'chain', got 'proof'"),
+        ("check", "concave", "unknown check target 'concave'"),
+        ("chain", "convex", "unknown chain target 'convex'"),
+    ])
+    def test_bad_target_rejected(self, kind, name, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SearchTarget(kind, name)
 
 
 class TestGenerate:
