@@ -96,8 +96,10 @@ _FLAGS = (
     (("search",), "--f-degree", "f_degree", None, None),
     (("search",), "--f-coeff-min", "f_coeff_min", None, None),
     (("search",), "--f-coeff-max", "f_coeff_max", None, None),
-    (("search",), "--phi-family", "phi_family", None, ("identity", "poly")),
-    (("search",), "--phi-degree", "phi_degree", None, None),
+    (("search",), "--phi-family", "phi_family",
+     "identity, or poly: a positive_poly phi with coefficients in "
+     "(0.1, max(0.2, --f-coeff-max)]", ("identity", "poly")),
+    (("search",), "--phi-degree", "phi_degree", "degree bound of a poly phi (>= 1)", None),
     (("search",), "--budget", "budget", "number of trials", None),
     (("report",), "--input", "input_path", "report path, or '-' for stdin", None),
     (("check", "chain"), "--f", "f_text", "expression for f(x)", None),
@@ -233,6 +235,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError("--g is required for the theorem2 chain")
     if cfg.command == "search" and cfg.budget < 1:
         raise ConfigError(f"--budget must be >= 1, got {cfg.budget}")
+    if cfg.command == "search" and cfg.phi_family == "poly" and cfg.phi_degree < 1:
+        raise ConfigError(f"--phi-degree must be >= 1, got {cfg.phi_degree}")
     if cfg.command == "report" and cfg.input_path is None:
         raise ConfigError("--input is required")
     # "not > 0" also rejects NaN
@@ -289,7 +293,7 @@ def _run_search(cfg: RunConfig) -> tuple[dict, int]:
                         (cfg.f_coeff_min, cfg.f_coeff_max))
     phi_spec = None
     if cfg.phi_family == "poly":
-        phi_spec = FamilySpec("positive_poly", max(1, cfg.phi_degree),
+        phi_spec = FamilySpec("positive_poly", cfg.phi_degree,
                               (0.1, max(0.2, cfg.f_coeff_max)))
     outcome = find_counterexample(
         target, f_spec, phi_spec, domain, cfg.budget, cfg.seed,

@@ -10,6 +10,7 @@ a universally quantified inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,7 @@ _STREAM_TRIPLES = 0x7472_6970  # distinct Philox streams per purpose
 _STREAM_PAIRS = 0x7061_6972
 
 _UNIT = Interval(0.0, 1.0)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
@@ -162,12 +164,40 @@ class SampleSet(NamedTuple):
         rand = fn(self.rt, at_ends[nx:nx + nr], at_ends[nx + nr:])
         return np.concatenate([np.broadcast_to(lattice, (nx, nx, nt)).reshape(-1), rand])
 
+    def fine_grid(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The grid that holds every lattice mix, and each mix's index in it.
+
+        With q = len(gt) - 1, the mix of lattice triple (gx[i], gx[j], gt[k])
+        is point q*j + k*(i - j) of linspace(gx[0], gx[-1], (len(gx) - 1)*q + 1)
+        when gt is linspace(0, 1, q + 1), as :meth:`SamplePlan.samples` builds
+        it.  Given only when (len(gx) - 1)*q is a power of two and the grid's
+        step is a normal float: then gx is the grid's every q-th point bit for
+        bit, so a degenerate chord's mix is its end.  Else None.
+        """
+        nx, nt = len(self.gx), len(self.gt)
+        n = (nx - 1) * (nt - 1)
+        if nx < 2 or nt < 3 or n & (n - 1):
+            return None
+        a, b = float(self.gx[0]), float(self.gx[-1])
+        if not (b - a) / n >= _TINY:  # a subnormal step would divide inexactly
+            return None
+        return np.linspace(a, b, n + 1), _fine_index(nx, nt)
+
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every triple as flat (x, y, t) arrays, in order."""
         x, y, t = np.meshgrid(self.gx, self.gx, self.gt, indexing="ij")
         return (np.concatenate([x.ravel(), self.rx]),
                 np.concatenate([y.ravel(), self.ry]),
                 np.concatenate([t.ravel(), self.rt]))
+
+
+@lru_cache(maxsize=8)
+def _fine_index(nx: int, nt: int) -> np.ndarray:
+    """Read-only index of each lattice mix in :meth:`SampleSet.fine_grid`, in triple order."""
+    i, j, k = np.ogrid[:nx, :nx, :nt]
+    idx = ((nt - 1) * j + k * (i - j)).reshape(-1)
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass(frozen=True)
@@ -290,13 +320,16 @@ def _larger(t, u, v):
 
 
 def _values(f, phi: PhiMap | None, samples: SampleSet,
-            log_space: bool) -> tuple[np.ndarray, np.ndarray]:
+            log_space: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """f at the deformed chord ends and at the mixes t*phi(x) + (1-t)*phi(y).
 
     Raises what evaluating phi(x), phi(y), f(phi(x)), f(phi(y)) and f(mix)
     over the flat triples, in that order, raises first; an EvalError's
-    index refers to the triples.  Returns f at :meth:`SampleSet.ends` and
-    f at every mix, in triple order.
+    index refers to the triples.  Returns f at :meth:`SampleSet.ends`, f at
+    the mixes and a gather index.  The index is None when f is given at
+    every mix in triple order.  Without phi, on a fine grid
+    (:meth:`SampleSet.fine_grid`), f is given at the grid and then at the
+    random mixes, and the index reads each lattice mix from the grid part.
     """
     ends = samples.ends()
     try:
@@ -313,19 +346,43 @@ def _values(f, phi: PhiMap | None, samples: SampleSet,
     except EvalError as err:
         err.index = samples.first_index(err.index)
         raise
-    mix = samples.pairwise(_chord, ends)
+    fine = None if phi is not None else samples.fine_grid()
+    if fine is None:
+        mix = samples.pairwise(_chord, ends)
+    else:
+        grid, idx = fine
+        nx, nr = len(samples.gx), len(samples.rx)
+        rand = _chord(samples.rt, ends[nx:nx + nr], ends[nx + nr:])
+        try:
+            fm = f.eval_array(np.concatenate([grid, rand]))
+        except EvalError:
+            fm = None
+        if fm is not None and (not log_space or (fm > 0).all()):
+            if log_space:
+                _require_positive_values(fe, ends)
+            return fe, fm, idx
+        # every grid point is a lattice mix: the flat mixes raise the failure
+        # as the pairwise path would, with its triple index
+        mix = np.concatenate([grid[idx], rand])
     fm = f.eval_array(mix)
     if log_space:
         _require_positive_values(fe, ends)
         _require_positive_values(fm, mix)
-    return fe, fm
+    return fe, fm, None
 
 
 def _margins(f, phi: PhiMap | None, samples: SampleSet, log_space: bool) -> np.ndarray:
-    fe, fm = _values(f, phi, samples, log_space)
+    fe, fm, idx = _values(f, phi, samples, log_space)
     if log_space:
         fe, fm = np.log(fe), np.log(fm)
-    return samples.pairwise(_chord, fe) - fm
+    margins = samples.pairwise(_chord, fe)
+    if idx is None:
+        margins -= fm
+    else:
+        n = samples.lattice_size
+        margins[:n] -= fm[idx]
+        margins[n:] -= fm[len(fm) - len(samples.rx):]
+    return margins
 
 
 def _judge(margins: np.ndarray, samples: SampleSet,
@@ -420,7 +477,7 @@ def check_implication_chain(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), 
     """
     _require_positivity(f, phi.domain)
     samples = sampler.samples(phi.domain)
-    fe, fm = _values(f, phi, samples, log_space=True)
+    fe, fm, _ = _values(f, phi, samples, log_space=True)  # phi is set: fm is in order
     log_gm = samples.pairwise(_chord, np.log(fe))
     weighted_am = samples.pairwise(_chord, fe)
 

@@ -14,6 +14,7 @@ from hhv import cli
 from hhv.chains import CHAIN_IDS, ChainReport
 from hhv.cli import main
 from hhv.convexity import ConvexityReport, SampleTriple
+from hhv.search import FamilySpec
 
 FAST = ["--grid-x", "9", "--grid-t", "5", "--samples", "32"]
 
@@ -494,6 +495,36 @@ class TestSearchCommand:
         assert code == 1
         assert identity["witness"]["phi"] is None
         assert poly["witness"]["phi"].startswith("1.0 + 1.0*(")
+
+    @pytest.mark.parametrize("degree", ["-3", "0"])
+    def test_poly_phi_degree_below_one_is_two(self, capsys, degree):
+        code, payload, _ = run_json(
+            capsys, "search", "--target", "check:log-phi-convex", "--f-family", "positive_poly",
+            "--phi-family", "poly", "--phi-degree", degree, "--a", "0.5", "--b", "2",
+            "--budget", "20", "--seed", "3")
+        assert code == 2
+        assert payload["error"] == {"type": "ConfigError",
+                                    "message": f"--phi-degree must be >= 1, got {degree}"}
+
+    def test_phi_degree_reaches_the_phi_family(self, capsys, monkeypatch):
+        specs = []
+        search = cli.find_counterexample
+
+        def recording(target, f_spec, phi_spec, *args, **kwargs):
+            specs.append(phi_spec)
+            return search(target, f_spec, phi_spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "find_counterexample", recording)
+        argv = ["search", "--target", "check:log-phi-convex", "--f-family", "positive_poly",
+                "--a", "1", "--b", "2", "--budget", "2", "--seed", "1", *FAST]
+        run_json(capsys, *argv, "--phi-family", "poly", "--phi-degree", "3")
+        run_json(capsys, *argv, "--phi-family", "poly", "--phi-degree", "1",
+                 "--f-coeff-max", "0.05")
+        # the degree is read only for a poly phi
+        code, _, _ = run_json(capsys, *argv, "--phi-degree", "-3")
+        assert code in (0, 1)
+        assert specs == [FamilySpec("positive_poly", 3, (0.1, 2.0)),
+                         FamilySpec("positive_poly", 1, (0.1, 0.2)), None]
 
     def test_human_format_of_a_witness(self, capsys):
         code, out, _ = run_cli(

@@ -343,7 +343,9 @@ class TestChordEquivalences:
 # The margin engine as it was before the sample set was stored factored:
 # phi and f are evaluated at every x, every y and every mix of the flat
 # triples of SamplePlan.triples().  The factored engine must reproduce its
-# margins bit for bit, and its reports and errors exactly.
+# margins bit for bit, and its reports and errors exactly.  Without phi, on a
+# lattice whose fine grid applies, a lattice mix is the fine grid's point
+# rather than t*x + (1-t)*y (see _ref_lattice_mix).
 
 class _RefSegment:
     def __init__(self, f, u, v):
@@ -367,13 +369,29 @@ def _ref_require_positivity(f, interval):
         raise PositivityViolated(res.witness, res.detail)
 
 
-def _ref_values(f, phi, xs, ys, ts, log_space):
+def _ref_lattice_mix(x_points, t_points, a, b):
+    """Every lattice mix of linspace(a, b, x_points) x linspace(0, 1, t_points),
+    in triple order, read from the fine grid; None where that grid does not
+    apply (the product (x_points - 1)*(t_points - 1) is not a power of two, or
+    the grid's step is subnormal)."""
+    q = t_points - 1
+    n = (x_points - 1) * q
+    if x_points < 2 or n & (n - 1) or not (b - a) / n >= np.finfo(float).tiny:
+        return None
+    fine = np.linspace(a, b, n + 1)
+    return np.array([fine[q * j + k * (i - j)] for i in range(x_points)
+                     for j in range(x_points) for k in range(t_points)])
+
+
+def _ref_values(f, phi, xs, ys, ts, log_space, lattice_mix=None):
     if phi is not None:
         px = phi.eval_array(xs)
         py = phi.eval_array(ys)
     else:
         px, py = xs, ys
     mix = ts * px + (1.0 - ts) * py
+    if lattice_mix is not None:
+        mix[:len(lattice_mix)] = lattice_mix
     fx = f.eval_array(px)
     fy = f.eval_array(py)
     fm = f.eval_array(mix)
@@ -384,8 +402,8 @@ def _ref_values(f, phi, xs, ys, ts, log_space):
     return fx, fy, fm
 
 
-def _ref_margins(f, phi, xs, ys, ts, log_space):
-    fx, fy, fm = _ref_values(f, phi, xs, ys, ts, log_space)
+def _ref_margins(f, phi, xs, ys, ts, log_space, lattice_mix=None):
+    fx, fy, fm = _ref_values(f, phi, xs, ys, ts, log_space, lattice_mix)
     if log_space:
         return ts * np.log(fx) + (1.0 - ts) * np.log(fy) - np.log(fm)
     return ts * fx + (1.0 - ts) * fy - fm
@@ -397,9 +415,12 @@ def _ref_run_check(f, phi, interval, plan, log_space, half_t=False,
     xs, ys, ts = plan.triples(interval)
     if half_t:
         ts = np.full_like(ts, 0.5)
+    lattice_mix = None
+    if phi is None and not half_t:
+        lattice_mix = _ref_lattice_mix(plan.x_points, plan.t_points, interval.a, interval.b)
     n = len(xs)
     try:
-        margins = _ref_margins(f, phi, xs, ys, ts, log_space)
+        margins = _ref_margins(f, phi, xs, ys, ts, log_space, lattice_mix)
     except EvalError as err:
         i = err.index
         witness = SampleTriple(float(xs[i]), float(ys[i]), float(ts[i]))
@@ -511,7 +532,11 @@ def _outcome(call):
 
 def _assert_margins_match(f, phi, samples, log_space):
     xs, ys, ts = samples.triples()
-    want = _outcome(lambda: _ref_margins(f, phi, xs, ys, ts, log_space))
+    lattice_mix = None
+    if phi is None and len(samples.gx):
+        lattice_mix = _ref_lattice_mix(len(samples.gx), len(samples.gt),
+                                       samples.gx[0], samples.gx[-1])
+    want = _outcome(lambda: _ref_margins(f, phi, xs, ys, ts, log_space, lattice_mix))
     got = _outcome(lambda: convexity._margins(f, phi, samples, log_space))
     if isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray)
@@ -601,9 +626,12 @@ class TestFactoredSamples:
         ends = samples.ends()
         template = data.draw(st.sampled_from(_smooth + _failing))
         if "{c}" in template:
-            # c at a chord end, before or after phi, or anywhere in the domain
+            # c at a chord end, before or after phi, at a point of the fine
+            # grid (a lattice mix only there), or anywhere in the domain
+            fine = np.linspace(*domain, (plan.x_points - 1) * (plan.t_points - 1) + 1)
             c = data.draw(st.one_of(
                 st.sampled_from(list(ends) + list(phi.eval_array(ends))),
+                st.sampled_from(list(fine)),
                 st.floats(*domain),
             ))
             template = template.format(c=repr(float(c)))
@@ -639,6 +667,102 @@ class TestDirectSegmentIdentity:
         for i, (u, v) in enumerate(zip(phi.eval_array(pair_x), phi.eval_array(pair_y))):
             segment = convexity._margins(convexity._Segment(f, u, v), None, unit, log_space)
             assert segment[start:start + nt].tobytes() == direct[i * nt:(i + 1) * nt].tobytes()
+
+
+# lattice sizes whose fine grid applies: (x_points - 1)*(t_points - 1) is a power of two
+_fine_plans = st.builds(
+    SamplePlan,
+    x_points=st.sampled_from([2, 3, 5, 9, 17, 33]),
+    t_points=st.sampled_from([3, 5, 9, 17]),
+    random_count=st.integers(0, 64),
+    seed=st.integers(0, 2**32),
+)
+# intervals whose fine grid has a normal step
+_intervals = st.tuples(
+    st.floats(-1e6, 1e6), st.floats(1e-6, 1e6),
+).map(lambda aw: (aw[0], aw[0] + aw[1])).filter(lambda ab: ab[0] < ab[1])
+
+
+class TestFineGrid:
+    """Without phi, the lattice mixes are read from one fine grid, on which f
+    runs once; see SampleSet.fine_grid."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_fine_plans, _intervals)
+    def test_axis_is_every_qth_grid_point(self, plan, ab):
+        samples = plan.samples(Interval(*ab))
+        fine, idx = samples.fine_grid()
+        nx, nt = plan.x_points, plan.t_points
+        q = nt - 1
+        assert len(fine) == (nx - 1) * q + 1
+        assert fine[::q].tobytes() == samples.gx.tobytes()
+        unit_fine, _ = plan.samples(UNIT).fine_grid()
+        assert unit_fine[::nx - 1].tobytes() == samples.gt.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_fine_plans, _intervals)
+    def test_index_hits_every_point_and_reads_the_mix(self, plan, ab):
+        a, b = ab
+        samples = plan.samples(Interval(a, b))
+        fine, idx = samples.fine_grid()
+        assert idx.dtype == np.intp and len(idx) == samples.lattice_size
+        assert set(idx.tolist()) == set(range(len(fine)))
+        xs, ys, ts = samples.triples()
+        n = samples.lattice_size
+        mix = ts[:n] * xs[:n] + (1.0 - ts[:n]) * ys[:n]
+        assert (np.abs(fine[idx] - mix) <= 2 * np.spacing(max(abs(a), abs(b)))).all()
+
+    def test_index_is_cached_and_read_only(self):
+        fine, idx = SamplePlan().samples(UNIT).fine_grid()
+        assert SamplePlan(random_count=5).samples(Interval(2.0, 3.0)).fine_grid()[1] is idx
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(_fine_plans, _domains, st.sampled_from(_positive_smooth), st.booleans())
+    def test_end_and_degenerate_margins(self, plan, domain, text, log_space):
+        f = parse(text)
+        samples = plan.samples(Interval(*domain))
+        nx, nt = plan.x_points, plan.t_points
+        margins = convexity._margins(f, None, samples, log_space)
+        lattice = margins[:samples.lattice_size].reshape(nx, nx, nt)
+        # t = 0 and t = 1: the mix is an end, and so is f there
+        assert (lattice[:, :, 0] == 0).all() and (lattice[:, :, -1] == 0).all()
+        # x == y: f(mix) is f(x), bit for bit
+        fe, fm, idx = convexity._values(f, None, samples, log_space)
+        at_mix = fm[idx].reshape(nx, nx, nt)
+        for i in range(nx):
+            assert (at_mix[i, i] == fe[i]).all()
+
+    @pytest.mark.parametrize("plan, interval", [
+        (SamplePlan(x_points=4, t_points=7, random_count=16, seed=3), UNIT),
+        (SamplePlan(x_points=6, t_points=5, random_count=16, seed=3), Interval(0.5, 2.0)),
+        # a subnormal step: linspace(0, 1e-310, 17)[::4] is not linspace(0, 1e-310, 5)
+        (SamplePlan(x_points=5, t_points=5, random_count=16, seed=3), Interval(0.0, 1e-310)),
+    ])
+    def test_other_lattices_keep_the_pairwise_mixes(self, plan, interval):
+        samples = plan.samples(interval)
+        assert samples.fine_grid() is None
+        xs, ys, ts = samples.triples()
+        for text in ("x^2 + 1", "exp(x)", "1/(1 + x^2)"):
+            for log_space in (False, True):
+                got = convexity._margins(parse(text), None, samples, log_space)
+                want = _ref_margins(parse(text), None, xs, ys, ts, log_space)
+                assert got.tobytes() == want.tobytes()
+
+    def test_failure_at_a_grid_point_reported_at_its_first_triple(self):
+        plan = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
+        samples = plan.samples(UNIT)
+        fine, idx = samples.fine_grid()
+        c = float(fine[1])  # no chord end; first the mix of (0, 0.25, 0.75)
+        rep = check_convex(parse(f"1/(x - {c!r})"), UNIT, plan)
+        assert rep.failure_kind == "domain"
+        assert rep.witness == SampleTriple(0.0, 0.25, 0.75)
+        with pytest.raises(PositivityViolated, match=repr(c)):
+            check_log_convex(parse(f"abs(x - {c!r})"), UNIT, plan)
+        for text in (f"1/(x - {c!r})", f"abs(x - {c!r})"):
+            _assert_all_match(parse(text), PhiMap.identity(UNIT), plan)
 
 
 class TestFactoredDomainFailures:
