@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convexity import PhiMap, _require_positive_values, _require_positivity
+from .convexity import PhiMap, _require_positive_values, _require_positivity, _tolerance_rule
 from .errors import ChainTermError, DegeneratePhi, HHVError, PositivityViolated
 from .expr import Expr, Interval
 from .means import PositivePair, arithmetic, logarithmic
@@ -71,17 +71,16 @@ class ChainReport:
 
 
 def _finish(chain_id, terms, tolerance, quad_tol, diagnostics=None, notes=()):
-    if not tolerance >= 0:  # NaN would make every link hold
-        raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
+    violated = _tolerance_rule(tolerance)  # a bad tolerance raises before any term runs
     # a list, not a generator, which raised the chains benchmark's peak RSS by 3 MB
     named = tuple([(name, _term(name, thunk)) for name, thunk in terms])
     values = [v for _, v in named]
     margins = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-    violated = tuple(i for i, m in enumerate(margins) if m < -tolerance)
-    verdict = VERDICT_LINK_VIOLATED if violated else VERDICT_CHAIN_HOLDS
+    links = tuple(i for i, m in enumerate(margins) if violated(m))
+    verdict = VERDICT_LINK_VIOLATED if links else VERDICT_CHAIN_HOLDS
     return ChainReport(
         chain_id=chain_id, terms=named, pair_margins=margins,
-        verdict=verdict, violated_links=violated, tolerance=tolerance,
+        verdict=verdict, violated_links=links, tolerance=tolerance,
         quad_tol=quad_tol, notes=tuple(notes),
         diagnostics=None if diagnostics is None else diagnostics(values),
     )

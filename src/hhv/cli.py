@@ -32,9 +32,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _HOLD_VERDICTS = (VERDICT_HOLDS, VERDICT_CHAIN_HOLDS, "no_violation_found")
-# errors that exit EXIT_USAGE, subclasses included; any other error exits
-# EXIT_NUMERIC.  A ConfigError is a ValueError.
-_USAGE_ERRORS = (ParseError, ValueError)
 
 
 class ConfigError(ValueError):
@@ -177,7 +174,7 @@ def _read_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     if not isinstance(file_cfg, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -267,7 +264,7 @@ def _report_payload(report: ConvexityReport | ChainReport) -> dict:
     return payload
 
 
-def _run_target(cfg: RunConfig) -> tuple[dict, int]:
+def _run_target(cfg: RunConfig) -> dict:
     """``check`` and ``chain``: parse f, and phi and g where the target takes
     them, and run the target once."""
     name = cfg.check_class if cfg.command == "check" else cfg.chain_id
@@ -278,13 +275,13 @@ def _run_target(cfg: RunConfig) -> tuple[dict, int]:
     sampler = _sampler(cfg) if cfg.command == "check" else SamplePlan()
     phi = PhiMap(parse(cfg.phi_text or "x"), interval) if target.takes_phi else None
     g = parse(cfg.g_text) if target.takes_g else None
-    report, violated = run_target(target, f, g, phi, interval, sampler,
-                                  tolerance=cfg.tolerance, quad_tol=cfg.quad_tol,
-                                  diagnostics=cfg.diagnostics)
-    return _report_payload(report), EXIT_VIOLATION if violated else EXIT_HOLDS
+    report, _ = run_target(target, f, g, phi, interval, sampler,
+                           tolerance=cfg.tolerance, quad_tol=cfg.quad_tol,
+                           diagnostics=cfg.diagnostics)
+    return _report_payload(report)
 
 
-def _run_search(cfg: RunConfig) -> tuple[dict, int]:
+def _run_search(cfg: RunConfig) -> dict:
     kind, _, name = cfg.target.partition(":")
     name = name.replace("-", "_")
     target = SearchTarget(kind, name)
@@ -313,30 +310,39 @@ def _run_search(cfg: RunConfig) -> tuple[dict, int]:
             "f": w.f_text, "phi": w.phi_text, "g": w.g_text,
             "trial": w.trial, "report": _report_payload(w.report),
         }
-    return payload, EXIT_VIOLATION if outcome.found else EXIT_HOLDS
+    return payload
 
 
-def _run_report(cfg: RunConfig) -> tuple[dict, int]:
+def _run_report(cfg: RunConfig) -> dict:
     try:
         if cfg.input_path == "-":
             saved = json.load(sys.stdin)
         else:
             with open(cfg.input_path, encoding="utf-8") as fh:
                 saved = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read report: {err}") from err
     if not isinstance(saved, dict) or "verdict" not in saved:
         raise ConfigError("input is not a report produced by this tool")
-    if saved["verdict"] == "error":  # the code main gave when it saved the report
-        error = saved.get("error")
-        name = error.get("type") if isinstance(error, dict) else None
-        return saved, EXIT_USAGE if name in _usage_error_names() else EXIT_NUMERIC
-    return saved, EXIT_HOLDS if saved["verdict"] in _HOLD_VERDICTS else EXIT_VIOLATION
+    return saved
+
+
+def _exit_code(payload: dict) -> int:
+    """The exit code of a report, live or saved: 0 for a hold verdict, 1 for
+    any other verdict; for an error report 2 when ``error.type`` names a
+    usage error (:func:`_usage_error_names`), else 3, also when ``error`` is
+    malformed."""
+    if payload["verdict"] != "error":
+        return EXIT_HOLDS if payload["verdict"] in _HOLD_VERDICTS else EXIT_VIOLATION
+    error = payload.get("error")
+    name = error.get("type") if isinstance(error, dict) else None
+    return EXIT_USAGE if isinstance(name, str) and name in _usage_error_names() else EXIT_NUMERIC
 
 
 def _usage_error_names() -> set[str]:
-    """The names of ``_USAGE_ERRORS`` and of every subclass of them."""
-    names, todo = set(), list(_USAGE_ERRORS)
+    """The names of ParseError, ValueError and every subclass of them: the
+    errors that exit 2.  A ConfigError is a ValueError."""
+    names, todo = set(), [ParseError, ValueError]
     while todo:
         cls = todo.pop()
         names.add(cls.__name__)
@@ -388,13 +394,16 @@ def _to_human(payload: dict) -> str:
 def _emit(payload: dict, command: str, started: float, cfg: RunConfig | None) -> None:
     """Write ``payload`` in its envelope to stdout and a summary to stderr.
 
-    An error report has no ``cfg``: it is JSON whatever ``--format`` says,
-    and carries no ``config_echo`` or ``seed``.
+    The envelope fills only the fields that ``payload`` lacks, so a report
+    saved by this tool comes out of ``hhv report`` as it was saved.  An
+    error report has no ``cfg``: it is JSON whatever ``--format`` says, and
+    carries no ``config_echo`` or ``seed``.
     """
-    payload = dict(payload, tool_version=__version__, command=command,
-                   timings={"total_s": round(time.perf_counter() - started, 6)})
+    envelope = dict(tool_version=__version__, command=command,
+                    timings={"total_s": round(time.perf_counter() - started, 6)})
     if cfg is not None:
-        payload.update(config_echo=asdict(cfg), seed=cfg.seed)
+        envelope.update(config_echo=asdict(cfg), seed=cfg.seed)
+    payload = {**envelope, **payload}
     output_format = "json" if cfg is None else cfg.output_format
     if output_format == "csv":
         sys.stdout.write(_to_csv(payload))
@@ -429,14 +438,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(ns)
-        payload, code = _RUNNERS[ns.command](cfg)
+        payload = _RUNNERS[ns.command](cfg)
     except (ValueError, HHVError) as err:
         payload = {"verdict": "error", "error": {"type": type(err).__name__,
                                                  "message": str(err)}}
         cfg = None
-        code = EXIT_USAGE if isinstance(err, _USAGE_ERRORS) else EXIT_NUMERIC
     _emit(payload, ns.command, started, cfg)
-    return code
+    return _exit_code(payload)
 
 
 if __name__ == "__main__":

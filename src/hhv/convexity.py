@@ -45,7 +45,10 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
+    # a uint64 array keeps each key word exact; numpy would turn a list that
+    # holds a word >= 2**63 into float64
+    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # ----------------------------- plans and reports -----------------------------
@@ -385,17 +388,26 @@ def _margins(f, phi: PhiMap | None, samples: SampleSet, log_space: bool) -> np.n
     return margins
 
 
-def _judge(margins: np.ndarray, samples: SampleSet,
-           tolerance: float) -> tuple[str, float, SampleTriple | None]:
-    """(verdict, min margin, witness): the one place a margin meets the tolerance.
+def _tolerance_rule(tolerance: float):
+    """The test of a margin against ``tolerance``: the one tolerance rule of
+    the certifiers, the implication links, the chord checks and the chains.
 
-    A margin below ``-tolerance`` is violated; the witness is the worst, the
-    smallest index among exact ties.  A NaN or negative tolerance raises
-    ``ValueError``."""
+    A margin is violated when it is below ``-tolerance``.  A NaN or negative
+    tolerance raises ``ValueError`` here, before any margin is tested."""
     if not tolerance >= 0:  # NaN would make every margin hold
         raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
+    floor = -tolerance
+    return lambda margin: margin < floor
+
+
+def _judge(margins: np.ndarray, samples: SampleSet,
+           tolerance: float) -> tuple[str, float, SampleTriple | None]:
+    """(verdict, min margin, witness) by :func:`_tolerance_rule`.
+
+    The witness is the worst sample, the smallest index among exact ties."""
+    violated = _tolerance_rule(tolerance)
     min_margin = float(margins.min())
-    if min_margin < -tolerance:
+    if violated(min_margin):
         return VERDICT_VIOLATED, min_margin, samples.point(int(np.argmin(margins)))
     return VERDICT_HOLDS, min_margin, None
 

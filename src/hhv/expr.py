@@ -96,6 +96,8 @@ class Interval:
             raise ValueError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"interval width b - a must be finite, got [{self.a}, {self.b}]")
 
     @property
     def width(self) -> float:

@@ -14,6 +14,7 @@ from hhv import cli
 from hhv.chains import CHAIN_IDS, ChainReport
 from hhv.cli import main
 from hhv.convexity import ConvexityReport, SampleTriple
+from hhv.errors import HHVError, OpenPanelLimitExceeded, ParseError
 from hhv.search import FamilySpec
 
 FAST = ["--grid-x", "9", "--grid-t", "5", "--samples", "32"]
@@ -96,6 +97,30 @@ class TestExitCodes:
         assert code == 2
         assert payload["error"]["type"] == "ConfigError"
         assert payload["error"]["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--class", "convex", "--f", "x"],
+        ["chain", "--id", "theorem1", "--f", "exp(x)"],
+        ["chain", "--id", "dragomir_mond", "--f", "exp(x)"],
+        ["search", "--target", "check:convex", "--f-family", "power", "--budget", "2"],
+    ])
+    def test_overflowing_interval_width_is_two(self, capsys, argv):
+        # b - a overflows: rejected before linspace warns about it
+        code, payload, err = run_json(capsys, *argv, "--a=-1e308", "--b", "1e308")
+        assert code == 2
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "interval width b - a must be finite, got [-1e+308, 1e+308]"}
+        assert err.startswith(f"hhv {argv[0]}: error: interval width")
+
+    def test_negative_seed_is_a_valid_key(self, capsys):
+        # seed -1 is the key word 2**64 - 1, which numpy used to round
+        code, payload, err = run_json(
+            capsys, "check", "--class", "convex", "--f", "x", "--a", "0", "--b", "1",
+            "--seed=-1", *FAST)
+        assert code == 0
+        assert payload["seed"] == -1
+        assert err == "hhv check: holds_on_samples (min margin 0.0)\n"
 
     def test_parse_error_is_two(self, capsys):
         code, payload, _ = run_json(
@@ -331,6 +356,17 @@ class TestConfigFile:
         assert "'sampels'" in payload["error"]["message"]
         assert "'tolerance'" not in payload["error"]["message"]
 
+    def test_config_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'\xff{"seed": 5}')
+        code, payload, _ = run_json(
+            capsys, "check", "--config", str(cfg),
+            "--class", "convex", "--f", "x", "--a", "0", "--b", "1")
+        assert code == 2
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["message"].startswith(
+            f"cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2]")
@@ -533,7 +569,8 @@ class TestSearchCommand:
             *FAST)
         assert code == 1
         assert "found: True after 1 trials\n" in out
-        assert "witness f: 1.6367515228082496*x^2 + " in out
+        assert ("witness f: 0.4380460605423866*x^2 + 1.9070819188647323*x"
+                " + 0.8047675820038185\n") in out
 
     def test_chain_target_with_witness_report(self, capsys):
         code, payload, _ = run_json(
@@ -577,29 +614,100 @@ class TestReportCommand:
         assert code == 1  # mirrors the saved link_violated verdict
         assert rendered.splitlines()[0] == "index,name,value,margin_to_next"
 
+    THEOREM1 = ["chain", "--id", "theorem1", "--b", "1"]
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
-    @pytest.mark.parametrize("f_text, a, code, error_type", [
-        ("ln(x)", "0", 3, "PositivityViolated"),
-        ("ln(", "0", 2, "ParseError"),
-        ("lg(x)", "0", 2, "UnknownIdentifierError"),
-        ("x", "2", 2, "ConfigError"),
+    @pytest.mark.parametrize("argv, code, error_type", [
+        pytest.param(THEOREM1 + ["--f", "ln(x)", "--a", "0"], 3, "PositivityViolated",
+                     id="ln(x)-0-3-PositivityViolated"),
+        pytest.param(THEOREM1 + ["--f", "ln(", "--a", "0"], 2, "ParseError",
+                     id="ln(-0-2-ParseError"),
+        pytest.param(THEOREM1 + ["--f", "lg(x)", "--a", "0"], 2, "UnknownIdentifierError",
+                     id="lg(x)-0-2-UnknownIdentifierError"),
+        pytest.param(THEOREM1 + ["--f", "x", "--a", "2"], 2, "ConfigError",
+                     id="x-2-2-ConfigError"),
+        pytest.param(THEOREM1 + ["--f", "exp(x)", "--phi", "0.5", "--a", "0"], 3,
+                     "DegeneratePhi", id="DegeneratePhi"),
+        # no chain lets this error escape unwrapped; the target raises it
+        pytest.param(THEOREM1 + ["--f", "exp(x)", "--a", "0"], 3, "OpenPanelLimitExceeded",
+                     id="OpenPanelLimitExceeded"),
+        pytest.param(["check", "--class", "convex", "--f", "x^2", "--a", "0", "--b", "1",
+                      "--grid-x", "100000"], 2, "ValueError", id="oversized-plan"),
+        pytest.param(["check", "--class", "convex", "--f", "x^2", "--a", "0", "--b", "1",
+                      "--seed", "7", *FAST], 0, None, id="check-holds"),
+        pytest.param(["check", "--class", "convex", "--f", "sqrt(x)", "--a", "0", "--b", "1",
+                      *FAST], 1, None, id="check-violated"),
+        pytest.param(["chain", "--id", "classic_hh", "--f", "x^2", "--a", "0", "--b", "1"],
+                     0, None, id="chain-holds"),
+        pytest.param(["chain", "--id", "classic_hh", "--f", "sqrt(x)", "--a", "0", "--b", "1"],
+                     1, None, id="chain-violated"),
+        pytest.param(["search", "--target", "check:log-convex", "--f-family", "exp_of_poly",
+                      "--f-degree", "1", "--f-coeff-min", "-2", "--f-coeff-max", "2",
+                      "--a", "1", "--b", "2", "--budget", "5", "--seed", "42", *FAST],
+                     0, None, id="search-clean"),
+        pytest.param(["search", "--target", "chain:classic_hh", "--f-family", "power",
+                      "--a", "0.5", "--b", "2", "--budget", "50", "--seed", "3", *FAST],
+                     1, None, id="search-found"),
     ])
-    def test_error_report_keeps_its_exit_code(self, capsys, tmp_path, f_text, a, code,
-                                              error_type, fmt):
-        saved_code, out, _ = run_cli(capsys, "chain", "--id", "theorem1", "--f", f_text,
-                                     "--a", a, "--b", "1")
+    def test_error_report_keeps_its_exit_code(self, capsys, tmp_path, monkeypatch, argv,
+                                              code, error_type, fmt):
+        if error_type == "OpenPanelLimitExceeded":
+            def run_target(*args, **kwargs):
+                raise OpenPanelLimitExceeded(0.25, 0.5, 20, 2**16)
+            monkeypatch.setattr(cli, "run_target", run_target)
+        saved_code, out, _ = run_cli(capsys, *argv)
+        saved = json.loads(out)
         assert saved_code == code
-        assert json.loads(out)["error"]["type"] == error_type
-        saved = tmp_path / "report.json"
-        saved.write_text(out)
-        got, rendered, err = run_cli(capsys, "report", "--input", str(saved),
+        assert saved.get("error", {}).get("type") == error_type
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        got, rendered, err = run_cli(capsys, "report", "--input", str(path),
                                      "--format", fmt)
-        assert got == code
-        assert err == "hhv report: error\n"
-        if fmt == "json":
-            assert json.loads(rendered)["error"]["type"] == error_type
+        assert got == saved_code
+        if error_type is not None:
+            assert err == "hhv report: error\n"
         else:
+            assert err.startswith(f"hhv report: {saved['verdict']}")
+        if fmt == "json":
+            rendered = json.loads(rendered)
+            # every saved field comes out as saved; a success report is whole
+            assert {k: rendered[k] for k in saved} == saved
+            if error_type is None:
+                assert rendered == saved
+        elif error_type is not None:
             assert "error" in rendered
+
+    def test_usage_error_names_hold_no_numeric_error(self):
+        # live errors are mapped to their exit code by name as saved ones are,
+        # so no numeric error may carry the name of a usage error
+        numeric, todo = set(), [HHVError]
+        while todo:
+            cls = todo.pop()
+            if not issubclass(cls, ParseError):
+                numeric.add(cls.__name__)
+                todo += cls.__subclasses__()
+        assert {"HHVError", "OpenPanelLimitExceeded", "ChainTermError"} <= numeric
+        assert {"ParseError", "UnknownIdentifierError", "ValueError",
+                "ConfigError"} <= cli._usage_error_names()
+        assert not numeric & cli._usage_error_names()
+
+    @pytest.mark.parametrize("error", [
+        None, [], {"type": ["ValueError"]}, {"message": "no type"}, {"type": "NoSuchError"},
+    ])
+    def test_malformed_error_report_is_three(self, capsys, tmp_path, error):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"verdict": "error", "error": error}))
+        code, _, _ = run_cli(capsys, "report", "--input", str(path))
+        assert code == 3
+
+    def test_report_that_is_not_utf8_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b'\xff{"verdict": "chain_holds"}')
+        code, payload, _ = run_json(capsys, "report", "--input", str(path))
+        assert code == 2
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["message"].startswith(
+            "cannot read report: 'utf-8' codec can't decode byte 0xff")
 
     def test_invalid_input_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -84,6 +84,32 @@ class TestSamplePlan:
             SamplePlan(x_points=100000)
 
 
+class TestPhiloxKeys:
+    # draws of the list-keyed generator: keys below 2**63 must not move
+    @pytest.mark.parametrize("seed, stream, draw", [
+        (0, convexity._STREAM_TRIPLES,
+         [0.5299468258358578, 0.7878520364751515, 0.4861592535405419]),
+        (7, convexity._STREAM_PAIRS,
+         [0.3228397684463118, 0.27264953452376506, 0.07591531712916189]),
+        (2**31 - 1, convexity._STREAM_TRIPLES,
+         [0.2804600728818488, 0.2926401308918012, 0.5751614612928856]),
+        (2**63 - 1, 5, [0.794043616569435, 0.7111244733121007, 0.794765353247481]),
+    ])
+    def test_keys_below_two_to_the_63_keep_their_draws(self, seed, stream, draw):
+        assert convexity._philox(seed, stream).random(3).tolist() == draw
+
+    @pytest.mark.parametrize("seed, other", [
+        (2**63, 2**63 + 1), (-1, 0), (-3000, -3001), (2**64 - 1, 2**64 - 2),
+    ])
+    def test_every_key_word_is_exact(self, seed, other):
+        draws = [convexity._philox(s, convexity._STREAM_TRIPLES).random(4) for s in (seed, other)]
+        assert not np.array_equal(*draws)
+
+    def test_seed_counts_modulo_two_to_the_64(self):
+        draws = [convexity._philox(s, 3).random(4) for s in (-1, 2**64 - 1)]
+        assert np.array_equal(*draws)
+
+
 class TestToleranceContract:
     # a NaN tolerance would let every margin hold
     @pytest.mark.parametrize("tolerance", [math.nan, -1e-9])

@@ -424,6 +424,12 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(0.0, math.inf)
 
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (-1.7e308, 0.2e308)])
+    def test_overflowing_width_rejected(self, a, b):
+        with pytest.raises(ValueError, match="interval width b - a must be finite"):
+            Interval(a, b)
+        assert Interval(-0.8e308, 0.8e308).width == 1.6e308
+
     def test_midpoint_and_width(self):
         iv = Interval(1.0, 3.0)
         assert iv.midpoint == 2.0
