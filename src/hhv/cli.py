@@ -171,10 +171,12 @@ def _file_value(field: str, value):
 
 
 def _read_config(path: str) -> dict:
+    # json.load recurses once per nested array or object, so deep nesting
+    # raises RecursionError, here and in _run_report
     try:
         with open(path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     if not isinstance(file_cfg, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -320,7 +322,7 @@ def _run_report(cfg: RunConfig) -> dict:
         else:
             with open(cfg.input_path, encoding="utf-8") as fh:
                 saved = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
         raise ConfigError(f"cannot read report: {err}") from err
     if not isinstance(saved, dict) or "verdict" not in saved:
         raise ConfigError("input is not a report produced by this tool")

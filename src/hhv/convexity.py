@@ -9,6 +9,7 @@ a universally quantified inequality.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -44,11 +45,35 @@ _UNIT = Interval(0.0, 1.0)
 _TINY = float(np.finfo(float).tiny)
 
 
+@lru_cache(maxsize=1)
+def _key_sequence() -> type:
+    """The seed sequence that hands ``np.random.Philox`` the two words of its
+    key as they are.
+
+    ``Philox(key=...)`` would first draw an unused seed sequence from OS
+    entropy, which costs more than the rest of building the stream.  The
+    type is made on the first draw: importing ``numpy.random`` costs a
+    process that never draws, such as one that only runs chains, about
+    8 ms and 2 MB.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            assert (n_words, np.dtype(dtype)) == (2, np.uint64), (n_words, dtype)
+            return self.words
+
+    return Key
+
+
 def _philox(seed: int, stream: int) -> np.random.Generator:
     # a uint64 array keeps each key word exact; numpy would turn a list that
     # holds a word >= 2**63 into float64
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
 # ----------------------------- plans and reports -----------------------------
@@ -81,16 +106,14 @@ class SamplePlan:
             raise ValueError(f"sample plan holds {size} triples, more than {MAX_SAMPLES}")
 
     def samples(self, interval: Interval) -> "SampleSet":
-        """The sample set over ``interval``, stored factored."""
-        u = _philox(self.seed, _STREAM_TRIPLES).random((self.random_count, 3))
-        return SampleSet(
-            gx=np.linspace(interval.a, interval.b, self.x_points),
-            gt=np.linspace(0.0, 1.0, self.t_points),
-            rx=interval.a + interval.width * u[:, 0],
-            ry=interval.a + interval.width * u[:, 1],
-            # contiguous, for numpy's faster loops; the values are unchanged
-            rt=np.ascontiguousarray(u[:, 2]),
-        )
+        """The sample set over ``interval``, stored factored, its arrays read-only.
+
+        The last set drawn is kept and handed out again, so the trials of a
+        search, which share the plan and the domain, draw it once.
+        """
+        # Interval equality takes -0.0 for 0.0; the ends' signs tell the two apart
+        return _draw_samples(self, interval, math.copysign(1.0, interval.a),
+                             math.copysign(1.0, interval.b))
 
     def triples(self, interval: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every sample as flat (x, y, t) arrays; see :meth:`SampleSet.triples`."""
@@ -192,6 +215,23 @@ class SampleSet(NamedTuple):
         return (np.concatenate([x.ravel(), self.rx]),
                 np.concatenate([y.ravel(), self.ry]),
                 np.concatenate([t.ravel(), self.rt]))
+
+
+# one entry: a search needs no more, and more would raise certify's peak memory
+@lru_cache(maxsize=1)
+def _draw_samples(plan: SamplePlan, interval: Interval, *_signs: float) -> SampleSet:
+    u = _philox(plan.seed, _STREAM_TRIPLES).random((plan.random_count, 3))
+    samples = SampleSet(
+        gx=np.linspace(interval.a, interval.b, plan.x_points),
+        gt=np.linspace(0.0, 1.0, plan.t_points),
+        rx=interval.a + interval.width * u[:, 0],
+        ry=interval.a + interval.width * u[:, 1],
+        # contiguous, for numpy's faster loops; the values are unchanged
+        rt=np.ascontiguousarray(u[:, 2]),
+    )
+    for arr in samples:  # every caller of the memo shares these arrays
+        arr.flags.writeable = False
+    return samples
 
 
 @lru_cache(maxsize=8)

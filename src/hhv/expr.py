@@ -105,7 +105,8 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
+        # halves first: a + b may overflow where the midpoint does not
+        return 0.5 * self.a + 0.5 * self.b
 
 
 # ----------------------------- tokenizer ------------------------------------

@@ -72,7 +72,7 @@ def integrate(
         raise ValueError(f"tolerance must be positive, got {tol}")
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = interval.a, interval.b
-        xs0 = np.array([a, 0.5 * (a + b), b])
+        xs0 = np.array([a, interval.midpoint, b])
         f0 = _eval(f, xs0)
         evaluations = 3
         s_whole = (b - a) / 6.0 * (f0[0] + 4.0 * f0[1] + f0[2])
@@ -84,7 +84,9 @@ def integrate(
         err_total = 0.0
         depth = 0
         while True:
-            mids = 0.5 * (table[0:2] + table[1:3])  # rows lm, rm
+            # rows lm, rm; halves first, as in Interval.midpoint
+            half = 0.5 * table[0:3]
+            mids = half[0:2] + half[1:3]
             fmid = _eval(f, mids.ravel()).reshape(2, -1)
             evaluations += fmid.size
             halves = (table[1:3] - table[0:2]) / 6.0 * (table[3:5] + 4.0 * fmid + table[4:6])

@@ -7,6 +7,7 @@ independent of execution order.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from .convexity import (
     check_log_phi_midconvex, check_phi_convex,
 )
 from .errors import GenerationExhausted, HHVError, Overflow, PhiRangeViolated
-from .expr import Expr, Interval, check_positive, parse
+from .expr import Binary, Expr, Interval, Node, Num, Unary, Var, check_positive
 
 __all__ = [
     "FamilySpec", "SearchTarget", "SearchWitness", "SearchOutcome",
@@ -115,42 +116,69 @@ def _open_closed(rng: np.random.Generator, lo: float, hi: float, size: int) -> n
     return hi - (hi - lo) * rng.random(size)
 
 
-def _poly_text(coeffs: np.ndarray, var: str = "x") -> str:
+# A built term: the tree that ``parse`` builds from the text, and the text.
+_Built = tuple[Node, str]
+_X: _Built = (Var(), "x")
+
+
+def _lit(v: float) -> _Built:
+    # repr writes a negative number, -0.0 included, as "-" and its magnitude
+    return (Unary("neg", Num(-v)) if math.copysign(1.0, v) < 0 else Num(v)), repr(v)
+
+
+def _poly(coeffs: np.ndarray, var: _Built) -> _Built:
+    """sum(coeffs[k] * var^k), highest degree first, each later sign written
+    as the operator: "2.0*x^2 - 1.5*x + 0.5"."""
+    var_node, var_text = var
+    root: Node | None = None
     parts: list[str] = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = float(coeffs[k])
-        mag = repr(abs(c))
+        mag = abs(c)
+        head: Node = Num(mag)
+        if root is None and not c >= 0:
+            head = Unary("neg", head)  # a leading minus binds the coefficient alone
         if k >= 2:
-            piece = f"{mag}*{var}^{k}"
+            node = Binary("*", head, Binary("^", var_node, Num(float(k))))
+            piece = f"{mag!r}*{var_text}^{k}"
         elif k == 1:
-            piece = f"{mag}*{var}"
+            node, piece = Binary("*", head, var_node), f"{mag!r}*{var_text}"
         else:
-            piece = mag
-        if not parts:
+            node, piece = head, repr(mag)
+        if root is None:
+            root = node
             parts.append(piece if c >= 0 else f"-{piece}")
         else:
+            root = Binary("+" if c >= 0 else "-", root, node)
             parts.append(f" {'+' if c >= 0 else '-'} {piece}")
-    return "".join(parts)
+    return root, "".join(parts)
 
 
-def _build_text(spec: FamilySpec, rng: np.random.Generator) -> str:
+def _build(spec: FamilySpec, rng: np.random.Generator) -> Expr:
+    """``parse`` of the candidate's text, built without parsing.  Every drawn
+    literal is finite, which repr writes as a literal that parse reads back:
+    numpy's uniform refuses a range whose width overflows."""
     lo, hi = spec.coeff_range
     if spec.family == "exp_of_poly":
         degree = int(rng.integers(0, spec.degree_bound + 1))
         coeffs = rng.uniform(lo, hi, degree + 1)
-        return f"exp({_poly_text(coeffs)})"
+        root, text = _poly(coeffs, _X)
+        return Expr(Unary("exp", root), f"exp({text})")
     if spec.family == "positive_poly":
         degree = int(rng.integers(min(1, spec.degree_bound), spec.degree_bound + 1))
         coeffs = _open_closed(rng, lo, hi, degree + 1)
-        return _poly_text(coeffs)
+        return Expr(*_poly(coeffs, _X))
     if spec.family == "affine_exp":
         scale = float(_open_closed(rng, max(lo, 0.0), hi, 1)[0])
         rate = float(rng.uniform(-hi, hi))
         shift = float(rng.uniform(max(lo, 0.0), hi))
-        return f"{scale!r}*exp({rate!r}*x) + {shift!r}"
+        (s_node, s_text), (r_node, r_text), (h_node, h_text) = map(_lit, (scale, rate, shift))
+        root = Binary("+", Binary("*", s_node, Unary("exp", Binary("*", r_node, Var()))), h_node)
+        return Expr(root, f"{s_text}*exp({r_text}*x) + {h_text}")
     if spec.family == "power":
         r = float(rng.uniform(-3.0, 3.0))
-        return f"x^{r!r}"
+        r_node, r_text = _lit(r)
+        return Expr(Binary("^", Var(), r_node), f"x^{r_text}")
     raise AssertionError(spec.family)
 
 
@@ -161,9 +189,7 @@ def generate(spec: FamilySpec, domain: Interval) -> Expr:
     from the next attempt stream, up to a bounded number of retries.
     """
     for attempt in range(_MAX_TRIES):
-        rng = _philox(spec.seed, _STREAM_GEN + attempt)
-        text = _build_text(spec, rng)
-        expr = parse(text)
+        expr = _build(spec, _philox(spec.seed, _STREAM_GEN + attempt))
         if check_positive(expr, domain).ok:
             return expr
     raise GenerationExhausted(spec.family, _MAX_TRIES)
@@ -177,15 +203,17 @@ def generate_phi(spec: FamilySpec, domain: Interval) -> PhiMap:
     self-mapping property holds by construction.
     """
     a, w = domain.a, domain.width
+    (an, at), (wn, wt) = _lit(a), _lit(w)
+    var = Binary("/", Binary("-", Var(), an), wn), f"((x - {at})/{wt})"
     degree = max(1, spec.degree_bound)
     for attempt in range(_MAX_TRIES):
         rng = _philox(spec.seed, _STREAM_GEN + attempt)
         deg = int(rng.integers(1, degree + 1))
         coeffs = _open_closed(rng, max(spec.coeff_range[0], 0.0),
                               spec.coeff_range[1], deg + 1)
-        raw_text = _poly_text(coeffs, var=f"((x - {a!r})/{w!r})")
+        raw, raw_text = _poly(coeffs, var)
         # the raw polynomial at a and b: the rescaled variable is exactly 0 and
-        # 1 there, and the parsed text adds its terms from the highest degree
+        # 1 there, and the built tree adds its terms from the highest degree
         # down; an overflowing sum fails as evaluating the text at b did
         r0 = float(coeffs[0])
         r1 = sum(float(c) for c in coeffs[::-1])
@@ -193,9 +221,11 @@ def generate_phi(spec: FamilySpec, domain: Interval) -> PhiMap:
             raise Overflow(x=domain.b, index=0)
         if not r1 > r0:
             continue
-        text = f"{a!r} + {w!r}*({raw_text} - {r0!r})/{(r1 - r0)!r}"
+        (r0n, r0t), (dn, dt) = _lit(r0), _lit(r1 - r0)
+        root = Binary("+", an, Binary("/", Binary("*", wn, Binary("-", raw, r0n)), dn))
+        text = f"{at} + {wt}*({raw_text} - {r0t})/{dt}"
         try:
-            return PhiMap(parse(text), domain)
+            return PhiMap(Expr(root, text), domain)
         except PhiRangeViolated:
             continue
     raise GenerationExhausted("phi", _MAX_TRIES)
@@ -272,18 +302,22 @@ def find_counterexample(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     skipped: dict[str, int] = {}
+    draws_phi = phi_spec is not None and target.takes_phi
+    # one identity map serves every trial of a target that takes phi
+    identity = PhiMap.identity(domain) if target.takes_phi and not draws_phi else None
     for trial in range(budget):
         try:
             f = generate(replace(f_spec, seed=_derive_seed(seed, trial, 0)), domain)
             phi = None
-            if phi_spec is not None and target.takes_phi:
+            if draws_phi:
                 phi = generate_phi(replace(phi_spec, seed=_derive_seed(seed, trial, 1)),
                                    domain)
             g = None
             if target.takes_g:
                 g = generate(replace(f_spec, seed=_derive_seed(seed, trial, 2)), domain)
-            report, violated = run_target(target, f, g, phi, domain, sampler,
-                                          tolerance=tolerance, quad_tol=quad_tol)
+            report, violated = run_target(target, f, g, identity if phi is None else phi,
+                                          domain, sampler, tolerance=tolerance,
+                                          quad_tol=quad_tol)
         except HHVError as err:
             reason = type(err).__name__
             skipped[reason] = skipped.get(reason, 0) + 1

@@ -113,6 +113,17 @@ class TestExitCodes:
             "message": "interval width b - a must be finite, got [-1e+308, 1e+308]"}
         assert err.startswith(f"hhv {argv[0]}: error: interval width")
 
+    def test_ends_whose_sum_overflows(self, capsys):
+        # the midpoint is finite; the integral of x, about 1e616, is not
+        argv = ["chain", "--id", "classic_hh", "--a", "1e308", "--b", "1.7e308"]
+        code, payload, _ = run_json(capsys, *argv, "--f", "1")
+        assert (code, payload["verdict"]) == (0, "chain_holds")
+        code, payload, _ = run_json(capsys, *argv, "--f", "x")
+        assert code == 3
+        assert payload["error"] == {
+            "type": "ChainTermError",
+            "message": "term 'integral_mean_f' failed: non-finite result"}
+
     def test_negative_seed_is_a_valid_key(self, capsys):
         # seed -1 is the key word 2**64 - 1, which numpy used to round
         code, payload, err = run_json(
@@ -366,6 +377,17 @@ class TestConfigFile:
         assert payload["error"]["type"] == "ConfigError"
         assert payload["error"]["message"].startswith(
             f"cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_deeply_nested_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[" * 200_000)
+        code, payload, _ = run_json(
+            capsys, "check", "--config", str(cfg),
+            "--class", "convex", "--f", "x", "--a", "0", "--b", "1")
+        assert code == 2
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["message"].startswith(
+            f"cannot read config file {cfg}: maximum recursion depth exceeded")
 
     def test_config_must_be_an_object(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -708,6 +730,21 @@ class TestReportCommand:
         assert payload["error"]["type"] == "ConfigError"
         assert payload["error"]["message"].startswith(
             "cannot read report: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_deeply_nested_report_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                 from_stdin):
+        deep = "[" * 200_000
+        path = tmp_path / "report.json"
+        path.write_text(deep)
+        if from_stdin:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+        code, payload, _ = run_json(capsys, "report", "--input",
+                                    "-" if from_stdin else str(path))
+        assert code == 2
+        assert payload["error"]["type"] == "ConfigError"
+        assert payload["error"]["message"].startswith(
+            "cannot read report: maximum recursion depth exceeded")
 
     def test_invalid_input_rejected(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -74,6 +74,24 @@ class TestSamplePlan:
         assert (ys_b[: lattice + 100] == ys_s).all()
         assert (ts_b[: lattice + 100] == ts_s).all()
 
+    def test_sample_arrays_are_read_only(self):
+        samples = SamplePlan(x_points=3, t_points=3, random_count=4).samples(UNIT)
+        for name, arr in samples._asdict().items():
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+
+    def test_last_set_is_shared_and_keyed_on_plan_and_exact_ends(self):
+        plan = SamplePlan(x_points=3, t_points=3, random_count=4)
+        first = plan.samples(Interval(0.0, 1.0))
+        assert plan.samples(Interval(0.0, 1.0)) is first
+        assert SamplePlan(x_points=3, t_points=3, random_count=4, seed=1).samples(UNIT) \
+            is not first
+        # -0.0 == 0.0, but a set over [-1, -0.0] keeps its end's sign
+        signed = plan.samples(Interval(-1.0, -0.0))
+        assert math.copysign(1.0, signed.gx[-1]) == -1.0
+        assert math.copysign(1.0, plan.samples(Interval(-1.0, 0.0)).gx[-1]) == 1.0
+
     def test_plan_above_max_samples_rejected(self):
         # 1024^2 * 3 lattice triples plus the random ones reach the cap exactly
         random_count = MAX_SAMPLES - 1024**2 * 3
@@ -108,6 +126,24 @@ class TestPhiloxKeys:
     def test_seed_counts_modulo_two_to_the_64(self):
         draws = [convexity._philox(s, 3).random(4) for s in (-1, 2**64 - 1)]
         assert np.array_equal(*draws)
+
+    @staticmethod
+    def _assert_keyed_stream(seed, stream):
+        key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+        keyed = np.random.Generator(np.random.Philox(key=key))
+        ours = convexity._philox(seed, stream)
+        assert str(ours.bit_generator.state) == str(keyed.bit_generator.state)
+        assert np.array_equal(ours.random(6), keyed.random(6))
+        assert np.array_equal(ours.integers(0, 2**63, 4), keyed.integers(0, 2**63, 4))
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, -1])
+    def test_stream_is_the_key_argument_stream(self, seed):
+        self._assert_keyed_stream(seed, convexity._STREAM_TRIPLES)
+
+    @given(st.integers(-2**64, 2**65), st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_stream_is_the_key_argument_stream_for_any_key(self, seed, stream):
+        self._assert_keyed_stream(seed, stream)
 
 
 class TestToleranceContract:

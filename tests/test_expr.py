@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hhv import expr
 from hhv.errors import DomainError, EvalError, Overflow, ParseError, UnknownIdentifierError
@@ -434,3 +434,17 @@ class TestInterval:
         iv = Interval(1.0, 3.0)
         assert iv.midpoint == 2.0
         assert iv.width == 2.0
+
+    def test_midpoint_of_ends_whose_sum_overflows(self):
+        assert Interval(1e308, 1.7e308).midpoint == 1.35e308
+        assert Interval(-1.7e308, -1e308).midpoint == -1.35e308
+
+    # halving is exact above the lowest normal binade, and there the
+    # halves-first sum rounds once, as the halved sum does
+    @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False),
+           st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False))
+    @settings(max_examples=500, deadline=None)
+    def test_midpoint_matches_halved_sum(self, a, b):
+        assume(a < b and math.isfinite(b - a) and math.isfinite(a + b))
+        assume(all(x == 0 or abs(x) >= 2.0**-1021 for x in (a, b)))
+        assert Interval(a, b).midpoint.hex() == (0.5 * (a + b)).hex()

@@ -34,6 +34,12 @@ class TestOracles:
         assert res.value == pytest.approx(2.0, abs=1e-9)
 
 
+    def test_ends_whose_sum_overflows(self):
+        # every midpoint is taken halves first, so a + b never forms
+        res = integrate(lambda xs: np.ones_like(xs), Interval(1e308, 1.7e308))
+        assert res.value == pytest.approx(0.7e308, rel=1e-15)
+
+
 class TestProperties:
     @given(st.floats(-3, 3), st.floats(-3, 3))
     @settings(max_examples=30, deadline=None)

@@ -1,8 +1,9 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hhv import search
 from hhv.convexity import PhiMap, SamplePlan, VERDICT_VIOLATED, check_log_convex
@@ -61,9 +62,18 @@ class TestGenerate:
         assert generate(spec, UNIT).source_text == generate(spec, UNIT).source_text
 
     def test_generated_text_reparses(self):
-        for family in ("exp_of_poly", "positive_poly", "affine_exp"):
-            expr = generate(FamilySpec(family, 2, (0.0, 2.0), seed=1), UNIT)
-            assert parse(expr.source_text).root == expr.root
+        for family, coeff_range, domain in [
+            ("exp_of_poly", (-2.0, 2.0), Interval(-3.0, -0.0)),
+            ("positive_poly", (0.0, 2.0), UNIT),
+            ("affine_exp", (-1.0, 2.0), Interval(-1.0, 1.0)),
+            ("power", (0.0, 1.0), Interval(0.5, 2.0)),
+        ]:
+            for seed in range(4):
+                spec = FamilySpec(family, 3, coeff_range, seed=seed)
+                phi_spec = replace(spec, family="positive_poly", coeff_range=(0.1, 2.0))
+                for expr in (generate(spec, domain), generate_phi(phi_spec, domain).phi):
+                    # repr tells -0.0 from 0.0, which == does not
+                    assert repr(parse(expr.source_text).root) == repr(expr.root)
 
     def test_power_family_on_positive_domain(self):
         expr = generate(FamilySpec("power", seed=3), Interval(0.5, 2.0))
@@ -94,6 +104,56 @@ class TestGeneratePhi:
         assert phi.at_b == pytest.approx(3.0, abs=1e-9)
 
 
+def _poly_text(coeffs, var="x"):
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = float(coeffs[k])
+        mag = repr(abs(c))
+        if k >= 2:
+            piece = f"{mag}*{var}^{k}"
+        elif k == 1:
+            piece = f"{mag}*{var}"
+        else:
+            piece = mag
+        if not parts:
+            parts.append(piece if c >= 0 else f"-{piece}")
+        else:
+            parts.append(f" {'+' if c >= 0 else '-'} {piece}")
+    return "".join(parts)
+
+
+def _build_text(spec, rng):
+    lo, hi = spec.coeff_range
+    if spec.family == "exp_of_poly":
+        degree = int(rng.integers(0, spec.degree_bound + 1))
+        coeffs = rng.uniform(lo, hi, degree + 1)
+        return f"exp({_poly_text(coeffs)})"
+    if spec.family == "positive_poly":
+        degree = int(rng.integers(min(1, spec.degree_bound), spec.degree_bound + 1))
+        coeffs = search._open_closed(rng, lo, hi, degree + 1)
+        return _poly_text(coeffs)
+    if spec.family == "affine_exp":
+        scale = float(search._open_closed(rng, max(lo, 0.0), hi, 1)[0])
+        rate = float(rng.uniform(-hi, hi))
+        shift = float(rng.uniform(max(lo, 0.0), hi))
+        return f"{scale!r}*exp({rate!r}*x) + {shift!r}"
+    if spec.family == "power":
+        r = float(rng.uniform(-3.0, 3.0))
+        return f"x^{r!r}"
+    raise AssertionError(spec.family)
+
+
+def _ref_generate(spec, domain):
+    """generate as it stood with a parse per attempt: each candidate is
+    written as text and the text is parsed."""
+    for attempt in range(search._MAX_TRIES):
+        rng = search._philox(spec.seed, search._STREAM_GEN + attempt)
+        expr = parse(_build_text(spec, rng))
+        if check_positive(expr, domain).ok:
+            return expr
+    raise GenerationExhausted(spec.family, search._MAX_TRIES)
+
+
 def _ref_generate_phi(spec, domain):
     """generate_phi as it stood with two parses per attempt: the raw
     polynomial is parsed and evaluated at both ends of the domain."""
@@ -105,7 +165,7 @@ def _ref_generate_phi(spec, domain):
         coeffs = search._open_closed(rng, max(spec.coeff_range[0], 0.0),
                                      spec.coeff_range[1], deg + 1)
         var = f"((x - {a!r})/{w!r})"
-        raw_text = search._poly_text(coeffs, var=var)
+        raw_text = _poly_text(coeffs, var=var)
         raw = parse(raw_text)
         r0 = raw.eval(domain.a)
         r1 = raw.eval(domain.b)
@@ -119,11 +179,36 @@ def _ref_generate_phi(spec, domain):
     raise GenerationExhausted("phi", search._MAX_TRIES)
 
 
-def _phi_outcome(spec, domain, draw):
+def _outcome(spec, domain, draw):
     try:
-        return draw(spec, domain).phi.source_text
+        expr = draw(spec, domain)
     except Exception as err:  # compared by type, message and abscissa
         return type(err).__name__, str(err), getattr(err, "x", None)
+    expr = getattr(expr, "phi", expr)
+    # repr tells -0.0 from 0.0, which == does not
+    return expr.source_text, repr(expr.root)
+
+
+_BIG = 1.7e308
+# moderate values, and values of any size up to near the float maximum,
+# -0.0 among them
+_any_float = st.one_of(st.floats(-10, 10), st.floats(-_BIG, _BIG))
+
+
+@st.composite
+def _ranges(draw, nonnegative=False):
+    lo, hi = sorted(draw(st.lists(_any_float, min_size=2, max_size=2, unique=True)))
+    if nonnegative:
+        lo, hi = sorted((abs(lo), abs(hi)))
+        assume(lo < hi)
+    return lo, hi
+
+
+@st.composite
+def _domains(draw):
+    a, b = draw(_ranges())
+    assume(math.isfinite(b - a))
+    return Interval(a, b)
 
 
 class TestGeneratePhiMatchesReference:
@@ -135,8 +220,27 @@ class TestGeneratePhiMatchesReference:
     def test_matches_two_parse_draw(self, degree, lo, spread, seed, a, log_width):
         spec = FamilySpec("positive_poly", degree, (lo, lo + spread), seed)
         domain = Interval(a, a + 10**log_width)
-        assert (_phi_outcome(spec, domain, generate_phi)
-                == _phi_outcome(spec, domain, _ref_generate_phi))
+        assert (_outcome(spec, domain, generate_phi)
+                == _outcome(spec, domain, _ref_generate_phi))
+
+    @given(st.integers(0, 6), _ranges(), st.integers(0, 2**64 - 1), _domains())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_two_parse_draw_at_any_scale(self, degree, coeff_range, seed, domain):
+        # generate_phi reads no family, and clips a negative lo to 0
+        spec = FamilySpec("exp_of_poly", degree, coeff_range, seed)
+        assert (_outcome(spec, domain, generate_phi)
+                == _outcome(spec, domain, _ref_generate_phi))
+
+
+class TestGenerateMatchesReference:
+    @pytest.mark.parametrize("family", search.FAMILIES)
+    @given(degree=st.integers(0, 6), data=st.data(), seed=st.integers(0, 2**64 - 1),
+           domain=_domains())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_text_then_parse(self, family, degree, data, seed, domain):
+        coeff_range = data.draw(_ranges(nonnegative=family == "positive_poly"))
+        spec = FamilySpec(family, degree, coeff_range, seed)
+        assert _outcome(spec, domain, generate) == _outcome(spec, domain, _ref_generate)
 
 
 class TestFindCounterexample:
