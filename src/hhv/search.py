@@ -40,7 +40,9 @@ class FamilySpec:
     """Parameters of one random function family.
 
     ``coeff_range`` bounds the coefficient draws; ``positive_poly`` requires
-    a non-negative lower bound and draws in the half-open (lo, hi].  The
+    a non-negative lower bound and draws in the half-open (lo, hi];
+    ``affine_exp`` requires ``hi > 0`` and draws its rate in [-hi, hi].  A
+    range whose width overflows cannot be drawn from and is rejected.  The
     ``power`` family ignores the range and draws its exponent in [-3, 3].
     """
 
@@ -59,6 +61,15 @@ class FamilySpec:
             raise ValueError(f"coeff_range must be increasing, got {self.coeff_range}")
         if self.family == "positive_poly" and lo < 0:
             raise ValueError("positive_poly requires a non-negative coeff_range lower bound")
+        if self.family == "affine_exp" and not hi > 0:
+            raise ValueError(f"affine_exp requires a positive coeff_range upper bound, "
+                             f"got {self.coeff_range}")
+        # numpy cannot draw from a range whose width overflows; affine_exp
+        # draws its rate in [-hi, hi]
+        width = 2.0 * hi if self.family == "affine_exp" else hi - lo
+        if self.family != "power" and not math.isfinite(width):
+            raise ValueError(f"coeff_range {self.coeff_range} is too wide to draw from: "
+                             f"its width overflows")
 
 
 @dataclass(frozen=True)
@@ -157,7 +168,7 @@ def _poly(coeffs: np.ndarray, var: _Built) -> _Built:
 def _build(spec: FamilySpec, rng: np.random.Generator) -> Expr:
     """``parse`` of the candidate's text, built without parsing.  Every drawn
     literal is finite, which repr writes as a literal that parse reads back:
-    numpy's uniform refuses a range whose width overflows."""
+    ``FamilySpec`` rejects a range whose width overflows."""
     lo, hi = spec.coeff_range
     if spec.family == "exp_of_poly":
         degree = int(rng.integers(0, spec.degree_bound + 1))

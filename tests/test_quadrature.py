@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 
@@ -269,10 +270,76 @@ class TestPanelTable:
                 return 1.0 / (x - 13.0 / 32.0)
 
         ours = _outcome(integrate, pole, UNIT, 1e-10, 50)
-        # initial points, then one call per level: depth 3 evaluates the
-        # odd multiples of 1/32
-        assert ours[0] is Overflow and ours[2] == 13.0 / 32.0 and len(calls) == 5
+        # the first call fails on the grid, then as the loop: the initial
+        # points, then one call per level, and depth 3 evaluates the odd
+        # multiples of 1/32
+        assert ours[0] is Overflow and ours[2] == 13.0 / 32.0
+        assert calls == [65, 3, 2, 4, 8, 16]
         assert ours == _outcome(_reference_integrate, pole, UNIT, 1e-10, 50)
+
+    @pytest.mark.parametrize("f", [
+        parse("x^2 + 0*(1/(x - 0.40625))").eval_array,
+        lambda x: x**2 + 0 * (1 / (x - 0.40625)),  # numpy warns on the division
+    ])
+    def test_failure_only_at_a_grid_point(self, f):
+        # accepted at depth 0, whose points 0, 1/4, 1/2, 3/4 and 1 are all
+        # evaluable; only the first call's grid holds 13/32
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ours = _outcome(integrate, counted, UNIT, 1e-10, 50)
+        assert ours == ((1.0 / 3.0).hex(), 0.0.hex(), 5)
+        assert calls == [65, 3, 2] and not caught
+        assert ours == _outcome(_reference_integrate, f, UNIT, 1e-10, 50)
+
+    @pytest.mark.parametrize("max_depth", [0, 50])
+    def test_division_by_zero_where_the_loop_goes(self, max_depth):
+        # x = 1/2 is the first midpoint, where f is 1 after numpy's warning;
+        # the caller's warning filter decides, as in the loop
+        f = lambda x: np.minimum(1.0 / np.abs(x - 0.5), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ours = _outcome(integrate, f, UNIT, 1e-10, max_depth)
+            assert ours == _outcome(_reference_integrate, f, UNIT, 1e-10, max_depth)
+        assert ours == (1.0.hex(), 0.0.hex(), 5)
+
+    @pytest.mark.parametrize("text, calls", [
+        # no panel is accepted below depth 5: one call, then one per level
+        # from depth 5 on, where the loop makes nine calls in all
+        ("exp(x^2)", [65, 64, 128, 36]),
+        # depth 1 accepts a panel and takes its quarter points from the
+        # first call; every later level is one call
+        ("exp(40*x)", [65, 4, 8, 16, 28, 48, 80, 120, 172, 200, 112]),
+    ])
+    def test_one_call_for_the_first_levels(self, text, calls):
+        f = parse(text)
+        seen = []
+
+        def counted(x):
+            seen.append(x.size)
+            return f.eval_array(x)
+
+        ours = _outcome(integrate, counted, UNIT, 1e-10, 50)
+        assert seen == calls
+        assert ours == _outcome(_reference_integrate, f.eval_array, UNIT, 1e-10, 50)
+
+    def test_failed_first_call_leaves_no_reference_cycle(self):
+        # a kept error would hold integrate's frame through its traceback
+        f = parse("x^2 + 0*(1/(x - 0.40625))").eval_array
+        integrate(f, UNIT)  # first-call set-up may hold cycles
+        gc.collect()
+        gc.disable()
+        try:
+            res = integrate(f, UNIT)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert res.evaluations == 5
 
     @pytest.mark.parametrize("f", [lambda x: x**2, np.exp])
     def test_max_depth_zero(self, f):

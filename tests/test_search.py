@@ -30,10 +30,28 @@ class TestFamilySpec:
         (dict(degree_bound=-1), "degree_bound must be >= 0, got -1"),
         (dict(coeff_range=(1.0, 1.0)), "coeff_range must be increasing"),
         (dict(coeff_range=(2.0, 1.0)), "coeff_range must be increasing"),
+        (dict(coeff_range=(-1e308, 1e308)), "coeff_range (-1e+308, 1e+308) is too wide"),
+        (dict(coeff_range=(-math.inf, 0.0)), "is too wide to draw from"),
+        (dict(family="positive_poly", coeff_range=(0.0, math.inf)), "is too wide"),
+        (dict(family="affine_exp", coeff_range=(-2.0, -1.0)),
+         "affine_exp requires a positive coeff_range upper bound, got (-2.0, -1.0)"),
+        (dict(family="affine_exp", coeff_range=(-1.0, 0.0)), "positive coeff_range upper"),
+        # the rate is drawn in [-hi, hi]
+        (dict(family="affine_exp", coeff_range=(0.0, 1e308)), "is too wide to draw from"),
     ])
     def test_bad_parameters_rejected(self, kwargs, message):
+        kwargs = {"family": "exp_of_poly", **kwargs}
         with pytest.raises(ValueError, match=re.escape(message)):
-            FamilySpec("exp_of_poly", **kwargs)
+            FamilySpec(**kwargs)
+
+    @pytest.mark.parametrize("family, coeff_range", [
+        ("exp_of_poly", (-8e307, 8e307)),
+        ("affine_exp", (-1e308, 8e307)),
+        ("power", (-1e308, 1e308)),  # the range is not drawn from
+    ])
+    def test_widest_drawable_ranges_accepted(self, family, coeff_range):
+        for stream in range(4):
+            search._build(FamilySpec(family, 1, coeff_range), search._philox(3, stream))
 
 
 class TestSearchTarget:
@@ -239,7 +257,19 @@ class TestGenerateMatchesReference:
     @settings(max_examples=200, deadline=None)
     def test_matches_text_then_parse(self, family, degree, data, seed, domain):
         coeff_range = data.draw(_ranges(nonnegative=family == "positive_poly"))
-        spec = FamilySpec(family, degree, coeff_range, seed)
+        try:
+            spec = FamilySpec(family, degree, coeff_range, seed)
+        except ValueError:
+            # FamilySpec rejects only ranges that the reference cannot draw a
+            # candidate from: numpy refuses the range, or every affine_exp
+            # candidate with hi <= 0 is zero
+            spec = object.__new__(FamilySpec)
+            for name, value in zip(("family", "degree_bound", "coeff_range", "seed"),
+                                   (family, degree, coeff_range, seed)):
+                object.__setattr__(spec, name, value)
+            failed = _outcome(spec, domain, _ref_generate)[0]
+            assert failed in ("OverflowError", "ValueError", "GenerationExhausted")
+            return
         assert _outcome(spec, domain, generate) == _outcome(spec, domain, _ref_generate)
 
 
