@@ -17,7 +17,9 @@ chain ends, then hands ``_finish`` its terms as ``(name, thunk)`` pairs.
 ``_finish`` calls them in chain order, each under a wrapper that names a
 failing term in a ChainTermError, then the optional diagnostics, which may
 read the term values.  Each report lists the ordered term values, adjacent
-margins (terms[i+1] - terms[i]), and the indices of any violated links.
+margins (terms[i+1] - terms[i]), and the indices of any violated links: link
+i is violated when its margin is below ``-tolerance`` times the larger
+magnitude of terms i and i+1, so a verdict does not depend on the scale of f.
 
 Integral means go through ``_mean``, which keeps the ``_MEANS_SIZE`` newest,
 keyed on the integrand's kind, the trees it reads, its reflection centre,
@@ -36,7 +38,7 @@ from .convexity import PhiMap, _require_positive_values, _require_positivity, _t
 from .errors import ChainTermError, DegeneratePhi, HHVError, PositivityViolated
 from .expr import Expr, Interval
 from .means import PositivePair, arithmetic, logarithmic
-from .quadrature import DEFAULT_TOL as DEFAULT_QUAD_TOL, mean_value
+from .quadrature import DEFAULT_MAX_DEPTH, DEFAULT_TOL as DEFAULT_QUAD_TOL, mean_value
 
 __all__ = [
     "ChainReport", "CHAIN_IDS",
@@ -76,7 +78,8 @@ def _finish(chain_id, terms, tolerance, quad_tol, diagnostics=None, notes=()):
     named = tuple([(name, _term(name, thunk)) for name, thunk in terms])
     values = [v for _, v in named]
     margins = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-    links = tuple(i for i, m in enumerate(margins) if violated(m))
+    links = tuple(i for i, m in enumerate(margins)
+                  if violated(m, max(abs(values[i]), abs(values[i + 1]))))
     verdict = VERDICT_LINK_VIOLATED if links else VERDICT_CHAIN_HOLDS
     return ChainReport(
         chain_id=chain_id, terms=named, pair_margins=margins,
@@ -93,12 +96,14 @@ def _term(name: str, thunk):
         raise ChainTermError(name, str(err)) from err
 
 
-def _mean(key: tuple, integrand, span: Interval, quad_tol: float) -> float:
-    """``mean_value(integrand, span, quad_tol)``; ``key`` names the integrand."""
+def _mean(key: tuple, integrand, span: Interval, quad_tol: float,
+          min_magnitude: float = 0.0) -> float:
+    """``mean_value(integrand, span, quad_tol, ...)``; ``key`` names the
+    integrand, and with it ``min_magnitude``."""
     key = (*key, span, quad_tol)
     value = _means.get(key)
     if value is None:
-        value = mean_value(integrand, span, quad_tol)
+        value = mean_value(integrand, span, quad_tol, DEFAULT_MAX_DEPTH, min_magnitude)
         with _means_lock:
             if len(_means) >= _MEANS_SIZE:  # the first key is the oldest
                 del _means[next(iter(_means))]
@@ -157,9 +162,12 @@ def eval_dragomir_mond(f: Expr, interval: Interval,
     fa, fb = _positive_ends(f, interval.a, interval.b, "f({})")
     return _finish("dragomir_mond", [
         ("f_at_midpoint", lambda: f.eval(interval.midpoint)),
+        # ln f is known only to about eps absolute, and exp turns an absolute
+        # error in its mean into the term's relative error: the budget is
+        # relative to max(∫|ln f|, width), absolute where |ln f| averages below 1
         ("exp_mean_log_f", lambda: float(np.exp(_mean(("ln f", f.root),
             lambda xs: np.log(_require_positive_values(f.eval_array(xs), xs, "f(x)")),
-            interval, quad_tol)))),
+            interval, quad_tol, interval.width)))),
         ("mean_geometric_reflected", lambda: _mean(
             ("geometric", f.root, interval.a + interval.b),
             _geometric_reflected(f, interval.a + interval.b), interval, quad_tol)),

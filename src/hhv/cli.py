@@ -105,9 +105,10 @@ _FLAGS = (
     (_RUN, "--a", "a", "left endpoint", None),
     (_RUN, "--b", "b", "right endpoint", None),
     (("check", "search"), "--seed", "seed", "seed (default: $HHV_SEED or 0)", None),
-    (("chain", "search"), "--quad-tol", "quad_tol", "quadrature tolerance (default 1e-10)",
-     None),
-    (_RUN, "--tol", "tolerance", "margin tolerance (default 1e-9 checks, 1e-8 chains)", None),
+    (("chain", "search"), "--quad-tol", "quad_tol",
+     "quadrature tolerance, relative to the integral of |f| (default 1e-10)", None),
+    (_RUN, "--tol", "tolerance", "margin tolerance: absolute for a class (default 1e-9); for "
+     "a chain relative to the larger adjacent term (default 1e-8)", None),
     (("check", "search"), "--grid-x", "grid_x", "x lattice size", None),
     (("check", "search"), "--grid-t", "grid_t", "t lattice size (odd)", None),
     (("check", "search"), "--samples", "samples", "random triples per check", None),

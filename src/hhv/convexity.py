@@ -115,10 +115,6 @@ class SamplePlan:
         return _draw_samples(self, interval, math.copysign(1.0, interval.a),
                              math.copysign(1.0, interval.b))
 
-    def triples(self, interval: Interval) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every sample as flat (x, y, t) arrays; see :meth:`SampleSet.triples`."""
-        return self.samples(interval).triples()
-
 
 @dataclass(frozen=True)
 class SampleTriple:
@@ -208,13 +204,6 @@ class SampleSet(NamedTuple):
         if not (b - a) / n >= _TINY:  # a subnormal step would divide inexactly
             return None
         return np.linspace(a, b, n + 1), _fine_index(nx, nt)
-
-    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every triple as flat (x, y, t) arrays, in order."""
-        x, y, t = np.meshgrid(self.gx, self.gx, self.gt, indexing="ij")
-        return (np.concatenate([x.ravel(), self.rx]),
-                np.concatenate([y.ravel(), self.ry]),
-                np.concatenate([t.ravel(), self.rt]))
 
 
 # one entry: a search needs no more, and more would raise certify's peak memory
@@ -432,12 +421,13 @@ def _tolerance_rule(tolerance: float):
     """The test of a margin against ``tolerance``: the one tolerance rule of
     the certifiers, the implication links, the chord checks and the chains.
 
-    A margin is violated when it is below ``-tolerance``.  A NaN or negative
+    A margin is violated when it is below ``-tolerance * scale``.  The
+    certifiers pass no scale, so their test is absolute; a chain link's
+    scale is the larger magnitude of its two terms.  A NaN or negative
     tolerance raises ``ValueError`` here, before any margin is tested."""
     if not tolerance >= 0:  # NaN would make every margin hold
         raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
-    floor = -tolerance
-    return lambda margin: margin < floor
+    return lambda margin, scale=1.0: margin < -tolerance * scale
 
 
 def _judge(margins: np.ndarray, samples: SampleSet,

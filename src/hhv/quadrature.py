@@ -1,41 +1,32 @@
-"""Adaptive Simpson integration with per-panel Richardson error control.
+"""Adaptive Gauss-Kronrod integration on bisected panels.
 
 Integrands are vectorized callables ``f(xs: ndarray) -> ndarray`` (an
 ``Expr.eval_array`` bound method, or any numpy-compatible function).
-Panels that fail their local error budget are split breadth-first, which
-keeps the refinement identical to the classical recursion while letting
-each level evaluate the integrand in one batched call.
 
-The open panels of a level form one table, a 7-row float array with one
-column per panel: a, m, b, f(a), f(m), f(b) and the panel's Simpson
-value.  All panels of a level share one error budget, since every split
-halves it.  A level evaluates the quarter points of all panels in one
-call and forms both half-panel Simpson values as one 2-row expression.
-The next table is one stack of 2-row blocks, each a row of the left
-children above the same row of the right children; the columns of the
-rejected panels are kept and interleaved left, right.  A level may leave
-at most ``MAX_OPEN_PANELS`` panels open, which bounds the memory of
-integrands that keep refining everywhere.
+Each panel is integrated by the QUADPACK ``qk15`` rule (Piessens et al.,
+1983): the 15-point Kronrod extension K15 of the 7-point Gauss rule G7,
+exact on polynomials of degree 22 and 13.  The rule is open, so it never
+evaluates the interval's ends.  A panel's error bound is
+``|K15 - G7| + 50*eps*M``, where ``M`` is K15 applied to ``|f|``: the second
+term is the rounding floor, which ``|K15 - G7|`` does not see.
 
-The first call evaluates the integrand on all ``2**(k+1) + 1`` points of
-the interval's halving grid, ``k = min(FIRST_CALL_DEPTH, max_depth)``,
-each point built with the loop's own ``0.5*x + 0.5*y`` from its
-neighbours, so every abscissa is the one the loop computes.  One
-vectorized pass runs the loop's Richardson test on every panel of depth
-below ``k``, and the loop starts at the first depth ``d`` with an
-accepted panel: below ``d`` the loop would visit every panel and accept
-none, so it holds the complete table of depth ``d`` there, and below
-``k`` the grid already holds that level's quarter points.  Values, error
-estimates, evaluation counts and errors are those of the loop started at
-depth 0.  ``evaluations`` counts only the points the estimate rests on;
-grid points that no visited panel uses are not counted.  If the first
-call raises anything, integration starts from ``[a, m, b]`` as the loop
-does, so every error is raised by the call that meets it there.
+The budget is ``tol`` times the magnitude ``M`` of the whole interval, or
+times ``min_magnitude`` when that is larger, or ``tol`` alone when both are
+0; a panel's share of it is the budget times the panel's width over the
+interval's.  Panels whose bound
+exceeds their share are bisected breadth first: a level holds the open
+panels of one depth, all of one width, and evaluates their 15 nodes each in
+one integrand call.  A level evaluates at most ``MAX_OPEN_PANELS`` panels,
+which bounds the memory of integrands that keep refining everywhere.
+
+The values are scaled by the panel's half-width before they are summed, so
+a finite integral of finite values stays finite; a panel whose sums do not
+raises :class:`~hhv.errors.Overflow` at the level where it appears.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -48,9 +39,37 @@ __all__ = ["QuadratureResult", "integrate", "mean_value"]
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 50
 MAX_OPEN_PANELS = 2**16
-FIRST_CALL_DEPTH = 5
+ROUNDING_FLOOR = 50 * np.finfo(float).eps
 
 Integrand = Callable[[np.ndarray], np.ndarray]
+
+# QUADPACK qk15 on [-1, 1]: the positive K15 abscissae, descending as QUADPACK
+# lists them, each with its K15 weight and its G7 weight (0 off the G7 nodes);
+# the rule is symmetric about the centre.  tests/test_quadrature.py checks
+# every entry against mpmath.
+_KRONROD = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_CENTER = (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+_TABLE = np.array([(-x, wk, wg) for x, wk, wg in _KRONROD] + [_CENTER]
+                  + [(x, wk, wg) for x, wk, wg in reversed(_KRONROD)])
+NODES = _TABLE[:, 0].copy()
+KRONROD_WEIGHTS = _TABLE[:, 1].copy()
+GAUSS_WEIGHTS = _TABLE[:, 2].copy()
+# one product gives K15 and K15 - G7, another the rounding floor
+_SUMS = np.stack((KRONROD_WEIGHTS, KRONROD_WEIGHTS - GAUSS_WEIGHTS), axis=1)
+_FLOOR_WEIGHTS = ROUNDING_FLOOR * KRONROD_WEIGHTS
+for _table in (NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS, _SUMS, _FLOOR_WEIGHTS):
+    _table.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -60,58 +79,14 @@ class QuadratureResult:
     evaluations: int
 
 
-def _eval(f: Integrand, xs: np.ndarray) -> np.ndarray:
-    vals = np.asarray(f(xs), dtype=float)
-    if not np.isfinite(vals).all():
-        i = int(np.argmin(np.isfinite(vals)))
-        raise Overflow(x=float(xs[i]), index=i)
-    return vals
-
-
-def _halving_grid(a: float, b: float, k: int) -> np.ndarray:
-    """The ``2**(k+1) + 1`` ends and midpoints of the panels of depths 0..k."""
-    n = 2 ** (k + 1)
-    grid = np.empty(n + 1)
-    grid[0], grid[n] = a, b
-    step = n
-    while step > 1:  # halves first, as in the loop and Interval.midpoint
-        half = 0.5 * grid[::step]
-        np.add(half[:-1], half[1:], out=grid[step // 2::step])
-        step //= 2
-    return grid
-
-
-@lru_cache(maxsize=8)
-def _panels(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid indices of a, m and b (rows) of every panel of depths 0..k,
-    breadth first, so that panel t has children 2t + 1 and 2t + 2; and the
-    panel count of each depth below k."""
-    n = 2 ** (k + 1)
-    a = np.concatenate([np.arange(0, n, n >> j) for j in range(k + 1)])
-    w = np.concatenate([np.full(2**j, n >> j) for j in range(k + 1)])
-    idx, counts = np.stack((a, a + w // 2, a + w)), 2 ** np.arange(k)
-    idx.flags.writeable = counts.flags.writeable = False
-    return idx, counts
-
-
-def _first_level(grid: np.ndarray, fgrid: np.ndarray, tol: float, k: int):
-    """``(table, fmid, budget, depth)`` of the loop at the first depth below
-    ``k`` that accepts a panel, else at depth ``k``; ``fmid`` is that level's
-    quarter-point values when the grid holds them, else ``None``."""
-    idx, counts = _panels(k)
-    xs, fs = grid[idx], fgrid[idx]
-    simpson = (xs[2] - xs[0]) / 6.0 * (fs[0] + 4.0 * fs[1] + fs[2])
-    budgets = [max(tol, tol * abs(simpson[0]))]  # one per depth, as in the loop
-    for _ in range(k):
-        budgets.append(budgets[-1] / 2.0)
-    # rows 1::2 and 2::2 are the left and right children of rows :2**k - 1
-    err = (simpson[1::2] + simpson[2::2] - simpson[:2**k - 1]) / 15.0
-    accepted = (np.abs(err) <= np.repeat(budgets[:k], counts)).nonzero()[0]
-    depth = int(accepted[0] + 1).bit_length() - 1 if accepted.size else k
-    lo, hi = 2**depth - 1, 2 ** (depth + 1) - 1
-    table = np.concatenate((xs[:, lo:hi], fs[:, lo:hi], simpson[None, lo:hi]))
-    fmid = fs[1, 2 * lo + 1:2 * hi + 1].reshape(-1, 2).T if depth < k else None
-    return table, fmid, budgets[depth], depth
+def _overflow(xs: np.ndarray, vals: np.ndarray) -> Overflow:
+    """The error of a level whose bounds are not all finite: at the first
+    non-finite integrand value, else in a panel sum."""
+    finite = np.isfinite(vals)
+    if finite.all():
+        return Overflow()
+    i = int(np.argmin(finite))
+    return Overflow(x=float(xs[i]), index=i)
 
 
 def integrate(
@@ -119,77 +94,67 @@ def integrate(
     interval: Interval,
     tol: float = DEFAULT_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
+    min_magnitude: float = 0.0,
 ) -> QuadratureResult:
-    """Integrate ``f`` over ``interval`` to absolute-or-relative tolerance.
+    """Integrate ``f`` over ``interval`` to ``tol`` relative to ``∫|f|``.
 
-    The effective budget is ``max(tol, tol * |I|)`` where ``I`` is the
-    first whole-interval Simpson estimate; each split halves a panel's
-    budget.  Raises :class:`~hhv.errors.MaxDepthExceeded` if some panel
-    still misses its budget at ``max_depth`` (integrable endpoint
-    singularities fail loudly rather than returning a best effort), and
-    its subclass :class:`~hhv.errors.OpenPanelLimitExceeded` if a level
-    leaves more than ``MAX_OPEN_PANELS`` panels open.  Overflow in the
-    integrand or in a Simpson sum raises :class:`~hhv.errors.Overflow`.
+    ``error_estimate`` is the sum of the accepted panels' bounds, at most
+    ``tol * max(∫|f|, min_magnitude)``, with ``∫|f|`` as the rule estimates
+    it on the whole interval (``tol`` when both are 0); ``evaluations``
+    counts 15 per panel.  A caller whose integrand is known only to an
+    absolute accuracy, such as ``ln f``, passes the magnitude that accuracy
+    refers to as ``min_magnitude``.  A ``tol`` below the rounding floor
+    ``50*eps`` cannot be met.  Raises
+    :class:`~hhv.errors.MaxDepthExceeded` if a panel of depth ``max_depth``
+    (width ``(b - a) / 2**max_depth``) misses its share (integrable
+    singularities fail loudly rather than returning a best effort), and its
+    subclass :class:`~hhv.errors.OpenPanelLimitExceeded` if the next level
+    would hold more than ``MAX_OPEN_PANELS`` panels.  A non-finite integrand
+    value or panel sum raises :class:`~hhv.errors.Overflow`.
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
+    centers = np.array([interval.midpoint])
+    half = 0.5 * interval.b - 0.5 * interval.a  # halves first, as in Interval.midpoint
+    budget = None
+    total = err_total = 0.0
+    evaluations = depth = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        k = min(FIRST_CALL_DEPTH, max(max_depth, 0))
-        grid = _halving_grid(interval.a, interval.b, k)
-        try:
-            # a division by zero where the loop may never go must not warn
-            with np.errstate(divide="raise"):
-                fgrid = _eval(f, grid)
-        except Exception:
-            # at a point the loop may never visit: start over from [a, m, b]
-            # under the caller's errstate, outside this block, so that the
-            # error is neither kept nor chained
-            fgrid = None
-        if fgrid is None:
-            k = 0
-            grid = _halving_grid(interval.a, interval.b, k)
-            fgrid = _eval(f, grid)
-        table, fmid, budget, depth = _first_level(grid, fgrid, tol, k)
-        evaluations = 2 ** (depth + 1) + 1
-
-        total = 0.0
-        err_total = 0.0
         while True:
-            # rows lm, rm; halves first, as in Interval.midpoint
-            half = 0.5 * table[0:3]
-            mids = half[0:2] + half[1:3]
-            if fmid is None:
-                fmid = _eval(f, mids.ravel()).reshape(2, -1)
-            evaluations += fmid.size
-            halves = (table[1:3] - table[0:2]) / 6.0 * (table[3:5] + 4.0 * fmid + table[4:6])
-            s2 = halves[0] + halves[1]
-            err = (s2 - table[6]) / 15.0
-            abs_err = np.abs(err)
-            ok = abs_err <= budget
+            xs = (centers[:, None] + half * NODES).ravel()
+            vals = np.asarray(f(xs), dtype=float)
+            evaluations += xs.size
+            scaled = vals.reshape(-1, NODES.size) * half
+            sums = scaled @ _SUMS
+            floor = np.abs(scaled) @ _FLOOR_WEIGHTS
+            err = np.abs(sums[:, 1]) + floor
+            # a non-finite value of f makes its panel's bound non-finite too
+            level_err = float(np.add.reduce(err))
+            if not math.isfinite(level_err):
+                raise _overflow(xs, vals)
+            if budget is None:  # depth 0: tol times ∫|f| on the whole interval
+                budget = tol * max(float(floor[0]) / ROUNDING_FLOOR, min_magnitude) or tol
+            ok = err <= budget
             accepted = np.count_nonzero(ok)
-            if accepted:
-                total += float(np.add.reduce((s2 + err)[ok]))
-                err_total += float(np.add.reduce(abs_err[ok]))
             if accepted == ok.size:
+                total += float(np.add.reduce(sums[:, 0]))
+                err_total += level_err
                 break
-            if depth >= max_depth or ok.size - accepted > MAX_OPEN_PANELS:
-                # a panel whose Simpson sum overflows never meets its budget;
-                # sums are checked only here and in the total, not per level
-                if not np.isfinite(s2).all():
-                    raise Overflow()
-                j = int(np.argmin(ok))  # the first open panel
-                first = float(table[0, j]), float(table[2, j])
+            if accepted:
+                total += float(np.add.reduce(sums[ok, 0]))
+                err_total += float(np.add.reduce(err[ok]))
+            centers = centers[~ok]
+            if depth >= max_depth or 2 * centers.size > MAX_OPEN_PANELS:
+                first = float(centers[0] - half), float(centers[0] + half)
                 if depth >= max_depth:
                     raise MaxDepthExceeded(*first, depth)
                 raise OpenPanelLimitExceeded(*first, depth, MAX_OPEN_PANELS)
-            # rows 2i and 2i + 1: row i of the left and of the right children
-            children = np.concatenate((table[0:2], mids, table[1:3], table[3:5], fmid,
-                                       table[4:6], halves)).reshape(7, 2, -1)
-            table = children.compress(~ok, axis=2).transpose(0, 2, 1).reshape(7, -1)
-            fmid = None
-            budget = budget / 2.0
+            half *= 0.5
+            # the children of each open panel, left then right, in order
+            centers = np.add.outer(centers, (-half, half)).ravel()
+            budget *= 0.5
             depth += 1
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise Overflow()
     return QuadratureResult(value=total, error_estimate=err_total, evaluations=evaluations)
 
@@ -199,6 +164,7 @@ def mean_value(
     interval: Interval,
     tol: float = DEFAULT_TOL,
     max_depth: int = DEFAULT_MAX_DEPTH,
+    min_magnitude: float = 0.0,
 ) -> float:
-    """Integral mean of ``f`` over ``interval``."""
-    return integrate(f, interval, tol, max_depth).value / interval.width
+    """Integral mean of ``f`` over ``interval``; see :func:`integrate`."""
+    return integrate(f, interval, tol, max_depth, min_magnitude).value / interval.width

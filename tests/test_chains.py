@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +250,70 @@ class TestTheorem2:
             eval_theorem2(parse("exp(x)"), parse("x - 2"), PhiMap.identity(UNIT))
 
 
+def _mp_fn(text):
+    """``text`` evaluated with mpmath's functions, at the working precision."""
+    ns = {"__builtins__": {}, "exp": mp.exp, "ln": mp.log, "sqrt": mp.sqrt}
+    return eval(f"lambda x: {text.replace('^', '**')}", ns)  # noqa: S307 - restricted namespace
+
+
+def _mp_log_mean(p, q):
+    return p if p == q else (p - q) / (mp.log(p) - mp.log(q))
+
+
+class TestRelativeLinkBand:
+    """A link is judged against the tolerance times the larger magnitude of
+    its two terms, and the integral means are accurate relative to their
+    magnitude, so that no verdict depends on the scale of f."""
+
+    def test_band_scales_with_the_larger_term(self):
+        report = chains._finish("band", [
+            # an absolute band would hide this violation of a tiny link
+            ("tiny", lambda: 1e-12), ("tinier", lambda: 1e-12 - 1e-19),
+            # the band of these links is 1e-8 * 1e3
+            ("big", lambda: 1e3), ("inside", lambda: 1e3 - 5e-6),
+            ("outside", lambda: 1e3 - 2e-5),
+        ], DEFAULT_CHAIN_TOL, DEFAULT_QUAD_TOL)
+        assert report.violated_links == (0, 3)
+
+    @pytest.mark.parametrize("c", [-20.0, 0.0, 20.0])
+    @pytest.mark.parametrize("k", [10, 20, 30])
+    def test_steep_exp_holds_in_theorem2_and_dragomir_mond(self, k, c):
+        # equality cases: for exp, the integral mean is L(f(b), f(a))
+        f = parse(f"exp({k}*x + {c!r})")
+        assert eval_dragomir_mond(f, UNIT).verdict == VERDICT_CHAIN_HOLDS
+        for g_text in (f"exp({k}*x + {c!r})", f"exp({k}*x)"):
+            report = eval_theorem2(f, parse(g_text), PhiMap.identity(UNIT))
+            assert report.verdict == VERDICT_CHAIN_HOLDS
+
+    @pytest.mark.parametrize("text", ["1 + 1e-9*x^2", "exp(1e-12*x)", "1.0000001"])
+    def test_f_near_one_holds_in_dragomir_mond(self, text):
+        # ln f is near 0 and known to about eps absolute: its mean needs only
+        # quad_tol absolute, where a relative budget could never be met
+        report = eval_dragomir_mond(parse(text), UNIT)
+        assert report.verdict == VERDICT_CHAIN_HOLDS
+        with mp.workdps(30):
+            f = _mp_fn(text)
+            expected = mp.exp(mp.quad(lambda x: mp.log(f(x)), [0, 1]))
+            assert abs(dict(report.terms)["exp_mean_log_f"] - expected) <= 1e-10 * expected
+
+    @pytest.mark.parametrize("f_text, g_text", [
+        ("1e-12*exp(x^2)", "exp(x)"),
+        ("1e-12*exp(3*x)", "1e-12*exp(-x)"),
+    ])
+    def test_tiny_f_theorem2_terms_match_mpmath(self, f_text, g_text):
+        report = eval_theorem2(parse(f_text), parse(g_text), PhiMap.identity(UNIT))
+        f, g = _mp_fn(f_text), _mp_fn(g_text)
+        with mp.workdps(30):
+            expected = [
+                mp.quad(lambda x: f(x) * g(x), [0, 1]),
+                _mp_log_mean(f(1) * g(1), f(0) * g(0)),
+                0.25 * (f(1) + f(0)) * _mp_log_mean(f(1), f(0))
+                + 0.25 * (g(1) + g(0)) * _mp_log_mean(g(1), g(0)),
+            ]
+            for value, ref in zip(values(report), expected):
+                assert abs(value - ref) <= 1e-10 * abs(ref)
+
+
 class TestProductChainOracle:
     # a product of log-phi-convex functions is log-phi-convex, so theorem2's
     # first two terms are theorem1's integral mean and logarithmic mean of
@@ -275,13 +340,15 @@ class TestProductChainOracle:
 # ------------------ the hand-written evaluators, as a reference ------------------
 # The chains as they stood before the (name, thunk) term loop: each term
 # named twice, ends checked point by point, products computed under their
-# own errstate.  The evaluators must agree with them report for report and
-# error for error.
+# own errstate, and each link judged against the tolerance times the larger
+# magnitude of its two terms.  The evaluators must agree with them report
+# for report and error for error.
 
 def _ref_finish(chain_id, named_terms, tolerance, quad_tol, diagnostics=None, notes=()):
     values = [v for _, v in named_terms]
     margins = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-    violated = tuple(i for i, m in enumerate(margins) if m < -tolerance)
+    violated = tuple(i for i, m in enumerate(margins)
+                     if m < -tolerance * max(abs(values[i]), abs(values[i + 1])))
     verdict = VERDICT_LINK_VIOLATED if violated else VERDICT_CHAIN_HOLDS
     return ChainReport(
         chain_id=chain_id, terms=tuple(named_terms), pair_margins=margins,
@@ -353,7 +420,8 @@ def _ref_dragomir_mond(f, interval, quad_tol=DEFAULT_QUAD_TOL, tolerance=DEFAULT
         ("f_at_midpoint", _ref_term("f_at_midpoint", lambda: f.eval(interval.midpoint))),
         ("exp_mean_log_f",
          _ref_term("exp_mean_log_f", lambda: float(np.exp(mean_value(
-             lambda xs: np.log(_ref_positive_vals(f, xs, "f(x)")), interval, quad_tol))))),
+             lambda xs: np.log(_ref_positive_vals(f, xs, "f(x)")), interval, quad_tol,
+             min_magnitude=interval.width))))),
         ("mean_geometric_reflected",
          _ref_term("mean_geometric_reflected", lambda: mean_value(
              _ref_geometric_reflected(f, center), interval, quad_tol))),
@@ -532,7 +600,7 @@ class TestTermLoopMatchesReference:
         ("theorem2", "exp(x)", "(x - 0.75)^2 + 0*x", "0.25 + x/2", True),
         # a degenerate phi is reported before the ends are checked
         ("theorem1", "(x - 0.5)^2", "1", "0.5", False),
-        # a term and the diagnostic both overflow: the term is reported
+        # values near the float maximum, whose integrals stay finite
         ("theorem1", "exp(709.5*x)", "1", "x", True),
         ("theorem2", "exp(400*x)", "exp(400*x)", "x", True),
         # the first failing term is reported, in chain order

@@ -784,9 +784,9 @@ class TestSubprocessEntry:
         assert payload["verdict"] == "holds_on_samples"
 
     def test_overflowing_simpson_sum_exits_three_without_warning(self):
-        # f itself stays finite; the Simpson sums near x = 1 overflow
-        proc = self.run_module("-W", "error", "-m", "hhv", "chain", "--id", "theorem1",
-                               "--f", "exp(709.5*x)", "--diagnostics", "--a", "0", "--b", "1")
+        # f itself stays finite; its integral over [0, 10], 1e309, overflows
+        proc = self.run_module("-W", "error", "-m", "hhv", "chain", "--id", "classic_hh",
+                               "--f", "1e308 + 0*x", "--a", "0", "--b", "10")
         assert proc.returncode == 3
         assert json.loads(proc.stdout)["error"] == {
             "type": "ChainTermError",

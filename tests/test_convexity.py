@@ -19,6 +19,14 @@ UNIT = Interval(0.0, 1.0)
 SMALL = SamplePlan(x_points=9, t_points=9, random_count=64, seed=1)
 
 
+def triples(samples: SampleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every triple of ``samples`` as flat (x, y, t) arrays, in order."""
+    x, y, t = np.meshgrid(samples.gx, samples.gx, samples.gt, indexing="ij")
+    return (np.concatenate([x.ravel(), samples.rx]),
+            np.concatenate([y.ravel(), samples.ry]),
+            np.concatenate([t.ravel(), samples.rt]))
+
+
 def brute_force_log_convex(f, interval, nx=41, nt=21):
     """Independent dense-grid oracle: min log-margin over a lattice."""
     xs = np.linspace(interval.a, interval.b, nx)
@@ -49,7 +57,7 @@ def brute_force_phi_convex(f, phi, interval, nx=21, nt=11):
 
 class TestSamplePlan:
     def test_t_lattice_contains_anchors(self):
-        _, _, ts = SamplePlan(x_points=5, t_points=9, random_count=0).triples(UNIT)
+        _, _, ts = triples(SamplePlan(x_points=5, t_points=9, random_count=0).samples(UNIT))
         assert {0.0, 0.5, 1.0} <= set(ts)
 
     def test_even_t_points_rejected(self):
@@ -67,8 +75,8 @@ class TestSamplePlan:
     def test_random_block_is_prefix_stable(self):
         small = SamplePlan(x_points=3, t_points=3, random_count=100, seed=9)
         big = SamplePlan(x_points=3, t_points=3, random_count=200, seed=9)
-        xs_s, ys_s, ts_s = small.triples(UNIT)
-        xs_b, ys_b, ts_b = big.triples(UNIT)
+        xs_s, ys_s, ts_s = triples(small.samples(UNIT))
+        xs_b, ys_b, ts_b = triples(big.samples(UNIT))
         lattice = 3 * 3 * 3
         assert (xs_b[: lattice + 100] == xs_s).all()
         assert (ys_b[: lattice + 100] == ys_s).all()
@@ -404,10 +412,10 @@ class TestChordEquivalences:
 # ----------------------------- flat reference engine -------------------------
 # The margin engine as it was before the sample set was stored factored:
 # phi and f are evaluated at every x, every y and every mix of the flat
-# triples of SamplePlan.triples().  The factored engine must reproduce its
-# margins bit for bit, and its reports and errors exactly.  Without phi, on a
-# lattice whose fine grid applies, a lattice mix is the fine grid's point
-# rather than t*x + (1-t)*y (see _ref_lattice_mix).
+# triples of a sample set (`triples` above).  The factored engine must
+# reproduce its margins bit for bit, and its reports and errors exactly.
+# Without phi, on a lattice whose fine grid applies, a lattice mix is the
+# fine grid's point rather than t*x + (1-t)*y (see _ref_lattice_mix).
 
 class _RefSegment:
     def __init__(self, f, u, v):
@@ -474,7 +482,7 @@ def _ref_margins(f, phi, xs, ys, ts, log_space, lattice_mix=None):
 def _ref_run_check(f, phi, interval, plan, log_space, half_t=False,
                    tolerance=convexity.DEFAULT_TOLERANCE):
     """(verdict, min_margin, witness, samples_tested, failure_detail)."""
-    xs, ys, ts = plan.triples(interval)
+    xs, ys, ts = triples(plan.samples(interval))
     if half_t:
         ts = np.full_like(ts, 0.5)
     lattice_mix = None
@@ -520,7 +528,7 @@ def _certify(name, f, phi, plan):
 
 def _ref_implication_chain(f, phi, plan, tolerance=convexity.DEFAULT_TOLERANCE):
     _ref_require_positivity(f, phi.domain)
-    xs, ys, ts = plan.triples(phi.domain)
+    xs, ys, ts = triples(plan.samples(phi.domain))
     fx, fy, fm = _ref_values(f, phi, xs, ys, ts, log_space=True)
     lfx, lfy = np.log(fx), np.log(fy)
     weighted_am = ts * fx + (1.0 - ts) * fy
@@ -593,7 +601,7 @@ def _outcome(call):
 
 
 def _assert_margins_match(f, phi, samples, log_space):
-    xs, ys, ts = samples.triples()
+    xs, ys, ts = triples(samples)
     lattice_mix = None
     if phi is None and len(samples.gx):
         lattice_mix = _ref_lattice_mix(len(samples.gx), len(samples.gt),
@@ -660,7 +668,7 @@ class TestFactoredSamples:
     def test_triples_flatten_in_lattice_then_random_order(self):
         plan = SamplePlan(x_points=3, t_points=3, random_count=4, seed=2)
         samples = plan.samples(UNIT)
-        xs, ys, ts = plan.triples(UNIT)
+        xs, ys, ts = triples(plan.samples(UNIT))
         assert len(xs) == samples.size == 3 * 3 * 3 + 4
         assert list(xs[:27:9]) == [0.0, 0.5, 1.0]
         assert list(ys[:9:3]) == [0.0, 0.5, 1.0]
@@ -672,7 +680,7 @@ class TestFactoredSamples:
 
     def test_first_index_is_first_flat_occurrence_x_before_y(self):
         samples = SamplePlan(x_points=4, t_points=5, random_count=6, seed=3).samples(UNIT)
-        xs, ys, _ = samples.triples()
+        xs, ys, _ = triples(samples)
         ends = samples.ends()
         n_x = len(samples.gx) + len(samples.rx)
         for k, value in enumerate(ends):
@@ -769,7 +777,7 @@ class TestFineGrid:
         fine, idx = samples.fine_grid()
         assert idx.dtype == np.intp and len(idx) == samples.lattice_size
         assert set(idx.tolist()) == set(range(len(fine)))
-        xs, ys, ts = samples.triples()
+        xs, ys, ts = triples(samples)
         n = samples.lattice_size
         mix = ts[:n] * xs[:n] + (1.0 - ts[:n]) * ys[:n]
         assert (np.abs(fine[idx] - mix) <= 2 * np.spacing(max(abs(a), abs(b)))).all()
@@ -806,7 +814,7 @@ class TestFineGrid:
     def test_other_lattices_keep_the_pairwise_mixes(self, plan, interval):
         samples = plan.samples(interval)
         assert samples.fine_grid() is None
-        xs, ys, ts = samples.triples()
+        xs, ys, ts = triples(samples)
         for text in ("x^2 + 1", "exp(x)", "1/(1 + x^2)"):
             for log_space in (False, True):
                 got = convexity._margins(parse(text), None, samples, log_space)

@@ -424,7 +424,20 @@ class TestRunTarget:
         assert (rep.diagnostics is not None) == (name in ("theorem1", "theorem2"))
 
     def test_search_tolerance_reaches_chains(self):
-        args = (SearchTarget("chain", "theorem1"), FamilySpec("exp_of_poly", 1, (-30, 30)),
+        # exp of a concave quadratic is not log-convex, and theorem1 fails for
+        # it by percents of its terms; a relative tolerance of 0.1 masks that
+        args = (SearchTarget("chain", "theorem1"), FamilySpec("exp_of_poly", 2, (-3, 3)),
                 None, UNIT, 5, 0)
-        assert find_counterexample(*args).found
-        assert not find_counterexample(*args, tolerance=1e6).found
+        outcome = find_counterexample(*args)
+        assert outcome.found
+        report = outcome.witness.report
+        scale = max(abs(v) for _, v in report.terms)
+        assert min(report.pair_margins) < -0.01 * scale
+        assert not find_counterexample(*args, tolerance=0.1).found
+
+    def test_exp_of_affine_theorem1_search_finds_no_witness(self):
+        # every exp(k*x + c) is log-convex, so no link may fail at any scale
+        outcome = find_counterexample(SearchTarget("chain", "theorem1"),
+                                      FamilySpec("exp_of_poly", 1, (-30, 30)),
+                                      None, UNIT, 100, 0)
+        assert not outcome.found and outcome.trials == 100
