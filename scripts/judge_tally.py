@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Judge every job of a benchmark workload's first passes against the reference.
+
+    python3 scripts/judge_tally.py --workload certify --seeds 301 921
+
+For each seed, builds passes 0-2 (``PASSES``) of the workload through
+``bench/worker.py``, runs every job once, untimed, and judges its output with
+``bench/reference.judge``.  Prints the ``right``/``known``/``wrong``/``error``
+counts for each job class (a check's class, a chord check's space, a chain's
+id, a search's target), the totals, and the first few jobs that are not
+``right``.  ``known`` is the rounding-band defect class the reference names
+apart from ``wrong``.  Exits 1 when any job is ``wrong`` or ``error``.
+
+Runs from the root of a source checkout; ``hhv`` is imported from ``src/``.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import reference  # noqa: E402
+import worker  # noqa: E402
+
+STATUSES = ("right", "known", "wrong", "error")
+PASSES = (0, 1, 2)
+SHOWN = 5
+
+
+def job_class(spec: dict) -> str:
+    job = spec["job"]
+    if job == "check":
+        return f"check:{spec['cls']}"
+    if job == "chord":
+        return "chord:log_phi" if spec["log"] else "chord:phi"
+    if job == "chain":
+        return f"chain:{spec['chain']}" + (":diag" if spec["diag"] else "")
+    return f"search:{spec['target']}"
+
+
+def judge_pass(workload: str, seed: int, rep: int, tally: dict, cases: list) -> None:
+    specs, calls = worker.build(workload, seed, rep)
+    for spec, call in zip(specs, calls):
+        try:
+            out = call()
+        except Exception as err:  # the reference judges the error's type
+            out = err
+        status = reference.judge(spec, worker.record(out))
+        tally.setdefault(job_class(spec), Counter())[status] += 1
+        if status != "right":
+            cases.append({"seed": seed, "pass": rep, "status": status, "spec": spec})
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", choices=("certify", "chains", "search"), required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = ap.parse_args()
+
+    tally: dict[str, Counter] = {}
+    cases: list[dict] = []
+    for seed in args.seeds:
+        for rep in PASSES:
+            judge_pass(args.workload, seed, rep, tally, cases)
+
+    total = sum(tally.values(), Counter())
+    width = max(len(name) for name in [*tally, "total"])
+    print(f"{'class':<{width}}  " + "  ".join(f"{s:>6}" for s in STATUSES))
+    for name in sorted(tally) + ["total"]:
+        counts = total if name == "total" else tally[name]
+        print(f"{name:<{width}}  " + "  ".join(f"{counts[s]:>6}" for s in STATUSES))
+    bad = [c for c in cases if c["status"] in ("wrong", "error")]
+    for case in (bad or cases)[:SHOWN]:
+        print(json.dumps(case))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,11 +6,21 @@ pseudo-random triples, reports the minimum signed margin (right side
 minus left side), and returns the smallest-index witness on violation.
 A positive verdict is always ``holds_on_samples``; sampling cannot prove
 a universally quantified inequality.
+
+The φ classes are the plain classes on the range of φ.  For a continuous
+φ the pairs (φ(x), φ(y)) with x, y in D cover φ(D)², so f is (log-)φ-convex
+on D exactly when f is (log-)convex on the interval φ(D).  Their certifiers
+sample [min φ, max φ] over the grid on which :class:`PhiMap` checks φ at
+construction, run the one margin engine there without φ, and map each
+witness back into D (:meth:`PhiMap.preimage`).  A φ that jumps between
+grid points has a range wider than φ(D); where φ misses an end of the
+witness, the class is certified on the plan over D instead, with f at the
+images of the sample ends under φ.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -108,12 +118,12 @@ class SamplePlan:
     def samples(self, interval: Interval) -> "SampleSet":
         """The sample set over ``interval``, stored factored, its arrays read-only.
 
-        The last set drawn is kept and handed out again, so the trials of a
-        search, which share the plan and the domain, draw it once.
+        The last set built is kept and handed out again, so the trials of a
+        search, which share the plan and the domain, build it once; the
+        random draw is kept per plan, so a set over another interval costs
+        only its affine map.
         """
-        # Interval equality takes -0.0 for 0.0; the ends' signs tell the two apart
-        return _draw_samples(self, interval, math.copysign(1.0, interval.a),
-                             math.copysign(1.0, interval.b))
+        return _samples(self, interval.a, interval.b)
 
 
 @dataclass(frozen=True)
@@ -187,14 +197,17 @@ class SampleSet(NamedTuple):
         return np.concatenate([np.broadcast_to(lattice, (nx, nx, nt)).reshape(-1), rand])
 
     def fine_grid(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The grid that holds every lattice mix, and each mix's index in it.
+        """A grid that holds every lattice mix, and each mix's index in it.
 
-        With q = len(gt) - 1, the mix of lattice triple (gx[i], gx[j], gt[k])
-        is point q*j + k*(i - j) of linspace(gx[0], gx[-1], (len(gx) - 1)*q + 1)
-        when gt is linspace(0, 1, q + 1), as :meth:`SamplePlan.samples` builds
-        it.  Given only when (len(gx) - 1)*q is a power of two and the grid's
-        step is a normal float: then gx is the grid's every q-th point bit for
-        bit, so a degenerate chord's mix is its end.  Else None.
+        With q = len(gt) - 1 and fine = linspace(gx[0], gx[-1], (len(gx) - 1)*q + 1),
+        the mix of lattice triple (gx[i], gx[j], gt[k]) is fine point
+        q*j + k*(i - j) when gt is linspace(0, 1, q + 1), as
+        :meth:`SamplePlan.samples` builds it, and fine point (q/2)*(i + j)
+        when every gt is 1/2, as :func:`check_log_phi_midconvex` pins it; the
+        grid is then fine's every (q/2)-th point.  Given only for those two t
+        axes, when (len(gx) - 1)*q is a power of two and fine's step is a
+        normal float: then gx is fine's every q-th point bit for bit, so a
+        degenerate chord's mix is its end.  Else None.
         """
         nx, nt = len(self.gx), len(self.gt)
         n = (nx - 1) * (nt - 1)
@@ -203,18 +216,37 @@ class SampleSet(NamedTuple):
         a, b = float(self.gx[0]), float(self.gx[-1])
         if not (b - a) / n >= _TINY:  # a subnormal step would divide inexactly
             return None
-        return np.linspace(a, b, n + 1), _fine_index(nx, nt)
+        axis = _t_axis(nt)
+        if self.gt is axis or (self.gt == axis).all():
+            return np.linspace(a, b, n + 1), _fine_index(nx, nt, False)
+        if (self.gt == 0.5).all():
+            return np.linspace(a, b, n + 1)[::(nt - 1) // 2], _fine_index(nx, nt, True)
+        return None
+
+
+def _samples(plan: SamplePlan, a: float, b: float) -> SampleSet:
+    """The sample set of ``plan`` over [a, b]; a == b puts every point at a."""
+    # -0.0 == 0.0 as a memo key; the ends' signs tell the two apart
+    return _draw_samples(plan, a, b, math.copysign(1.0, a), math.copysign(1.0, b))
+
+
+@lru_cache(maxsize=1)
+def _unit_draw(plan: SamplePlan) -> np.ndarray:
+    """The plan's random triples on the unit cube, read-only."""
+    u = _philox(plan.seed, _STREAM_TRIPLES).random((plan.random_count, 3))
+    u.flags.writeable = False
+    return u
 
 
 # one entry: a search needs no more, and more would raise certify's peak memory
 @lru_cache(maxsize=1)
-def _draw_samples(plan: SamplePlan, interval: Interval, *_signs: float) -> SampleSet:
-    u = _philox(plan.seed, _STREAM_TRIPLES).random((plan.random_count, 3))
+def _draw_samples(plan: SamplePlan, a: float, b: float, *_signs: float) -> SampleSet:
+    u = _unit_draw(plan)
     samples = SampleSet(
-        gx=np.linspace(interval.a, interval.b, plan.x_points),
-        gt=np.linspace(0.0, 1.0, plan.t_points),
-        rx=interval.a + interval.width * u[:, 0],
-        ry=interval.a + interval.width * u[:, 1],
+        gx=np.linspace(a, b, plan.x_points),
+        gt=_t_axis(plan.t_points),
+        rx=a + (b - a) * u[:, 0],
+        ry=a + (b - a) * u[:, 1],
         # contiguous, for numpy's faster loops; the values are unchanged
         rt=np.ascontiguousarray(u[:, 2]),
     )
@@ -224,10 +256,20 @@ def _draw_samples(plan: SamplePlan, interval: Interval, *_signs: float) -> Sampl
 
 
 @lru_cache(maxsize=8)
-def _fine_index(nx: int, nt: int) -> np.ndarray:
-    """Read-only index of each lattice mix in :meth:`SampleSet.fine_grid`, in triple order."""
+def _t_axis(nt: int) -> np.ndarray:
+    """linspace(0, 1, nt), read-only and shared by every sample set."""
+    axis = np.linspace(0.0, 1.0, nt)
+    axis.flags.writeable = False
+    return axis
+
+
+@lru_cache(maxsize=8)
+def _fine_index(nx: int, nt: int, pinned: bool) -> np.ndarray:
+    """Read-only index of each lattice mix in :meth:`SampleSet.fine_grid`, in
+    triple order; ``pinned`` for the t axis of 1/2s."""
     i, j, k = np.ogrid[:nx, :nx, :nt]
-    idx = ((nt - 1) * j + k * (i - j)).reshape(-1)
+    idx = i + j + 0 * k if pinned else (nt - 1) * j + k * (i - j)
+    idx = idx.reshape(-1)
     idx.flags.writeable = False
     return idx
 
@@ -236,22 +278,38 @@ def _fine_index(nx: int, nt: int) -> np.ndarray:
 class PhiMap:
     """A deformation map together with the domain it must map into itself.
 
-    Self-mapping is checked at construction on a fixed grid.  A value may
-    lie outside the domain by ``1e-9 * max(|a|, |b|)``, rounding at the size
-    of the ends, so that maps whose range touches an endpoint survive it on
-    a domain of any scale.
+    Self-mapping is checked at construction on a fixed grid of ``PHI_GRID``
+    points, and only there.  A value may lie outside the domain by
+    :attr:`slack`, rounding at the size of the ends, so that maps
+    whose range touches an endpoint survive it on a domain of any scale.
+    The least and the greatest value on the grid are kept as ``range``, the
+    interval the φ classes are certified on; a constant φ gives a range of
+    width 0.
     """
 
     phi: Expr
     domain: Interval
+    # [min, max] of phi on the grid; the grid's values are not kept: a
+    # benchmark pass holds hundreds of maps at once, and keeping them raised
+    # its peak memory
+    range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        grid = np.linspace(self.domain.a, self.domain.b, PHI_GRID)
-        vals = self.phi.eval_array(grid)
+        grid, vals = self._on_grid()
         self._require_in_domain(grid, vals)
+        object.__setattr__(self, "range", (float(vals.min()), float(vals.max())))
+
+    def _on_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        grid = np.linspace(self.domain.a, self.domain.b, PHI_GRID)
+        return grid, self.phi.eval_array(grid)
+
+    @property
+    def slack(self) -> float:
+        """Rounding at the size of the domain's ends, ``1e-9 * max(|a|, |b|)``."""
+        return 1e-9 * max(abs(self.domain.a), abs(self.domain.b))
 
     def _require_in_domain(self, xs: np.ndarray, vals: np.ndarray) -> None:
-        slack = 1e-9 * max(abs(self.domain.a), abs(self.domain.b))
+        slack = self.slack
         bad = (vals < self.domain.a - slack) | (vals > self.domain.b + slack)
         if bad.any():
             i = int(np.argmax(bad))
@@ -273,6 +331,70 @@ class PhiMap:
         vals = self.phi.eval_array(xs)
         self._require_in_domain(np.asarray(xs, dtype=float), vals)
         return vals
+
+    def preimage(self, us) -> np.ndarray:
+        """For each u of :attr:`range`, a point x of the domain with φ(x) = u,
+        or, where rounding leaves no such float, one of the two neighbouring
+        floats that bracket u, the one whose φ is nearer.
+
+        The bracket is the first one along the construction grid, evaluated
+        again, so x is the smallest such point the grid can tell apart.  Each
+        round evaluates φ once for all u, at ``_UNIFORM`` points across each
+        bracket and at ``_STEPS`` ulp offsets around its secant point, and
+        keeps the first sub-bracket; the rounds end when every bracket is
+        closed (φ hits u at an end, or no float lies inside), or after
+        ``_PREIMAGE_ROUNDS``.  The secant point settles a smooth φ in about
+        three rounds and the identity in one; the uniform points shrink any
+        bracket ``len(_UNIFORM) + 1`` times per round.  A bracket on which φ
+        cannot be evaluated stays as it is.
+        """
+        return self._preimage(us)[0]
+
+    def _preimage(self, us) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`preimage`, and |φ(x) - u| for each u: 0 where φ hits u, the
+        size of the jump where φ jumps over u."""
+        lo, hi = self.range
+        us = np.minimum(np.maximum(np.asarray(us, dtype=float), lo), hi)[:, None]
+        grid, vals = self._on_grid()
+        xs = np.broadcast_to(grid, (len(us), PHI_GRID))
+        d = vals - us
+        for _ in range(_PREIMAGE_ROUNDS):
+            (a, b), (da, db) = _first_crossing(xs, d)
+            if not ((da != 0) & (db != 0) & (np.nextafter(a, b) < b)).any():
+                break
+            # da and db differ in sign unless one is 0, and then the secant is that end
+            secant = a - da * ((b - a) / np.where(db == da, 1.0, db - da))
+            inner = np.concatenate([a + (b - a) * _UNIFORM, secant + np.spacing(secant) * _STEPS],
+                                   axis=1)
+            inner = np.sort(np.minimum(np.maximum(inner, a), b), axis=1)
+            try:
+                vals = self.phi.eval_array(inner.ravel()).reshape(inner.shape)
+            except EvalError:
+                break
+            xs = np.concatenate([a, inner, b], axis=1)
+            d = np.concatenate([da, vals - us, db], axis=1)
+        else:
+            (a, b), (da, db) = _first_crossing(xs, d)
+        nearer = np.abs(da) <= np.abs(db)
+        return (np.where(nearer, a, b).ravel(),
+                np.where(nearer, np.abs(da), np.abs(db)).ravel())
+
+
+_PREIMAGE_ROUNDS = 8
+_UNIFORM = np.linspace(0.0, 1.0, 33)[1:-1]
+# 0 and +-2**j ulps, j < 25: a secant point within 2**24 ulps of the root
+# brackets it to within twice its error
+_STEPS = np.concatenate([-(2.0 ** np.arange(24, -1, -1)), [0.0], 2.0 ** np.arange(25)])
+
+
+def _first_crossing(xs: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ascending ``xs`` with ``d`` = φ(xs) - u, where d is 0 or
+    changes sign somewhere: the first pair of neighbours where it does, as
+    columns (lo, hi) of xs and of d."""
+    sign = np.sign(d)
+    k = np.argmax(sign[:, :-1] * sign[:, 1:] <= 0, axis=1)[:, None]
+    rows = np.arange(len(d))[:, None]
+    return (xs[rows, k], xs[rows, k + 1]), (d[rows, k], d[rows, k + 1])
 
 
 @dataclass(frozen=True)
@@ -347,44 +469,41 @@ def _chord(t, u, v):
     return t * u + (1.0 - t) * v
 
 
+def _mix(t, u, v):
+    """The chord's point t*u + (1-t)*v; a degenerate chord's is its end, as
+    on the fine grid, where t*u + (1-t)*u may round off u."""
+    return np.where(u == v, u, _chord(t, u, v))
+
+
 def _larger(t, u, v):
     return np.maximum(u, v)
 
 
-def _values(f, phi: PhiMap | None, samples: SampleSet,
+def _values(f, samples: SampleSet,
             log_space: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """f at the deformed chord ends and at the mixes t*phi(x) + (1-t)*phi(y).
+    """f at the chord ends and at the mixes (:func:`_mix`).
 
-    Raises what evaluating phi(x), phi(y), f(phi(x)), f(phi(y)) and f(mix)
-    over the flat triples, in that order, raises first; an EvalError's
-    index refers to the triples.  Returns f at :meth:`SampleSet.ends`, f at
-    the mixes and a gather index.  The index is None when f is given at
-    every mix in triple order.  Without phi, on a fine grid
-    (:meth:`SampleSet.fine_grid`), f is given at the grid and then at the
-    random mixes, and the index reads each lattice mix from the grid part.
+    Raises what evaluating f(x), f(y) and f(mix) over the flat triples, in
+    that order, raises first; an EvalError's index refers to the triples.
+    Returns f at :meth:`SampleSet.ends`, f at the mixes and a gather index.
+    The index is None when f is given at every mix in triple order.  On a
+    fine grid (:meth:`SampleSet.fine_grid`), f is given at the grid and then
+    at the random mixes, and the index reads each lattice mix from the grid
+    part.
     """
     ends = samples.ends()
     try:
-        if phi is not None:
-            try:
-                ends = phi.eval_array(ends)
-            except EvalError as err:
-                # phi(x) is range-checked before any phi(y) is evaluated
-                n_x = len(samples.gx) + len(samples.rx)
-                if err.index >= n_x:
-                    phi.eval_array(ends[:n_x])
-                raise
         fe = f.eval_array(ends)
     except EvalError as err:
         err.index = samples.first_index(err.index)
         raise
-    fine = None if phi is not None else samples.fine_grid()
+    fine = samples.fine_grid()
     if fine is None:
-        mix = samples.pairwise(_chord, ends)
+        mix = samples.pairwise(_mix, ends)
     else:
         grid, idx = fine
         nx, nr = len(samples.gx), len(samples.rx)
-        rand = _chord(samples.rt, ends[nx:nx + nr], ends[nx + nr:])
+        rand = _mix(samples.rt, ends[nx:nx + nr], ends[nx + nr:])
         try:
             fm = f.eval_array(np.concatenate([grid, rand]))
         except EvalError:
@@ -403,18 +522,24 @@ def _values(f, phi: PhiMap | None, samples: SampleSet,
     return fe, fm, None
 
 
-def _margins(f, phi: PhiMap | None, samples: SampleSet, log_space: bool) -> np.ndarray:
-    fe, fm, idx = _values(f, phi, samples, log_space)
-    if log_space:
-        fe, fm = np.log(fe), np.log(fm)
-    margins = samples.pairwise(_chord, fe)
+def _less_mixes(chords: np.ndarray, fm: np.ndarray, idx: np.ndarray | None,
+                samples: SampleSet) -> np.ndarray:
+    """``chords`` less the values at the mixes, in place, each triple's from
+    ``fm`` as :func:`_values` gives it with ``idx``."""
     if idx is None:
-        margins -= fm
+        chords -= fm
     else:
         n = samples.lattice_size
-        margins[:n] -= fm[idx]
-        margins[n:] -= fm[len(fm) - len(samples.rx):]
-    return margins
+        chords[:n] -= fm[idx]
+        chords[n:] -= fm[len(fm) - len(samples.rx):]
+    return chords
+
+
+def _margins(f, samples: SampleSet, log_space: bool) -> np.ndarray:
+    fe, fm, idx = _values(f, samples, log_space)
+    if log_space:
+        fe, fm = np.log(fe), np.log(fm)
+    return _less_mixes(samples.pairwise(_chord, fe), fm, idx, samples)
 
 
 def _tolerance_rule(tolerance: float):
@@ -442,10 +567,29 @@ def _judge(margins: np.ndarray, samples: SampleSet,
     return VERDICT_HOLDS, min_margin, None
 
 
-def _run_check(class_checked, f, phi, samples: SampleSet, tolerance,
-               log_space) -> ConvexityReport:
+def _through(phi: PhiMap, samples: SampleSet) -> SampleSet:
+    """The triples of ``samples`` with every end replaced by its image under
+    φ, range-checked, all as flat triples: the images of a lattice axis are
+    no axis of a fine grid.  An EvalError's index refers to the triples."""
     try:
-        margins = _margins(f, phi, samples, log_space)
+        ends = phi.eval_array(samples.ends())
+    except EvalError as err:
+        err.index = samples.first_index(err.index)
+        raise
+    nx, nr, nt = len(samples.gx), len(samples.rx), len(samples.gt)
+    g, none = ends[:nx], np.empty(0)
+    return SampleSet(none, none,
+                     np.concatenate([np.repeat(g, nx * nt), ends[nx:nx + nr]]),
+                     np.concatenate([np.tile(np.repeat(g, nt), nx), ends[nx + nr:]]),
+                     np.concatenate([np.tile(samples.gt, nx * nx), samples.rt]))
+
+
+def _run_check(class_checked, f, samples: SampleSet, tolerance,
+               log_space, phi: PhiMap | None = None) -> ConvexityReport:
+    """The report of one class on ``samples``; with ``phi``, f runs at the
+    images of their ends under φ, and the witness is a triple of ``samples``."""
+    try:
+        margins = _margins(f, samples if phi is None else _through(phi, samples), log_space)
     except EvalError as err:
         return ConvexityReport(class_checked, VERDICT_VIOLATED, samples.size,
                                float("-inf"), samples.point(err.index or 0), tolerance,
@@ -453,6 +597,49 @@ def _run_check(class_checked, f, phi, samples: SampleSet, tolerance,
     verdict, min_margin, witness = _judge(margins, samples, tolerance)
     return ConvexityReport(class_checked, verdict, samples.size, min_margin, witness,
                            tolerance, failure_kind=None if witness is None else "inequality")
+
+
+def _pull_back(phi: PhiMap, witnesses: list) -> list | None:
+    """Witnesses sampled on ``phi.range`` with their ends mapped into the
+    domain by :meth:`PhiMap.preimage`, all in one batch; None stays None.
+
+    None instead when φ misses an end by more than ``phi.slack``: φ jumps
+    over it, so the range is not φ(D), and the witness stands for no
+    triple of the domain."""
+    found = [w for w in witnesses if w is not None]
+    if not found:
+        return witnesses
+    xs, miss = phi._preimage([e for w in found for e in (w.x, w.y)])
+    if (miss > phi.slack).any():
+        return None
+    ends = iter(xs.tolist())
+    return [None if w is None else SampleTriple(next(ends), next(ends), w.t)
+            for w in witnesses]
+
+
+def _pinned(samples: SampleSet) -> SampleSet:
+    """``samples`` with every t pinned to 1/2."""
+    return samples._replace(gt=np.full_like(samples.gt, 0.5), rt=np.full_like(samples.rt, 0.5))
+
+
+def _run_phi_check(class_checked, f, phi: PhiMap, sampler: SamplePlan, tolerance,
+                   log_space, half_t=False) -> ConvexityReport:
+    """:func:`_run_check` on samples of ``phi.range``, its witness in the
+    domain; where the witness does not pull back (:func:`_pull_back`), the
+    class on the domain's samples through φ, as the definition reads.
+    ``half_t`` pins every t to 1/2."""
+    def plan_on(a, b):
+        samples = _samples(sampler, a, b)
+        return _pinned(samples) if half_t else samples
+
+    report = _run_check(class_checked, f, plan_on(*phi.range), tolerance, log_space)
+    if report.witness is None:
+        return report
+    witness = _pull_back(phi, [report.witness])
+    if witness is not None:
+        return replace(report, witness=witness[0])
+    return _run_check(class_checked, f, plan_on(phi.domain.a, phi.domain.b), tolerance,
+                      log_space, phi)
 
 
 def _require_positivity(f, interval: Interval, label: str | None = None) -> None:
@@ -467,40 +654,46 @@ def _require_positivity(f, interval: Interval, label: str | None = None) -> None
 def check_convex(f, interval: Interval, sampler: SamplePlan = SamplePlan(), *,
                  tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
     """Margins of t*f(x) + (1-t)*f(y) - f(t*x + (1-t)*y) over the sample plan."""
-    return _run_check("convex", f, None, sampler.samples(interval), tolerance,
-                      log_space=False)
+    return _run_check("convex", f, sampler.samples(interval), tolerance, log_space=False)
 
 
 def check_log_convex(f, interval: Interval, sampler: SamplePlan = SamplePlan(), *,
                      tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
     """Log-space margins of the multiplicative bound f(mix) <= f(x)^t f(y)^(1-t)."""
     _require_positivity(f, interval)
-    return _run_check("log_convex", f, None, sampler.samples(interval), tolerance,
-                      log_space=True)
+    return _run_check("log_convex", f, sampler.samples(interval), tolerance, log_space=True)
 
 
 def check_phi_convex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), *,
                      tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
-    """Convexity along the deformation: f(t*phi(x) + (1-t)*phi(y)) against the chord."""
-    return _run_check("phi_convex", f, phi, sampler.samples(phi.domain), tolerance,
-                      log_space=False)
+    """Convexity along the deformation, f(t*phi(x) + (1-t)*phi(y)) against the
+    chord, certified as plain convexity on ``phi.range``: the sample plan
+    runs there, and the witness is mapped back into the domain.
+
+    That holds for a continuous φ, whose range is the interval φ(D).  Where
+    φ jumps over an end of the witness, the plan runs on the domain
+    instead, with f at the images of the sample ends under φ."""
+    return _run_phi_check("phi_convex", f, phi, sampler, tolerance, log_space=False)
 
 
 def check_log_phi_convex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), *,
                          tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
+    """The multiplicative bound along the deformation, certified as
+    log-convexity on ``phi.range`` as :func:`check_phi_convex` certifies
+    convexity, on the same assumption that φ is continuous and with the
+    same fallback; f must be positive on the domain."""
     _require_positivity(f, phi.domain)
-    return _run_check("log_phi_convex", f, phi, sampler.samples(phi.domain), tolerance,
-                      log_space=True)
+    return _run_phi_check("log_phi_convex", f, phi, sampler, tolerance, log_space=True)
 
 
 def check_log_phi_midconvex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), *,
                             tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
-    """The t = 1/2 restriction; the sampler's t component is ignored."""
+    """The t = 1/2 restriction of :func:`check_log_phi_convex`, on ``phi.range``
+    for a continuous φ, with its fallback where φ jumps; the sampler's t
+    component is ignored."""
     _require_positivity(f, phi.domain)
-    samples = sampler.samples(phi.domain)
-    samples = samples._replace(gt=np.full_like(samples.gt, 0.5),
-                               rt=np.full_like(samples.rt, 0.5))
-    return _run_check("log_phi_midconvex", f, phi, samples, tolerance, log_space=True)
+    return _run_phi_check("log_phi_midconvex", f, phi, sampler, tolerance, log_space=True,
+                          half_t=True)
 
 
 # ----------------------------- implication lattice ---------------------------
@@ -516,19 +709,36 @@ def check_implication_chain(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), 
 
     Links 2 and 3 (weighted AM-GM, and convex combination below the max)
     hold for every positive f; only link 1 reflects the convexity class.
+    As the φ classes are, the chain is sampled on ``phi.range``, with u and v
+    in the place of phi(x) and phi(y), and each witness is mapped back into
+    the domain; for a φ that jumps over an end of a witness, it is sampled
+    on the domain as :func:`check_phi_convex` falls back.
     """
     _require_positivity(f, phi.domain)
-    samples = sampler.samples(phi.domain)
-    fe, fm, _ = _values(f, phi, samples, log_space=True)  # phi is set: fm is in order
-    log_gm = samples.pairwise(_chord, np.log(fe))
-    weighted_am = samples.pairwise(_chord, fe)
+    samples = _samples(sampler, *phi.range)
+    judged = _chain_links(f, samples, tolerance)
+    witnesses = _pull_back(phi, [w for *_, w in judged])
+    if witnesses is None:
+        judged = _chain_links(f, sampler.samples(phi.domain), tolerance, phi)
+        witnesses = [w for *_, w in judged]
+    links = tuple(LinkCheck(name, verdict, min_margin, w)
+                  for (name, verdict, min_margin, _), w in zip(judged, witnesses))
+    return ImplicationLatticeReport(links, samples.size, tolerance)
 
-    links = [LinkCheck(name, *_judge(margins, samples, tolerance)) for name, margins in (
-        ("multiplicative_bound", log_gm - np.log(fm)),
-        ("weighted_am_gm", weighted_am - np.exp(log_gm)),
-        ("max_bound", samples.pairwise(_larger, fe) - weighted_am),
+
+def _chain_links(f, samples: SampleSet, tolerance: float, phi: PhiMap | None = None) -> list:
+    """(name, verdict, min margin, witness) of each link on ``samples``; with
+    ``phi``, as :func:`_run_check` takes it."""
+    on = samples if phi is None else _through(phi, samples)
+    fe, fm, idx = _values(f, on, log_space=True)
+    log_gm = on.pairwise(_chord, np.log(fe))
+    weighted_am = on.pairwise(_chord, fe)
+    am_gm = weighted_am - np.exp(log_gm)
+    return [(name, *_judge(margins, samples, tolerance)) for name, margins in (
+        ("multiplicative_bound", _less_mixes(log_gm, np.log(fm), idx, on)),
+        ("weighted_am_gm", am_gm),
+        ("max_bound", on.pairwise(_larger, fe) - weighted_am),
     )]
-    return ImplicationLatticeReport(tuple(links), samples.size, tolerance)
 
 
 # ----------------------------- chord equivalences ----------------------------
@@ -545,25 +755,25 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
     u = _philox(seed, _STREAM_PAIRS).random((pair_count, 2))
     pair_x = dom.a + dom.width * u[:, 0]
     pair_y = dom.a + dom.width * u[:, 1]
+    px = phi.eval_array(pair_x)
+    py = phi.eval_array(pair_y)
 
     # one sample set for all pairs: each g is certified on it as check_convex
     # or check_log_convex would, and the direct side takes its t lattice
     unit = sampler.samples(_UNIT)
-    # direct side on matched samples: the drawn pairs crossed with the t lattice
+    # direct side on matched samples: the mapped pairs crossed with the t lattice
     no_lattice = np.empty(0)
-    direct = SampleSet(no_lattice, no_lattice, np.repeat(pair_x, sampler.t_points),
-                       np.repeat(pair_y, sampler.t_points), np.tile(unit.gt, pair_count))
-    direct_verdict = _judge(_margins(f, phi, direct, log_space), direct, tolerance)[0]
+    direct = SampleSet(no_lattice, no_lattice, np.repeat(px, sampler.t_points),
+                       np.repeat(py, sampler.t_points), np.tile(unit.gt, pair_count))
+    direct_verdict = _judge(_margins(f, direct, log_space), direct, tolerance)[0]
 
     # segment side: each pair induces g(t) = f(t*phi(x) + (1-t)*phi(y)) on [0, 1]
-    px = phi.eval_array(pair_x)
-    py = phi.eval_array(pair_y)
     bad_pairs = []
     for i in range(pair_count):
         seg = _Segment(f, px[i], py[i])
         if log_space:
             _require_positivity(seg, _UNIT)
-        if _run_check(kind, seg, None, unit, tolerance, log_space).verdict == VERDICT_VIOLATED:
+        if _run_check(kind, seg, unit, tolerance, log_space).verdict == VERDICT_VIOLATED:
             bad_pairs.append((float(pair_x[i]), float(pair_y[i])))
     segment_verdict = VERDICT_VIOLATED if bad_pairs else VERDICT_HOLDS
 

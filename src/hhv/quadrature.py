@@ -17,7 +17,10 @@ interval's.  Panels whose bound
 exceeds their share are bisected breadth first: a level holds the open
 panels of one depth, all of one width, and evaluates their 15 nodes each in
 one integrand call.  A level evaluates at most ``MAX_OPEN_PANELS`` panels,
-which bounds the memory of integrands that keep refining everywhere.
+which bounds the memory of integrands that keep refining everywhere.  A
+panel whose rounding floor alone exceeds its share ends the integration at
+the level where it appears, since one of its children would exceed its own
+share too.
 
 The values are scaled by the panel's half-width before they are summed, so
 a finite integral of finite values stays finite; a panel whose sums do not
@@ -103,11 +106,13 @@ def integrate(
     it on the whole interval (``tol`` when both are 0); ``evaluations``
     counts 15 per panel.  A caller whose integrand is known only to an
     absolute accuracy, such as ``ln f``, passes the magnitude that accuracy
-    refers to as ``min_magnitude``.  A ``tol`` below the rounding floor
-    ``50*eps`` cannot be met.  Raises
+    refers to as ``min_magnitude``.  Raises
     :class:`~hhv.errors.MaxDepthExceeded` if a panel of depth ``max_depth``
-    (width ``(b - a) / 2**max_depth``) misses its share (integrable
-    singularities fail loudly rather than returning a best effort), and its
+    (width ``(b - a) / 2**max_depth``) misses its share, or if a panel's
+    rounding floor ``50*eps*M`` alone exceeds its share, at that panel's
+    depth: a ``tol`` below ``50*eps`` fails on the first call, and an
+    integrable singularity fails loudly rather than returning a best
+    effort.  Its
     subclass :class:`~hhv.errors.OpenPanelLimitExceeded` if the next level
     would hold more than ``MAX_OPEN_PANELS`` panels.  A non-finite integrand
     value or panel sum raises :class:`~hhv.errors.Overflow`.
@@ -140,6 +145,12 @@ def integrate(
                 total += float(np.add.reduce(sums[:, 0]))
                 err_total += level_err
                 break
+            # a panel whose rounding floor alone misses its share is never
+            # accepted: its children's floors sum to about its own, on half
+            # the share each, so one of them misses too
+            if floor.max() > budget:
+                i = int(np.argmax(floor > budget))
+                raise MaxDepthExceeded(float(centers[i] - half), float(centers[i] + half), depth)
             if accepted:
                 total += float(np.add.reduce(sums[ok, 0]))
                 err_total += float(np.add.reduce(err[ok]))

@@ -14,7 +14,7 @@ from hhv.chains import (
 )
 from hhv.convexity import PhiMap, SamplePlan, _require_positivity, check_log_phi_convex
 from hhv.errors import (
-    ChainTermError, DegeneratePhi, HHVError, OpenPanelLimitExceeded, PositivityViolated,
+    ChainTermError, DegeneratePhi, HHVError, MaxDepthExceeded, PositivityViolated,
 )
 from hhv.expr import Interval, parse
 from hhv.means import PositivePair, arithmetic, logarithmic
@@ -68,13 +68,16 @@ class TestTermErrors:
             eval_classic_hh(parse("ln(x - 0.2)"), UNIT)
         assert exc.value.term == "integral_mean_f"
 
-    def test_open_panel_limit_ends_a_runaway_term(self):
+    def test_rounding_floor_ends_a_runaway_term(self):
         # the reflected geometric mean of this f refines everywhere near
-        # both poles; the open-panel limit ends it before memory runs out
+        # both poles; a panel there whose rounding floor alone misses its
+        # share ends it, long before the open-panel limit would
         with pytest.raises(ChainTermError) as exc:
             eval_theorem1(parse("1/(x-0.3001)^2"), PhiMap.identity(UNIT))
         assert exc.value.term == "mean_geometric_reflected"
-        assert isinstance(exc.value.__cause__, OpenPanelLimitExceeded)
+        cause = exc.value.__cause__
+        assert type(cause) is MaxDepthExceeded
+        assert cause.a < 0.3001 < cause.b and cause.depth < 20
 
     @pytest.mark.parametrize("g_text, term", [
         ("exp(400*x)", "integral_mean_fg"),
@@ -679,7 +682,7 @@ class TestSharedMeans:
                 eval_theorem1(parse("1/(x-0.3001)^2"), PhiMap.identity(UNIT))
             errors.append((str(exc.value), exc.value.term, type(exc.value.__cause__)))
         assert errors[0] == errors[1]
-        assert errors[0][1:] == ("mean_geometric_reflected", OpenPanelLimitExceeded)
+        assert errors[0][1:] == ("mean_geometric_reflected", MaxDepthExceeded)
         assert len(integrations) == 2 and not chains._means
 
     def test_size_is_bounded_oldest_dropped_first(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -411,11 +412,13 @@ class TestChordEquivalences:
 
 # ----------------------------- flat reference engine -------------------------
 # The margin engine as it was before the sample set was stored factored:
-# phi and f are evaluated at every x, every y and every mix of the flat
-# triples of a sample set (`triples` above).  The factored engine must
-# reproduce its margins bit for bit, and its reports and errors exactly.
-# Without phi, on a lattice whose fine grid applies, a lattice mix is the
-# fine grid's point rather than t*x + (1-t)*y (see _ref_lattice_mix).
+# f is evaluated at every x, every y and every mix of the flat triples of a
+# sample set (`triples` above).  The factored engine must reproduce its
+# margins bit for bit, and its reports and errors exactly.  On a lattice
+# whose fine grid applies, a lattice mix is the fine grid's point rather
+# than t*x + (1-t)*y (see _ref_lattice_mix); elsewhere a degenerate chord's
+# mix is its end.  A φ class is the plain class on [min φ, max φ] over
+# PhiMap's construction grid (_ref_range), its witness mapped into the domain.
 
 class _RefSegment:
     def __init__(self, f, u, v):
@@ -439,58 +442,67 @@ def _ref_require_positivity(f, interval):
         raise PositivityViolated(res.witness, res.detail)
 
 
-def _ref_lattice_mix(x_points, t_points, a, b):
+def _ref_lattice_mix(x_points, t_points, a, b, half_t=False):
     """Every lattice mix of linspace(a, b, x_points) x linspace(0, 1, t_points),
-    in triple order, read from the fine grid; None where that grid does not
-    apply (the product (x_points - 1)*(t_points - 1) is not a power of two, or
-    the grid's step is subnormal)."""
+    or x 1/2 with ``half_t``, in triple order, read from the fine grid; None
+    where that grid does not apply (the product (x_points - 1)*(t_points - 1)
+    is not a power of two, or the grid's step is subnormal)."""
     q = t_points - 1
     n = (x_points - 1) * q
     if x_points < 2 or n & (n - 1) or not (b - a) / n >= np.finfo(float).tiny:
         return None
     fine = np.linspace(a, b, n + 1)
+    if half_t:
+        return np.array([fine[q // 2 * (i + j)] for i in range(x_points)
+                         for j in range(x_points) for _ in range(t_points)])
     return np.array([fine[q * j + k * (i - j)] for i in range(x_points)
                      for j in range(x_points) for k in range(t_points)])
 
 
-def _ref_values(f, phi, xs, ys, ts, log_space, lattice_mix=None):
-    if phi is not None:
-        px = phi.eval_array(xs)
-        py = phi.eval_array(ys)
-    else:
-        px, py = xs, ys
-    mix = ts * px + (1.0 - ts) * py
+def _ref_values(f, xs, ys, ts, log_space, lattice_mix=None):
+    mix = np.where(xs == ys, xs, ts * xs + (1.0 - ts) * ys)
     if lattice_mix is not None:
         mix[:len(lattice_mix)] = lattice_mix
-    fx = f.eval_array(px)
-    fy = f.eval_array(py)
+    fx = f.eval_array(xs)
+    fy = f.eval_array(ys)
     fm = f.eval_array(mix)
     if log_space:
-        _ref_require_positive_values(fx, px)
-        _ref_require_positive_values(fy, py)
+        _ref_require_positive_values(fx, xs)
+        _ref_require_positive_values(fy, ys)
         _ref_require_positive_values(fm, mix)
     return fx, fy, fm
 
 
-def _ref_margins(f, phi, xs, ys, ts, log_space, lattice_mix=None):
-    fx, fy, fm = _ref_values(f, phi, xs, ys, ts, log_space, lattice_mix)
+def _ref_margins(f, xs, ys, ts, log_space, lattice_mix=None):
+    fx, fy, fm = _ref_values(f, xs, ys, ts, log_space, lattice_mix)
     if log_space:
         return ts * np.log(fx) + (1.0 - ts) * np.log(fy) - np.log(fm)
     return ts * fx + (1.0 - ts) * fy - fm
 
 
-def _ref_run_check(f, phi, interval, plan, log_space, half_t=False,
+def _ref_range(phi):
+    """[min φ, max φ] over PhiMap's construction grid, evaluated afresh."""
+    vals = phi.phi.eval_array(np.linspace(phi.domain.a, phi.domain.b, convexity.PHI_GRID))
+    return float(vals.min()), float(vals.max())
+
+
+def _ref_samples(plan, a, b):
+    """The plan's samples over [a, b], built by hand; a == b is allowed."""
+    u = convexity._philox(plan.seed, convexity._STREAM_TRIPLES).random((plan.random_count, 3))
+    return SampleSet(np.linspace(a, b, plan.x_points), np.linspace(0.0, 1.0, plan.t_points),
+                     a + (b - a) * u[:, 0], a + (b - a) * u[:, 1], u[:, 2])
+
+
+def _ref_run_check(f, ab, plan, log_space, half_t=False,
                    tolerance=convexity.DEFAULT_TOLERANCE):
-    """(verdict, min_margin, witness, samples_tested, failure_detail)."""
-    xs, ys, ts = triples(plan.samples(interval))
+    """(verdict, min_margin, witness, samples_tested, failure_detail) on [a, b]."""
+    xs, ys, ts = triples(_ref_samples(plan, *ab))
     if half_t:
         ts = np.full_like(ts, 0.5)
-    lattice_mix = None
-    if phi is None and not half_t:
-        lattice_mix = _ref_lattice_mix(plan.x_points, plan.t_points, interval.a, interval.b)
+    lattice_mix = _ref_lattice_mix(plan.x_points, plan.t_points, *ab, half_t)
     n = len(xs)
     try:
-        margins = _ref_margins(f, phi, xs, ys, ts, log_space, lattice_mix)
+        margins = _ref_margins(f, xs, ys, ts, log_space, lattice_mix)
     except EvalError as err:
         i = err.index
         witness = SampleTriple(float(xs[i]), float(ys[i]), float(ts[i]))
@@ -514,10 +526,32 @@ _CERTIFIERS = {
 
 
 def _ref_certify(name, f, phi, plan):
+    """A φ class's witness stays on the range: _in_range maps the certifier's."""
     _, takes_phi, log_space, half_t = _CERTIFIERS[name]
     if log_space:
         _ref_require_positivity(f, phi.domain)
-    return _ref_run_check(f, phi if takes_phi else None, phi.domain, plan, log_space, half_t)
+    ab = _ref_range(phi) if takes_phi else (phi.domain.a, phi.domain.b)
+    return _ref_run_check(f, ab, plan, log_space, half_t)
+
+
+def _in_range(phi, w):
+    """The witness ``w`` of the domain, whose ends must lie in the domain, as
+    the triple of the range it stands for: its ends mapped by φ."""
+    if w is None:
+        return None
+    dom = phi.domain
+    assert dom.a <= w.x <= dom.b and dom.a <= w.y <= dom.b
+    return SampleTriple(phi.phi.eval(w.x), phi.phi.eval(w.y), w.t)
+
+
+def _assert_same_triple(got, want, phi):
+    """Equal t, and ends within two ulps of the domain's scale."""
+    slack = 2 * np.spacing(max(abs(phi.domain.a), abs(phi.domain.b)))
+    if got is None or want is None:
+        assert got is want is None
+        return
+    assert got.t == want.t
+    assert abs(got.x - want.x) <= slack and abs(got.y - want.y) <= slack, (got, want)
 
 
 def _certify(name, f, phi, plan):
@@ -527,9 +561,12 @@ def _certify(name, f, phi, plan):
 
 
 def _ref_implication_chain(f, phi, plan, tolerance=convexity.DEFAULT_TOLERANCE):
+    """Link witnesses stay on the range, as in _ref_certify."""
     _ref_require_positivity(f, phi.domain)
-    xs, ys, ts = triples(plan.samples(phi.domain))
-    fx, fy, fm = _ref_values(f, phi, xs, ys, ts, log_space=True)
+    ab = _ref_range(phi)
+    xs, ys, ts = triples(_ref_samples(plan, *ab))
+    fx, fy, fm = _ref_values(f, xs, ys, ts, True,
+                             _ref_lattice_mix(plan.x_points, plan.t_points, *ab))
     lfx, lfy = np.log(fx), np.log(fy)
     weighted_am = ts * fx + (1.0 - ts) * fy
     link_margins = (
@@ -567,16 +604,17 @@ def _ref_chord_equivalence(f, phi, pair_count, plan, seed, log_space,
     if pair_count == 0:
         return EquivalenceReport(kind, True, 0, VERDICT_HOLDS, VERDICT_HOLDS, None, seed)
     pair_x, pair_y, xs, ys, ts = _ref_direct_triples(phi, pair_count, plan, seed)
-    direct_violated = _ref_margins(f, phi, xs, ys, ts, log_space) < -tolerance
-    direct_verdict = VERDICT_VIOLATED if direct_violated.any() else VERDICT_HOLDS
     px = phi.eval_array(pair_x)
     py = phi.eval_array(pair_y)
+    direct_violated = _ref_margins(f, np.repeat(px, plan.t_points), np.repeat(py, plan.t_points),
+                                   ts, log_space) < -tolerance
+    direct_verdict = VERDICT_VIOLATED if direct_violated.any() else VERDICT_HOLDS
     segment_verdict, first_bad = VERDICT_HOLDS, None
     for i in range(pair_count):
         seg = _RefSegment(f, px[i], py[i])
         if log_space:
             _ref_require_positivity(seg, UNIT)
-        if _ref_run_check(seg, None, UNIT, plan, log_space)[0] == VERDICT_VIOLATED:
+        if _ref_run_check(seg, (0.0, 1.0), plan, log_space)[0] == VERDICT_VIOLATED:
             segment_verdict = VERDICT_VIOLATED
             if first_bad is None:
                 first_bad = (float(pair_x[i]), float(pair_y[i]))
@@ -600,14 +638,14 @@ def _outcome(call):
         return type(err), str(err), getattr(err, "index", None)
 
 
-def _assert_margins_match(f, phi, samples, log_space):
+def _assert_margins_match(f, samples, log_space):
     xs, ys, ts = triples(samples)
     lattice_mix = None
-    if phi is None and len(samples.gx):
+    if len(samples.gx):
         lattice_mix = _ref_lattice_mix(len(samples.gx), len(samples.gt),
                                        samples.gx[0], samples.gx[-1])
-    want = _outcome(lambda: _ref_margins(f, phi, xs, ys, ts, log_space, lattice_mix))
-    got = _outcome(lambda: convexity._margins(f, phi, samples, log_space))
+    want = _outcome(lambda: _ref_margins(f, xs, ys, ts, log_space, lattice_mix))
+    got = _outcome(lambda: convexity._margins(f, samples, log_space))
     if isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray)
         # bytes, not ==, so that -0.0 and 0.0 count as different
@@ -617,19 +655,29 @@ def _assert_margins_match(f, phi, samples, log_space):
 
 
 def _assert_all_match(f, phi, plan, pair_count=3, pair_seed=5):
-    samples = plan.samples(phi.domain)
-    for log_space in (False, True):
-        _assert_margins_match(f, None, samples, log_space)
-        _assert_margins_match(f, phi, samples, log_space)
-    for name in _CERTIFIERS:
-        assert (_outcome(lambda: _certify(name, f, phi, plan))
-                == _outcome(lambda: _ref_certify(name, f, phi, plan))), name
+    for samples in (plan.samples(phi.domain), convexity._samples(plan, *phi.range)):
+        for log_space in (False, True):
+            _assert_margins_match(f, samples, log_space)
+    for name, (_, takes_phi, _, _) in _CERTIFIERS.items():
+        got = _outcome(lambda: _certify(name, f, phi, plan))
+        want = _outcome(lambda: _ref_certify(name, f, phi, plan))
+        if takes_phi and isinstance(got, tuple) and len(got) == 5:
+            _assert_same_triple(_in_range(phi, got[2]), want[2], phi)
+            got, want = got[:2] + got[3:], want[:2] + want[3:]
+        assert got == want, name
 
     def implication():
         rep = check_implication_chain(f, phi, plan)
         return rep.links, rep.samples_tested
 
-    assert _outcome(implication) == _outcome(lambda: _ref_implication_chain(f, phi, plan))
+    got = _outcome(implication)
+    want = _outcome(lambda: _ref_implication_chain(f, phi, plan))
+    if isinstance(got, tuple) and len(got) == 2 and isinstance(got[0], tuple):
+        for g, w in zip(got[0], want[0]):
+            _assert_same_triple(_in_range(phi, g.witness), w.witness, phi)
+        got = tuple(replace(link, witness=None) for link in got[0]), got[1]
+        want = tuple(replace(link, witness=None) for link in want[0]), want[1]
+    assert got == want
     for log_space, check in ((False, check_phi_chord_equivalence),
                              (True, check_log_phi_chord_equivalence)):
         got = _outcome(lambda: check(f, phi, pair_count, plan, pair_seed))
@@ -715,6 +763,235 @@ _positive_smooth = ["exp(x)", "exp(x^2)", "1/(1 + x^2)", "exp(-x^2)", "exp(30*x)
                     "abs(x - 0.2) + 0.1"]
 
 
+# ----------------------------- φ classes on the range of φ -------------------
+
+def _catalog_phi(variant, a, b, p):
+    """The benchmark catalog's continuous monotone self-maps of [a, b]:
+    identity, nonlinear onto, reversed, reversed nonlinear, contracting."""
+    w = repr(b - a)
+    u = f"((x - {a!r})/{w})"
+    return ["x", f"{a!r} + {w}*{u}^{p!r}", f"{a + b!r} - x", f"{b!r} - {w}*{u}^{p!r}",
+            f"{a!r} + {w}*(0.25 + 0.5*{u}^{p!r})"][variant]
+
+
+_phi_cases = st.builds(
+    lambda variant, ab, p: PhiMap(parse(_catalog_phi(variant, *ab, p)), Interval(*ab)),
+    st.integers(0, 4), st.sampled_from([(0.0, 1.0), (0.5, 2.0), (-1.0, 0.25), (1.0, 3.0)]),
+    st.floats(0.5, 3.0).map(lambda p: round(p, 4)),
+)
+_reduction_plans = st.builds(
+    SamplePlan,
+    x_points=st.sampled_from([3, 5, 6, 9, 17]),
+    t_points=st.sampled_from([3, 5, 7, 9]),
+    random_count=st.integers(0, 64),
+    seed=st.integers(0, 2**32),
+)
+# positive on every domain of _phi_cases; convex, log-convex or neither
+_reduction_fs = ["exp(x)", "exp(x^2)", "x^2 + 1", "1/(2 + x)", "exp(-x^2)", "10 + x*(1 - x)",
+                 "exp(3*x) + exp(-2*x)", "x^4 + 0.5", "sqrt(x + 2)", "5 + x^3"]
+
+
+def _mp_text(text):
+    """``text`` evaluated in mpmath at its working precision."""
+    import mpmath as mp
+
+    ns = {"__builtins__": {}, "exp": mp.exp, "ln": mp.log, "sqrt": mp.sqrt, "abs": abs}
+    fn = eval(f"lambda x: {text.replace('^', '**')}", ns)  # noqa: S307 - restricted namespace
+    return lambda x: fn(mp.mpf(x))
+
+
+def _mp_margin(f_text, phi_text, w, log_space):
+    """The class margin at φ(x), φ(y), t, with φ and f in mpmath."""
+    import mpmath as mp
+
+    f, phi = _mp_text(f_text), _mp_text(phi_text)
+    px, py, t = phi(w.x), phi(w.y), mp.mpf(w.t)
+    fx, fy, fm = f(px), f(py), f(t * px + (1 - t) * py)
+    if log_space:
+        return t * mp.log(fx) + (1 - t) * mp.log(fy) - mp.log(fm)
+    return t * fx + (1 - t) * fy - fm
+
+
+def _assert_stands_for(phi, w, plain):
+    """``w`` is a witness of the domain whose ends φ maps to ``plain``'s, to
+    within one float of x either side."""
+    assert w.t == plain.t
+    dom = phi.domain
+    for x, u in ((w.x, plain.x), (w.y, plain.y)):
+        assert dom.a <= x <= dom.b
+        near = np.clip([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)], dom.a, dom.b)
+        vals = phi.phi.eval_array(near)
+        assert vals.min() <= u <= vals.max(), (x, u, vals)
+
+
+class TestPhiReduction:
+    """A φ class on D is the plain class on the range of φ: f is (log-)φ-convex
+    on D exactly when it is (log-)convex on φ(D)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_phi_cases, _reduction_plans, st.sampled_from(_reduction_fs))
+    def test_phi_class_is_the_plain_class_on_the_range(self, phi, plan, text):
+        f = parse(text)
+        on_range = Interval(*phi.range)
+        plain_phi = PhiMap.identity(on_range)
+        for deformed, plain in (
+            (check_phi_convex(f, phi, plan), check_convex(f, on_range, plan)),
+            (check_log_phi_convex(f, phi, plan), check_log_convex(f, on_range, plan)),
+            (check_log_phi_midconvex(f, phi, plan), check_log_phi_midconvex(f, plain_phi, plan)),
+        ):
+            assert deformed.verdict == plain.verdict
+            assert deformed.min_margin == plain.min_margin
+            assert deformed.samples_tested == plain.samples_tested
+            assert (deformed.witness is None) == (plain.witness is None)
+            if plain.witness is not None:
+                _assert_stands_for(phi, deformed.witness, plain.witness)
+        chain, plain_chain = (check_implication_chain(f, phi, plan),
+                              check_implication_chain(f, plain_phi, plan))
+        for link, plain_link in zip(chain.links, plain_chain.links):
+            assert (link.verdict, link.min_margin) == (plain_link.verdict, plain_link.min_margin)
+            if plain_link.witness is not None:
+                _assert_stands_for(phi, link.witness, plain_link.witness)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_phi_cases, _reduction_plans, st.sampled_from(
+        ["sqrt(x + 2)", "10 + x*(1 - x)", "1/(2 + x)", "x^4 + 0.5", "5 + x^3"]))
+    def test_violated_witness_lies_in_the_domain_and_is_violated_in_mpmath(
+            self, phi, plan, text):
+        f = parse(text)
+        for check, log_space in ((check_phi_convex, False), (check_log_phi_convex, True),
+                                 (check_log_phi_midconvex, True)):
+            rep = check(f, phi, plan)
+            if rep.verdict == VERDICT_VIOLATED:
+                w = rep.witness
+                assert phi.domain.a <= w.x <= phi.domain.b
+                assert phi.domain.a <= w.y <= phi.domain.b
+                assert _mp_margin(text, phi.phi.source_text, w, log_space) < -rep.tolerance
+        chain = check_implication_chain(f, phi, plan)
+        link = chain.links[0]
+        if link.verdict == VERDICT_VIOLATED:
+            assert _mp_margin(text, phi.phi.source_text, link.witness, True) < -chain.tolerance
+
+    @pytest.mark.parametrize("phi_text, domain", [
+        ("0.75", Interval(0.5, 1.0)),        # constant: a range of width 0
+        ("1e-307*x", Interval(0.0, 1.0)),    # narrower than a normal fine-grid step
+    ])
+    def test_degenerate_range_holds(self, phi_text, domain):
+        phi = PhiMap(parse(phi_text), domain)
+        assert phi.range[1] - phi.range[0] < 1e-300
+        f = parse("exp(x) + x^2")
+        for check in (check_phi_convex, check_log_phi_convex, check_log_phi_midconvex):
+            rep = check(f, phi)
+            assert rep.verdict == VERDICT_HOLDS and rep.failure_kind is None
+            assert rep.samples_tested == 33**2 * 17 + 4096
+        assert check_implication_chain(f, phi).verdict == VERDICT_HOLDS
+
+    def test_range_is_taken_from_the_construction_grid(self):
+        phi = PhiMap(parse("0.5 + 1.5*((x - 0.5)/1.5)^2"), Interval(0.5, 2.0))
+        vals = phi.phi.eval_array(np.linspace(0.5, 2.0, convexity.PHI_GRID))
+        assert phi.range == (float(vals.min()), float(vals.max())) == (0.5, 2.0)
+        reversed_ = PhiMap(parse("2.5 - x"), Interval(0.5, 2.0))
+        assert reversed_.range == (0.5, 2.0)
+
+    @pytest.mark.parametrize("domain", [Interval(0.5, 2.0), Interval(-1.0, 1e-3), UNIT])
+    def test_identity_preimage_is_the_point(self, domain):
+        phi = PhiMap.identity(domain)
+        us = np.concatenate([[domain.a, domain.b],
+                             SamplePlan(random_count=64).samples(domain).rx])
+        assert phi.preimage(us).tobytes() == us.tobytes()
+
+    @pytest.mark.parametrize("phi_text", ["2.5 - x", "0.5 + 0.5*(x - 0.5)",
+                                          "0.5 + 1.5*((x - 0.5)/1.5)^0.6"])
+    def test_preimage_is_within_one_float(self, phi_text):
+        phi = PhiMap(parse(phi_text), Interval(0.5, 2.0))
+        lo, hi = phi.range
+        us = np.concatenate([[lo, hi], lo + (hi - lo) * np.linspace(0.01, 0.99, 37)])
+        for x, u in zip(phi.preimage(us), us):
+            _assert_stands_for(phi, SampleTriple(x, x, 0.5), SampleTriple(u, u, 0.5))
+
+
+# φ that jump at c = 0.50001, which no grid of φ or of the sample plan meets:
+# onto the two points {0.25, 0.75}, and onto [0, 0.25] and [0.75, 1]
+_JUMP = "0.25*abs(x - 0.50001)/(x - 0.50001)"
+_TWO_POINTS = f"0.5 + {_JUMP}"
+_TWO_PIECES = f"0.5*x + 0.25 + {_JUMP}"
+
+
+def _ref_through_phi(f, phi, plan, log_space, half_t=False, tolerance=convexity.DEFAULT_TOLERANCE):
+    """(verdict, min margin, witness) of the class on the domain's samples,
+    with f at the images of their ends under φ, as the definition reads."""
+    xs, ys, ts = triples(_ref_samples(plan, phi.domain.a, phi.domain.b))
+    if half_t:
+        ts = np.full_like(ts, 0.5)
+    margins = _ref_margins(f, phi.phi.eval_array(xs), phi.phi.eval_array(ys), ts, log_space)
+    min_margin = float(margins.min())
+    if min_margin < -tolerance:
+        i = int(np.argmin(margins))
+        return VERDICT_VIOLATED, min_margin, SampleTriple(float(xs[i]), float(ys[i]), float(ts[i]))
+    return VERDICT_HOLDS, min_margin, None
+
+
+class TestJumpingPhi:
+    """For a φ that jumps between the points of its construction grid, the
+    range [min φ, max φ] is wider than φ(D).  A range witness that φ jumps
+    over stands for no triple of D, and the class is then certified on the
+    domain's samples through φ."""
+
+    PLAN = SamplePlan(x_points=9, t_points=5, random_count=256, seed=7)
+
+    def test_preimage_measures_the_jump(self):
+        phi = PhiMap(parse(_TWO_POINTS), UNIT)
+        assert phi.range == (0.25, 0.75)
+        xs, miss = phi._preimage([0.25, 0.5, 0.3, 0.75])
+        assert miss.tolist() == [0.0, 0.25, 0.3 - 0.25, 0.0]
+        assert abs(xs[1] - 0.50001) < 1e-12  # at the jump
+        assert phi.slack == 1e-9
+
+    def test_no_violation_is_reported_between_the_images(self):
+        # f lies below its chord from 0.25 to 0.75, and that is all φ-convexity
+        # asks of it here; on [0.25, 0.75] it is not convex (a bump at 0.5)
+        phi = PhiMap(parse(_TWO_POINTS), UNIT)
+        f = parse("((x - 0.5)^2 - 0.01)^2 + 1e-6")
+        assert check_convex(f, Interval(*phi.range), self.PLAN).verdict == VERDICT_VIOLATED
+        for name, log_space, half_t in (("phi_convex", False, False),
+                                         ("log_phi_convex", True, False),
+                                         ("log_phi_midconvex", True, True)):
+            rep = _CERTIFIERS[name][0](f, phi, self.PLAN)
+            want = _ref_through_phi(f, phi, self.PLAN, log_space, half_t)
+            assert (rep.verdict, rep.min_margin, rep.witness) == want
+            assert rep.verdict == VERDICT_HOLDS
+            assert rep.samples_tested == self.PLAN.samples(UNIT).size
+        chain = check_implication_chain(f, phi, self.PLAN)
+        assert chain.verdict == VERDICT_HOLDS
+        assert chain.links[0].min_margin == _ref_through_phi(f, phi, self.PLAN, True)[1]
+
+    @pytest.mark.parametrize("text", ["sqrt(abs(x - 0.5)) + 0.1", "exp(sqrt(abs(x - 0.5)))"])
+    def test_fallback_witness_is_a_domain_sample_violated_in_mpmath(self, text):
+        # the worst sample of the range has an end in the gap (0.25, 0.75)
+        phi = PhiMap(parse(_TWO_PIECES), UNIT)
+        f = parse(text)
+        for name, log_space, half_t in (("phi_convex", False, False),
+                                         ("log_phi_convex", True, False),
+                                         ("log_phi_midconvex", True, True)):
+            rep = _CERTIFIERS[name][0](f, phi, self.PLAN)
+            want = _ref_through_phi(f, phi, self.PLAN, log_space, half_t)
+            assert (rep.verdict, rep.min_margin, rep.witness) == want
+            assert rep.verdict == VERDICT_VIOLATED
+            assert _mp_margin(text, _TWO_PIECES, rep.witness, log_space) < -rep.tolerance
+        link = check_implication_chain(f, phi, self.PLAN).links[0]
+        assert (link.verdict, link.min_margin, link.witness) == _ref_through_phi(
+            f, phi, self.PLAN, True)
+
+    def test_witness_that_phi_reaches_is_kept(self):
+        # sqrt is concave: the worst chord joins the ends of the range, which
+        # φ reaches, so the witness of the range is pulled back
+        phi = PhiMap(parse(_TWO_POINTS), UNIT)
+        rep = check_phi_convex(parse("sqrt(x)"), phi, self.PLAN)
+        assert rep.verdict == VERDICT_VIOLATED
+        assert rep.min_margin == check_convex(parse("sqrt(x)"), Interval(*phi.range),
+                                              self.PLAN).min_margin
+        assert _mp_margin("sqrt(x)", _TWO_POINTS, rep.witness, False) < -rep.tolerance
+
+
 class TestDirectSegmentIdentity:
     """A pair's direct margins in the chord check are, bit for bit, its
     segment margins at the lattice triples (x, y) = (1, 0), t on the lattice.
@@ -728,14 +1005,16 @@ class TestDirectSegmentIdentity:
                                                 pair_seed, log_space, data):
         f = parse(data.draw(st.sampled_from(_positive_smooth if log_space else _smooth)))
         phi = _phi(map_kind, *domain)
-        pair_x, pair_y, xs, ys, ts = _ref_direct_triples(phi, pair_count, plan, pair_seed)
+        pair_x, pair_y, _, _, ts = _ref_direct_triples(phi, pair_count, plan, pair_seed)
+        px, py = phi.eval_array(pair_x), phi.eval_array(pair_y)
         none = np.empty(0)
-        direct = convexity._margins(f, phi, SampleSet(none, none, xs, ys, ts), log_space)
-        unit = plan.samples(UNIT)
         nx, nt = plan.x_points, plan.t_points
+        direct = convexity._margins(
+            f, SampleSet(none, none, np.repeat(px, nt), np.repeat(py, nt), ts), log_space)
+        unit = plan.samples(UNIT)
         start = (nx - 1) * nx * nt
-        for i, (u, v) in enumerate(zip(phi.eval_array(pair_x), phi.eval_array(pair_y))):
-            segment = convexity._margins(convexity._Segment(f, u, v), None, unit, log_space)
+        for i, (u, v) in enumerate(zip(px, py)):
+            segment = convexity._margins(convexity._Segment(f, u, v), unit, log_space)
             assert segment[start:start + nt].tobytes() == direct[i * nt:(i + 1) * nt].tobytes()
 
 
@@ -795,12 +1074,12 @@ class TestFineGrid:
         f = parse(text)
         samples = plan.samples(Interval(*domain))
         nx, nt = plan.x_points, plan.t_points
-        margins = convexity._margins(f, None, samples, log_space)
+        margins = convexity._margins(f, samples, log_space)
         lattice = margins[:samples.lattice_size].reshape(nx, nx, nt)
         # t = 0 and t = 1: the mix is an end, and so is f there
         assert (lattice[:, :, 0] == 0).all() and (lattice[:, :, -1] == 0).all()
         # x == y: f(mix) is f(x), bit for bit
-        fe, fm, idx = convexity._values(f, None, samples, log_space)
+        fe, fm, idx = convexity._values(f, samples, log_space)
         at_mix = fm[idx].reshape(nx, nx, nt)
         for i in range(nx):
             assert (at_mix[i, i] == fe[i]).all()
@@ -812,14 +1091,21 @@ class TestFineGrid:
         (SamplePlan(x_points=5, t_points=5, random_count=16, seed=3), Interval(0.0, 1e-310)),
     ])
     def test_other_lattices_keep_the_pairwise_mixes(self, plan, interval):
+        # t*x + (1-t)*y, except that a degenerate chord's mix is its end
         samples = plan.samples(interval)
         assert samples.fine_grid() is None
         xs, ys, ts = triples(samples)
+        degenerate = xs == ys
+        mix = np.where(degenerate, xs, ts * xs + (1.0 - ts) * ys)
+        assert (mix[degenerate] == xs[degenerate]).all()
         for text in ("x^2 + 1", "exp(x)", "1/(1 + x^2)"):
+            f = parse(text)
             for log_space in (False, True):
-                got = convexity._margins(parse(text), None, samples, log_space)
-                want = _ref_margins(parse(text), None, xs, ys, ts, log_space)
+                got = convexity._margins(f, samples, log_space)
+                want = _ref_margins(f, xs, ys, ts, log_space)
                 assert got.tobytes() == want.tobytes()
+                fe, fm, idx = convexity._values(f, samples, log_space)
+                assert idx is None and fm.tobytes() == f.eval_array(mix).tobytes()
 
     def test_failure_at_a_grid_point_reported_at_its_first_triple(self):
         plan = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
@@ -833,6 +1119,41 @@ class TestFineGrid:
             check_log_convex(parse(f"abs(x - {c!r})"), UNIT, plan)
         for text in (f"1/(x - {c!r})", f"abs(x - {c!r})"):
             _assert_all_match(parse(text), PhiMap.identity(UNIT), plan)
+
+
+class TestPinnedFineGrid:
+    """check_log_phi_midconvex pins t to 1/2; its lattice mixes are read from
+    the fine grid at (q/2)*(i + j), never through the t-lattice index."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_fine_plans, _intervals)
+    def test_pinned_index_reads_the_midpoints(self, plan, ab):
+        a, b = ab
+        samples = plan.samples(Interval(a, b))
+        pinned = samples._replace(gt=np.full_like(samples.gt, 0.5))
+        grid, idx = pinned.fine_grid()
+        nx, nt = plan.x_points, plan.t_points
+        assert idx.dtype == np.intp and len(idx) == samples.lattice_size
+        assert set(idx.tolist()) == set(range(len(grid))) and len(grid) == 2 * nx - 1
+        gx = samples.gx
+        mid = np.broadcast_to((0.5 * gx[:, None] + 0.5 * gx[None, :])[:, :, None], (nx, nx, nt))
+        assert (np.abs(grid[idx] - mid.reshape(-1)) <= 2 * np.spacing(max(abs(a), abs(b)))).all()
+        # the degenerate chords read their end bit for bit
+        assert (grid[idx].reshape(nx, nx, nt)[np.arange(nx), np.arange(nx)]
+                == gx[:, None]).all()
+
+    def test_pinned_index_is_cached_and_read_only(self):
+        samples = SamplePlan().samples(UNIT)
+        _, idx = samples._replace(gt=np.full_like(samples.gt, 0.5)).fine_grid()
+        again = SamplePlan(seed=3).samples(Interval(2.0, 3.0))
+        assert again._replace(gt=np.full_like(again.gt, 0.5)).fine_grid()[1] is idx
+        assert not idx.flags.writeable
+        assert idx is not samples.fine_grid()[1]
+
+    def test_other_t_axes_refuse_the_grid(self):
+        samples = SamplePlan().samples(UNIT)
+        for gt in (np.full_like(samples.gt, 0.25), samples.gt[::-1].copy()):
+            assert samples._replace(gt=gt).fine_grid() is None
 
 
 class TestFactoredDomainFailures:
@@ -868,15 +1189,16 @@ class TestFactoredDomainFailures:
         assert f"x={c!r}" in rep.failure_detail
         _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
 
-    def test_phi_failure_at_a_random_x_end(self):
+    def test_phi_failure_between_grid_points_goes_unseen(self):
+        # phi is evaluated on its construction grid only: a point where it
+        # cannot be evaluated, off that grid, goes unseen as it does there
         plan = SamplePlan()
-        samples = plan.samples(UNIT)
-        c = float(samples.rx[5])
+        c = float(plan.samples(UNIT).rx[5])
         phi = PhiMap(parse(f"x + 0/(x - {c!r})"), UNIT)  # the 257-point grid misses c
-        rep = check_phi_convex(parse("x^2"), phi, plan)
-        assert rep.failure_kind == "domain"
-        assert rep.witness == SampleTriple(c, float(samples.ry[5]), float(samples.rt[5]))
-        assert f"x={c!r}" in rep.failure_detail
+        for check in (check_phi_convex, check_log_phi_convex, check_log_phi_midconvex):
+            rep = check(parse("x^2 + 1"), phi, plan)
+            assert rep.verdict == VERDICT_HOLDS and rep.failure_kind is None
+        assert check_phi_convex(parse("sqrt(x)"), phi, plan).failure_kind == "inequality"
 
     def test_zero_at_random_y_end_breaks_positivity(self):
         samples = self.PLAN.samples(UNIT)
@@ -902,14 +1224,15 @@ class TestFactoredDomainFailures:
             check_log_convex(f, UNIT, self.PLAN)
         _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
 
-    def test_phi_range_checked_on_x_before_phi_fails_on_y(self):
+    def test_phi_escape_between_grid_points_goes_unseen(self):
         # phi escapes the domain only at a random x end and cannot be
-        # evaluated only at a random y end; x ends are checked first
+        # evaluated only at a random y end, both off its construction grid:
+        # the range is [0.5, 0.75], and neither point is met
         samples = self.PLAN.samples(UNIT)
         cx, cy = float(samples.rx[2]), float(samples.ry[9])
         phi = PhiMap(parse(f"0.5 + 0.25*x + 2*0^((x - {cx!r})^2) + 0/(x - {cy!r})"), UNIT)
-        with pytest.raises(PhiRangeViolated, match=repr(cx)):
-            check_phi_convex(parse("x^2"), phi, self.PLAN)
+        assert phi.range == (0.5, 0.75)
+        assert check_phi_convex(parse("x^2"), phi, self.PLAN).verdict == VERDICT_HOLDS
         _assert_all_match(parse("x^2"), phi, self.PLAN)
 
     def test_direct_side_error_index_refers_to_its_triples(self):
@@ -925,6 +1248,6 @@ class TestFactoredDomainFailures:
     def test_direct_side_margins_bit_identical(self):
         phi = PhiMap(parse("x^2"), UNIT)
         _, _, xs, ys, ts = _ref_direct_triples(phi, 5, self.PLAN, seed=8)
-        none = np.empty(0)
+        direct = SampleSet(np.empty(0), np.empty(0), phi.eval_array(xs), phi.eval_array(ys), ts)
         for text in ("exp(x^2)", "sqrt(x + 0.1)"):
-            _assert_margins_match(parse(text), phi, SampleSet(none, none, xs, ys, ts), True)
+            _assert_margins_match(parse(text), direct, True)

@@ -531,6 +531,80 @@ class TestOpenPanelLimit:
         assert type(exc.value) is MaxDepthExceeded
 
     def test_tolerance_below_the_rounding_floor_cannot_be_met(self):
-        # every panel's bound holds 50*eps of its magnitude, above a 1e-15 share
-        with pytest.raises(OpenPanelLimitExceeded):
-            integrate(np.exp, UNIT, 1e-15)
+        # the whole interval's rounding floor, 50*eps of its magnitude, is
+        # above a 1e-15 share: the first call ends it
+        f, calls = _counted(np.exp)
+        with pytest.raises(MaxDepthExceeded) as exc:
+            integrate(f, UNIT, 1e-15)
+        assert type(exc.value) is MaxDepthExceeded
+        assert (exc.value.a, exc.value.b, exc.value.depth) == (0.0, 1.0, 0)
+        assert calls == [NODES.size]
+
+    def test_singularity_ends_where_its_floor_misses_the_share(self):
+        f, calls = _counted(parse("1/sqrt(abs(x - 1/pi))").eval_array)
+        with pytest.raises(MaxDepthExceeded) as exc:
+            integrate(f, UNIT, 1e-10)
+        assert type(exc.value) is MaxDepthExceeded
+        assert exc.value.a < 1 / math.pi < exc.value.b
+        assert exc.value.depth < 30 and sum(calls) < 10_000
+
+
+# --------------------------- the rule without the floor stop ---------------------------
+# integrate() as it was before a panel whose rounding floor misses its share
+# ended the integration: such panels were bisected until the depth or the
+# open-panel limit.  Every integral it finishes must finish the same way.
+
+def _ref_integrate(f, interval, tol):
+    from hhv.quadrature import _SUMS, _FLOOR_WEIGHTS, ROUNDING_FLOOR, DEFAULT_MAX_DEPTH
+
+    centers = np.array([interval.midpoint])
+    half = 0.5 * interval.b - 0.5 * interval.a
+    budget = None
+    total = err_total = 0.0
+    evaluations = depth = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            xs = (centers[:, None] + half * NODES).ravel()
+            vals = np.asarray(f(xs), dtype=float)
+            evaluations += xs.size
+            scaled = vals.reshape(-1, NODES.size) * half
+            sums = scaled @ _SUMS
+            floor = np.abs(scaled) @ _FLOOR_WEIGHTS
+            err = np.abs(sums[:, 1]) + floor
+            level_err = float(np.add.reduce(err))
+            if not math.isfinite(level_err):
+                raise Overflow()
+            if budget is None:
+                budget = tol * max(float(floor[0]) / ROUNDING_FLOOR, 0.0) or tol
+            ok = err <= budget
+            accepted = np.count_nonzero(ok)
+            if accepted == ok.size:
+                total += float(np.add.reduce(sums[:, 0]))
+                err_total += level_err
+                break
+            if accepted:
+                total += float(np.add.reduce(sums[ok, 0]))
+                err_total += float(np.add.reduce(err[ok]))
+            centers = centers[~ok]
+            if depth >= DEFAULT_MAX_DEPTH or 2 * centers.size > MAX_OPEN_PANELS:
+                raise MaxDepthExceeded(0.0, 0.0, depth)
+            half *= 0.5
+            centers = np.add.outer(centers, (-half, half)).ravel()
+            budget *= 0.5
+            depth += 1
+    return QuadratureResult(value=total, error_estimate=err_total, evaluations=evaluations)
+
+
+class TestFloorStop:
+    # the K15 estimate of ∫|f| on the children can undercut the parent's
+    # where f changes sign, so the stop is checked against the rule without it
+    @given(_CASES, st.floats(-1, 1), st.floats(1e-3, 2), st.floats(-16, -3))
+    @settings(max_examples=300, deadline=None)
+    def test_every_integral_the_old_rule_finishes_still_finishes(self, case, a, width, log_tol):
+        interval, tol = Interval(a, a + width), 10.0 ** log_tol
+        f = parse(case.text).eval_array
+        try:
+            want = _ref_integrate(f, interval, tol)
+        except (MaxDepthExceeded, Overflow):
+            return
+        assert integrate(f, interval, tol) == want
