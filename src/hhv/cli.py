@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -239,11 +240,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"--phi-degree must be >= 1, got {cfg.phi_degree}")
     if cfg.command == "report" and cfg.input_path is None:
         raise ConfigError("--input is required")
-    # "not > 0" also rejects NaN
-    if not cfg.quad_tol > 0:
-        raise ConfigError("--quad-tol must be positive")
-    if cfg.tolerance is not None and not cfg.tolerance > 0:
-        raise ConfigError("--tol must be positive")
+    # "not 0 < tol < inf" also rejects NaN; inf would let any margin or panel pass
+    if not 0 < cfg.quad_tol < math.inf:
+        raise ConfigError("--quad-tol must be positive and finite")
+    if cfg.tolerance is not None and not 0 < cfg.tolerance < math.inf:
+        raise ConfigError("--tol must be positive and finite")
 
 
 # ----------------------------- command execution ------------------------------

@@ -5,7 +5,9 @@ deterministic lattice of (x, y, t) triples unioned with counter-based
 pseudo-random triples, reports the minimum signed margin (right side
 minus left side), and returns the smallest-index witness on violation.
 A positive verdict is always ``holds_on_samples``; sampling cannot prove
-a universally quantified inequality.
+a universally quantified inequality.  The lattice is stored as one fine
+grid: its x axis is every q-th grid point and each of its mixes is a grid
+point (:meth:`SampleSet.fine_grid`), so f runs once per grid point.
 
 The φ classes are the plain classes on the range of φ.  For a continuous
 φ the pairs (φ(x), φ(y)) with x, y in D cover φ(D)², so f is (log-)φ-convex
@@ -15,7 +17,8 @@ construction, run the one margin engine there without φ, and map each
 witness back into D (:meth:`PhiMap.preimage`).  A φ that jumps between
 grid points has a range wider than φ(D); where φ misses an end of the
 witness, the class is certified on the plan over D instead, with f at the
-images of the sample ends under φ.
+images of the sample ends under φ.  One function, :func:`_on_range`, runs
+this protocol for the φ certifiers and the implication chain.
 """
 from __future__ import annotations
 
@@ -52,7 +55,6 @@ _STREAM_TRIPLES = 0x7472_6970  # distinct Philox streams per purpose
 _STREAM_PAIRS = 0x7061_6972
 
 _UNIT = Interval(0.0, 1.0)
-_TINY = float(np.finfo(float).tiny)
 
 
 @lru_cache(maxsize=1)
@@ -111,9 +113,12 @@ class SamplePlan:
             raise ValueError(f"t_points must be odd and >= 3, got {self.t_points}")
         if self.random_count < 0:
             raise ValueError(f"random_count must be >= 0, got {self.random_count}")
-        size = self.x_points**2 * self.t_points + self.random_count
-        if size > MAX_SAMPLES:
-            raise ValueError(f"sample plan holds {size} triples, more than {MAX_SAMPLES}")
+        if self.size > MAX_SAMPLES:
+            raise ValueError(f"sample plan holds {self.size} triples, more than {MAX_SAMPLES}")
+
+    @property
+    def size(self) -> int:
+        return self.x_points**2 * self.t_points + self.random_count
 
     def samples(self, interval: Interval) -> "SampleSet":
         """The sample set over ``interval``, stored factored, its arrays read-only.
@@ -134,19 +139,26 @@ class SampleTriple:
 
 
 class SampleSet(NamedTuple):
-    """Sample triples stored factored: the lattice axes, then flat triples.
+    """Sample triples stored factored: the lattice's fine grid, then flat triples.
 
-    The triples, in order, are every (gx[i], gx[j], gt[k]) with k varying
-    fastest, then every (rx[m], ry[m], rt[m]).  A lattice abscissa is a
-    chord end of many triples, so functions of the ends are evaluated once
-    per entry of :meth:`ends` and broadcast by :meth:`pairwise`.
+    With q = len(gt) - 1, the lattice axis :attr:`gx` is every q-th point of
+    ``fine``.  The triples, in order, are every (gx[i], gx[j], gt[k]) with k
+    varying fastest, then every (rx[m], ry[m], rt[m]).  A lattice abscissa
+    is a chord end of many triples, so functions of the ends are evaluated
+    once per entry of :meth:`ends` and broadcast by :meth:`pairwise`; every
+    lattice mix is a point of ``fine`` (:meth:`fine_grid`).  A flat set, such
+    as the chord check's direct side, has an empty grid and t axis.
     """
 
-    gx: np.ndarray
+    fine: np.ndarray
     gt: np.ndarray
     rx: np.ndarray
     ry: np.ndarray
     rt: np.ndarray
+
+    @property
+    def gx(self) -> np.ndarray:  # a view: no set holds an axis off its grid
+        return self.fine[::max(len(self.gt) - 1, 1)]
 
     @property
     def lattice_size(self) -> int:
@@ -177,10 +189,10 @@ class SampleSet(NamedTuple):
     def point(self, i: int) -> SampleTriple:
         """The triple at index ``i``."""
         if i < self.lattice_size:
-            nt = len(self.gt)
-            a, rest = divmod(i, len(self.gx) * nt)
+            gx, nt = self.gx, len(self.gt)
+            a, rest = divmod(i, len(gx) * nt)
             b, k = divmod(rest, nt)
-            return SampleTriple(float(self.gx[a]), float(self.gx[b]), float(self.gt[k]))
+            return SampleTriple(float(gx[a]), float(gx[b]), float(self.gt[k]))
         m = i - self.lattice_size
         return SampleTriple(float(self.rx[m]), float(self.ry[m]), float(self.rt[m]))
 
@@ -196,32 +208,24 @@ class SampleSet(NamedTuple):
         rand = fn(self.rt, at_ends[nx:nx + nr], at_ends[nx + nr:])
         return np.concatenate([np.broadcast_to(lattice, (nx, nx, nt)).reshape(-1), rand])
 
-    def fine_grid(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """A grid that holds every lattice mix, and each mix's index in it.
+    def fine_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """The grid that holds every lattice mix, and each mix's index in it.
 
-        With q = len(gt) - 1 and fine = linspace(gx[0], gx[-1], (len(gx) - 1)*q + 1),
-        the mix of lattice triple (gx[i], gx[j], gt[k]) is fine point
-        q*j + k*(i - j) when gt is linspace(0, 1, q + 1), as
-        :meth:`SamplePlan.samples` builds it, and fine point (q/2)*(i + j)
-        when every gt is 1/2, as :func:`check_log_phi_midconvex` pins it; the
-        grid is then fine's every (q/2)-th point.  Given only for those two t
-        axes, when (len(gx) - 1)*q is a power of two and fine's step is a
-        normal float: then gx is fine's every q-th point bit for bit, so a
-        degenerate chord's mix is its end.  Else None.
+        With q = len(gt) - 1, the mix of lattice triple (gx[i], gx[j], gt[k])
+        is fine point q*j + k*(i - j) when gt is the plan's t axis, the points
+        k/q (:func:`_unit_grid`), and fine point (q/2)*(i + j) when every gt
+        is 1/2, as :func:`check_log_phi_midconvex` pins it; the grid is then
+        fine's every (q/2)-th point.  The axis is fine's every q-th point, so
+        a degenerate chord's mix is its end.  A flat set's t axis is empty,
+        and so are its grid and index.  Any other t axis raises ValueError.
         """
         nx, nt = len(self.gx), len(self.gt)
-        n = (nx - 1) * (nt - 1)
-        if nx < 2 or nt < 3 or n & (n - 1):
-            return None
-        a, b = float(self.gx[0]), float(self.gx[-1])
-        if not (b - a) / n >= _TINY:  # a subnormal step would divide inexactly
-            return None
-        axis = _t_axis(nt)
+        axis = _unit_grid(nt - 1)  # empty for a flat set, as its t axis is
         if self.gt is axis or (self.gt == axis).all():
-            return np.linspace(a, b, n + 1), _fine_index(nx, nt, False)
+            return self.fine, _fine_index(nx, nt, False)
         if (self.gt == 0.5).all():
-            return np.linspace(a, b, n + 1)[::(nt - 1) // 2], _fine_index(nx, nt, True)
-        return None
+            return self.fine[::(nt - 1) // 2], _fine_index(nx, nt, True)
+        raise ValueError("a lattice's t axis must be its plan's or every t 1/2")
 
 
 def _samples(plan: SamplePlan, a: float, b: float) -> SampleSet:
@@ -242,9 +246,11 @@ def _unit_draw(plan: SamplePlan) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _draw_samples(plan: SamplePlan, a: float, b: float, *_signs: float) -> SampleSet:
     u = _unit_draw(plan)
+    fine = a + (b - a) * _unit_grid((plan.x_points - 1) * (plan.t_points - 1))
+    fine[-1] = b
     samples = SampleSet(
-        gx=np.linspace(a, b, plan.x_points),
-        gt=_t_axis(plan.t_points),
+        fine=fine,
+        gt=_unit_grid(plan.t_points - 1),
         rx=a + (b - a) * u[:, 0],
         ry=a + (b - a) * u[:, 1],
         # contiguous, for numpy's faster loops; the values are unchanged
@@ -256,11 +262,14 @@ def _draw_samples(plan: SamplePlan, a: float, b: float, *_signs: float) -> Sampl
 
 
 @lru_cache(maxsize=8)
-def _t_axis(nt: int) -> np.ndarray:
-    """linspace(0, 1, nt), read-only and shared by every sample set."""
-    axis = np.linspace(0.0, 1.0, nt)
-    axis.flags.writeable = False
-    return axis
+def _unit_grid(n: int) -> np.ndarray:
+    """The floats nearest m/n, m = 0, ..., n, read-only and shared: a plan's t
+    axis for n = t_points - 1, and the steps of its fine grid.  On [0, 1]
+    the grid's every (x_points - 1)-th point is then the t axis bit for bit,
+    as the chord check's direct side needs, and 1/2 is on the t axis."""
+    grid = np.arange(n + 1) / n
+    grid.flags.writeable = False
+    return grid
 
 
 @lru_cache(maxsize=8)
@@ -332,10 +341,11 @@ class PhiMap:
         self._require_in_domain(np.asarray(xs, dtype=float), vals)
         return vals
 
-    def preimage(self, us) -> np.ndarray:
+    def preimage(self, us) -> tuple[np.ndarray, np.ndarray]:
         """For each u of :attr:`range`, a point x of the domain with φ(x) = u,
         or, where rounding leaves no such float, one of the two neighbouring
-        floats that bracket u, the one whose φ is nearer.
+        floats that bracket u, the one whose φ is nearer; and |φ(x) - u|,
+        which is 0 where φ hits u and the size of the jump where φ jumps over u.
 
         The bracket is the first one along the construction grid, evaluated
         again, so x is the smallest such point the grid can tell apart.  Each
@@ -348,11 +358,6 @@ class PhiMap:
         bracket ``len(_UNIFORM) + 1`` times per round.  A bracket on which φ
         cannot be evaluated stays as it is.
         """
-        return self._preimage(us)[0]
-
-    def _preimage(self, us) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`preimage`, and |φ(x) - u| for each u: 0 where φ hits u, the
-        size of the jump where φ jumps over u."""
         lo, hi = self.range
         us = np.minimum(np.maximum(np.asarray(us, dtype=float), lo), hi)[:, None]
         grid, vals = self._on_grid()
@@ -480,16 +485,14 @@ def _larger(t, u, v):
 
 
 def _values(f, samples: SampleSet,
-            log_space: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+            log_space: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f at the chord ends and at the mixes (:func:`_mix`).
 
     Raises what evaluating f(x), f(y) and f(mix) over the flat triples, in
     that order, raises first; an EvalError's index refers to the triples.
-    Returns f at :meth:`SampleSet.ends`, f at the mixes and a gather index.
-    The index is None when f is given at every mix in triple order.  On a
-    fine grid (:meth:`SampleSet.fine_grid`), f is given at the grid and then
-    at the random mixes, and the index reads each lattice mix from the grid
-    part.
+    Returns f at :meth:`SampleSet.ends`, f at the fine grid
+    (:meth:`SampleSet.fine_grid`) and then at the random mixes, and the index
+    that reads each lattice mix from the grid part.
     """
     ends = samples.ends()
     try:
@@ -497,41 +500,31 @@ def _values(f, samples: SampleSet,
     except EvalError as err:
         err.index = samples.first_index(err.index)
         raise
-    fine = samples.fine_grid()
-    if fine is None:
-        mix = samples.pairwise(_mix, ends)
-    else:
-        grid, idx = fine
-        nx, nr = len(samples.gx), len(samples.rx)
-        rand = _mix(samples.rt, ends[nx:nx + nr], ends[nx + nr:])
-        try:
-            fm = f.eval_array(np.concatenate([grid, rand]))
-        except EvalError:
-            fm = None
-        if fm is not None and (not log_space or (fm > 0).all()):
-            if log_space:
-                _require_positive_values(fe, ends)
-            return fe, fm, idx
+    grid, idx = samples.fine_grid()
+    nx, nr = len(samples.gx), len(samples.rx)
+    at = np.concatenate([grid, _mix(samples.rt, ends[nx:nx + nr], ends[nx + nr:])])
+    try:
+        fm = f.eval_array(at)
+    except EvalError:
+        fm = None
+    if fm is None or log_space and not (fm > 0).all():
         # every grid point is a lattice mix: the flat mixes raise the failure
-        # as the pairwise path would, with its triple index
-        mix = np.concatenate([grid[idx], rand])
-    fm = f.eval_array(mix)
+        # where the triples first meet it, with its triple index
+        at = np.concatenate([grid[idx], at[len(grid):]])
+        fm = f.eval_array(at)
     if log_space:
         _require_positive_values(fe, ends)
-        _require_positive_values(fm, mix)
-    return fe, fm, None
+        _require_positive_values(fm, at)
+    return fe, fm, idx
 
 
-def _less_mixes(chords: np.ndarray, fm: np.ndarray, idx: np.ndarray | None,
+def _less_mixes(chords: np.ndarray, fm: np.ndarray, idx: np.ndarray,
                 samples: SampleSet) -> np.ndarray:
     """``chords`` less the values at the mixes, in place, each triple's from
     ``fm`` as :func:`_values` gives it with ``idx``."""
-    if idx is None:
-        chords -= fm
-    else:
-        n = samples.lattice_size
-        chords[:n] -= fm[idx]
-        chords[n:] -= fm[len(fm) - len(samples.rx):]
+    n = samples.lattice_size
+    chords[:n] -= fm[idx]
+    chords[n:] -= fm[len(fm) - len(samples.rx):]
     return chords
 
 
@@ -548,10 +541,11 @@ def _tolerance_rule(tolerance: float):
 
     A margin is violated when it is below ``-tolerance * scale``.  The
     certifiers pass no scale, so their test is absolute; a chain link's
-    scale is the larger magnitude of its two terms.  A NaN or negative
-    tolerance raises ``ValueError`` here, before any margin is tested."""
-    if not tolerance >= 0:  # NaN would make every margin hold
-        raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
+    scale is the larger magnitude of its two terms.  A NaN, negative or
+    infinite tolerance raises ``ValueError`` here, before any margin is
+    tested."""
+    if not 0 <= tolerance < math.inf:  # NaN or inf would make every margin hold
+        raise ValueError(f"tolerance must be a non-negative number below infinity, got {tolerance}")
     return lambda margin, scale=1.0: margin < -tolerance * scale
 
 
@@ -609,12 +603,25 @@ def _pull_back(phi: PhiMap, witnesses: list) -> list | None:
     found = [w for w in witnesses if w is not None]
     if not found:
         return witnesses
-    xs, miss = phi._preimage([e for w in found for e in (w.x, w.y)])
+    xs, miss = phi.preimage([e for w in found for e in (w.x, w.y)])
     if (miss > phi.slack).any():
         return None
     ends = iter(xs.tolist())
     return [None if w is None else SampleTriple(next(ends), next(ends), w.t)
             for w in witnesses]
+
+
+def _on_range(phi: PhiMap, sampler: SamplePlan, judge) -> list:
+    """The φ protocol: ``judge(samples, None)`` on the samples of
+    ``phi.range``, each result's witness mapped into the domain; where the
+    witnesses do not pull back (:func:`_pull_back`), ``judge(samples, phi)``
+    on the domain's samples, with f at the images of their ends under φ, as
+    the definition reads.  ``judge`` returns results that have a ``witness``."""
+    results = judge(_samples(sampler, *phi.range), None)
+    witnesses = _pull_back(phi, [r.witness for r in results])
+    if witnesses is None:
+        return judge(sampler.samples(phi.domain), phi)
+    return [r if w is None else replace(r, witness=w) for r, w in zip(results, witnesses)]
 
 
 def _pinned(samples: SampleSet) -> SampleSet:
@@ -624,22 +631,13 @@ def _pinned(samples: SampleSet) -> SampleSet:
 
 def _run_phi_check(class_checked, f, phi: PhiMap, sampler: SamplePlan, tolerance,
                    log_space, half_t=False) -> ConvexityReport:
-    """:func:`_run_check` on samples of ``phi.range``, its witness in the
-    domain; where the witness does not pull back (:func:`_pull_back`), the
-    class on the domain's samples through φ, as the definition reads.
-    ``half_t`` pins every t to 1/2."""
-    def plan_on(a, b):
-        samples = _samples(sampler, a, b)
-        return _pinned(samples) if half_t else samples
+    """:func:`_run_check` by the φ protocol (:func:`_on_range`); ``half_t``
+    pins every t to 1/2."""
+    def judge(samples, through):
+        samples = _pinned(samples) if half_t else samples
+        return [_run_check(class_checked, f, samples, tolerance, log_space, through)]
 
-    report = _run_check(class_checked, f, plan_on(*phi.range), tolerance, log_space)
-    if report.witness is None:
-        return report
-    witness = _pull_back(phi, [report.witness])
-    if witness is not None:
-        return replace(report, witness=witness[0])
-    return _run_check(class_checked, f, plan_on(phi.domain.a, phi.domain.b), tolerance,
-                      log_space, phi)
+    return _on_range(phi, sampler, judge)[0]
 
 
 def _require_positivity(f, interval: Interval, label: str | None = None) -> None:
@@ -715,26 +713,20 @@ def check_implication_chain(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), 
     on the domain as :func:`check_phi_convex` falls back.
     """
     _require_positivity(f, phi.domain)
-    samples = _samples(sampler, *phi.range)
-    judged = _chain_links(f, samples, tolerance)
-    witnesses = _pull_back(phi, [w for *_, w in judged])
-    if witnesses is None:
-        judged = _chain_links(f, sampler.samples(phi.domain), tolerance, phi)
-        witnesses = [w for *_, w in judged]
-    links = tuple(LinkCheck(name, verdict, min_margin, w)
-                  for (name, verdict, min_margin, _), w in zip(judged, witnesses))
-    return ImplicationLatticeReport(links, samples.size, tolerance)
+    links = _on_range(phi, sampler,
+                      lambda samples, through: _chain_links(f, samples, tolerance, through))
+    return ImplicationLatticeReport(tuple(links), sampler.size, tolerance)
 
 
 def _chain_links(f, samples: SampleSet, tolerance: float, phi: PhiMap | None = None) -> list:
-    """(name, verdict, min margin, witness) of each link on ``samples``; with
-    ``phi``, as :func:`_run_check` takes it."""
+    """The :class:`LinkCheck` of each link on ``samples``; with ``phi``, as
+    :func:`_run_check` takes it."""
     on = samples if phi is None else _through(phi, samples)
     fe, fm, idx = _values(f, on, log_space=True)
     log_gm = on.pairwise(_chord, np.log(fe))
     weighted_am = on.pairwise(_chord, fe)
     am_gm = weighted_am - np.exp(log_gm)
-    return [(name, *_judge(margins, samples, tolerance)) for name, margins in (
+    return [LinkCheck(name, *_judge(margins, samples, tolerance)) for name, margins in (
         ("multiplicative_bound", _less_mixes(log_gm, np.log(fm), idx, on)),
         ("weighted_am_gm", am_gm),
         ("max_bound", on.pairwise(_larger, fe) - weighted_am),

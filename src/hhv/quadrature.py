@@ -117,8 +117,8 @@ def integrate(
     would hold more than ``MAX_OPEN_PANELS`` panels.  A non-finite integrand
     value or panel sum raises :class:`~hhv.errors.Overflow`.
     """
-    if not tol > 0:  # also rejects NaN
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # also rejects NaN; inf would accept any first panel
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     centers = np.array([interval.midpoint])
     half = 0.5 * interval.b - 0.5 * interval.a  # halves first, as in Interval.midpoint
     budget = None

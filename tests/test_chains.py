@@ -104,7 +104,7 @@ class TestTermErrors:
         assert f"f(phi({end}))*g(phi({end})) = 0.0 is not finite" in str(exc.value)
         _assert_matches_reference("theorem2", "exp(-1)", g_text, "x", UNIT, False)
 
-    @pytest.mark.parametrize("tolerance", [math.nan, -1e-8])
+    @pytest.mark.parametrize("tolerance", [math.nan, -1e-8, math.inf])
     def test_nan_or_negative_tolerance_rejected(self, tolerance):
         # a NaN tolerance would let every link hold; at 1e-8 both links fail
         with pytest.raises(ValueError, match="tolerance must be a non-negative number"):

@@ -68,12 +68,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--tol", "--quad-tol"])
     def test_nan_tolerance_is_two(self, capsys, flag):
-        # check takes no --quad-tol; chain takes both flags
-        code, payload, _ = run_json(
-            capsys, "chain", "--id", "classic_hh", "--f", "x^2",
-            "--a", "-1", "--b", "1", flag, "nan")
-        assert code == 2
-        assert payload["error"]["type"] == "ConfigError"
+        # check takes no --quad-tol; chain takes both flags; an infinite
+        # tolerance would let every margin hold
+        for value in ("nan", "inf"):
+            code, payload, _ = run_json(
+                capsys, "chain", "--id", "classic_hh", "--f", "x^2",
+                "--a", "-1", "--b", "1", flag, value)
+            assert code == 2
+            assert payload["error"]["type"] == "ConfigError"
 
     @pytest.mark.parametrize("argv, message", [
         (["check"], "--f is required"),
@@ -344,6 +346,7 @@ class TestConfigFile:
         {"phi_family": "polynomial"},
         {"f_family": "polynomial"},
         {"check_class": "concave"},
+        {"tolerance": "inf"},
     ])
     def test_bad_config_value_is_usage_error(self, capsys, tmp_path, values):
         cfg = tmp_path / "run.json"

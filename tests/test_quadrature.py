@@ -199,9 +199,10 @@ class TestFailures:
 
     def test_nan_tolerance_rejected(self):
         # "tol <= 0" lets NaN through, and every panel then refines until the
-        # open-panel limit
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            integrate(parse("x^2").eval_array, UNIT, tol=math.nan)
+        # open-panel limit; an infinite tol would accept any first panel
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                integrate(parse("x^2").eval_array, UNIT, tol=tol)
 
 
 # ------------------------------- the qk15 tables -------------------------------
