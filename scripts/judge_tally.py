@@ -9,7 +9,10 @@ For each seed, builds passes 0-2 (``PASSES``) of the workload through
 counts for each job class (a check's class, a chord check's space, a chain's
 id, a search's target), the totals, and the first few jobs that are not
 ``right``.  ``known`` is the rounding-band defect class the reference names
-apart from ``wrong``.  Exits 1 when any job is ``wrong`` or ``error``.
+apart from ``wrong``.  Then prints, for each seed, ``worker.digest`` of the
+records of its jobs in run order: two trees whose digests match gave the
+same record, bit for bit, on every job.  Exits 1 when any job is ``wrong``
+or ``error``.
 
 Runs from the root of a source checkout; ``hhv`` is imported from ``src/``.
 """
@@ -44,14 +47,16 @@ def job_class(spec: dict) -> str:
     return f"search:{spec['target']}"
 
 
-def judge_pass(workload: str, seed: int, rep: int, tally: dict, cases: list) -> None:
+def judge_pass(workload: str, seed: int, rep: int, tally: dict, cases: list,
+               records: list) -> None:
     specs, calls = worker.build(workload, seed, rep)
     for spec, call in zip(specs, calls):
         try:
             out = call()
         except Exception as err:  # the reference judges the error's type
             out = err
-        status = reference.judge(spec, worker.record(out))
+        records.append(worker.record(out))
+        status = reference.judge(spec, records[-1])
         tally.setdefault(job_class(spec), Counter())[status] += 1
         if status != "right":
             cases.append({"seed": seed, "pass": rep, "status": status, "spec": spec})
@@ -65,9 +70,12 @@ def main() -> int:
 
     tally: dict[str, Counter] = {}
     cases: list[dict] = []
+    digests: dict[int, str] = {}
     for seed in args.seeds:
+        records: list[dict] = []
         for rep in PASSES:
-            judge_pass(args.workload, seed, rep, tally, cases)
+            judge_pass(args.workload, seed, rep, tally, cases, records)
+        digests[seed] = worker.digest(records)
 
     total = sum(tally.values(), Counter())
     width = max(len(name) for name in [*tally, "total"])
@@ -75,6 +83,8 @@ def main() -> int:
     for name in sorted(tally) + ["total"]:
         counts = total if name == "total" else tally[name]
         print(f"{name:<{width}}  " + "  ".join(f"{counts[s]:>6}" for s in STATUSES))
+    for seed, digest in digests.items():
+        print(f"digest seed {seed}: {digest}")
     bad = [c for c in cases if c["status"] in ("wrong", "error")]
     for case in (bad or cases)[:SHOWN]:
         print(json.dumps(case))

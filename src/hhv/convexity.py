@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvalError, PhiRangeViolated, PositivityViolated
-from .expr import Expr, Interval, check_positive, parse
+from .expr import Expr, Interval, Var, check_positive, parse
 
 __all__ = [
     "SamplePlan", "SampleSet", "SampleTriple", "PhiMap", "ConvexityReport",
@@ -356,10 +356,16 @@ class PhiMap:
         ``_PREIMAGE_ROUNDS``.  The secant point settles a smooth φ in about
         three rounds and the identity in one; the uniform points shrink any
         bracket ``len(_UNIFORM) + 1`` times per round.  A bracket on which φ
-        cannot be evaluated stays as it is.
+        cannot be evaluated stays as it is.  For φ the bare variable, x is u
+        itself, clipped to the range, with no round, as the rounds find it:
+        a zero is 0.0, or -0.0 where the domain ends at -0.0.
         """
         lo, hi = self.range
-        us = np.minimum(np.maximum(np.asarray(us, dtype=float), lo), hi)[:, None]
+        us = np.minimum(np.maximum(np.asarray(us, dtype=float), lo), hi)
+        if isinstance(self.phi.root, Var):
+            # 0.0*hi is -0.0 only where hi is -0.0, or below 0, where no u is 0
+            return np.where(us == 0, 0.0 * hi, us), np.zeros(len(us))
+        us = us[:, None]
         grid, vals = self._on_grid()
         xs = np.broadcast_to(grid, (len(us), PHI_GRID))
         d = vals - us
@@ -437,6 +443,13 @@ class ImplicationLatticeReport:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """The two sides of a chord check.
+
+    ``pairs_tested`` counts the pairs drawn, each of which the direct side
+    tests; the segment side stops at its first violated pair.  A
+    disagreement names that pair, the first whose chord map g is violated.
+    """
+
     kind: str  # "log_phi" | "phi"
     agree: bool
     pairs_tested: int
@@ -484,36 +497,68 @@ def _larger(t, u, v):
     return np.maximum(u, v)
 
 
+# one entry: every pair of a chord check and every trial of a search that
+# shares the domain's set reads it; kept as one (set, points, index) tuple, so
+# that no reader pairs one set's points with another set, and holding the set
+# keeps its id from passing to another
+_last_points: tuple[SampleSet, np.ndarray, np.ndarray] | None = None
+
+
+def _points(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """The points f runs on for ``samples``, read-only: :meth:`SampleSet.ends`,
+    then the fine grid, then the random mixes (:func:`_mix`); and the index
+    that reads each lattice mix from the grid part (:meth:`SampleSet.fine_grid`).
+
+    The last set's points are kept and handed out again while the same set
+    object asks.  A new set, such as a flat or a pinned one, builds its own.
+    """
+    global _last_points
+    memo = _last_points
+    if memo is not None and memo[0] is samples:
+        return memo[1], memo[2]
+    ends = samples.ends()
+    grid, idx = samples.fine_grid()
+    nx, nr = len(samples.gx), len(samples.rx)
+    points = np.concatenate([ends, grid, _mix(samples.rt, ends[nx:nx + nr], ends[nx + nr:])])
+    points.flags.writeable = False
+    _last_points = samples, points, idx
+    return points, idx
+
+
 def _values(f, samples: SampleSet,
             log_space: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f at the chord ends and at the mixes (:func:`_mix`).
+    """f at the chord ends and at the mixes (:func:`_mix`), in one call of
+    ``f.eval_array`` on the set's points (:func:`_points`).
 
     Raises what evaluating f(x), f(y) and f(mix) over the flat triples, in
     that order, raises first; an EvalError's index refers to the triples.
-    Returns f at :meth:`SampleSet.ends`, f at the fine grid
-    (:meth:`SampleSet.fine_grid`) and then at the random mixes, and the index
-    that reads each lattice mix from the grid part.
+    The ends come first among the points, so a failure there is the first;
+    a failure among the mixes, or a mix that is not positive in log space,
+    is raised again by evaluating the flat mixes.  Returns f at
+    :meth:`SampleSet.ends`, f at the fine grid (:meth:`SampleSet.fine_grid`)
+    and then at the random mixes, and the index that reads each lattice mix
+    from the grid part.
     """
-    ends = samples.ends()
+    points, idx = _points(samples)
+    nr = len(samples.rx)
+    k, g = len(samples.gx) + 2 * nr, len(points) - nr  # the ends; the ends and grid
     try:
-        fe = f.eval_array(ends)
+        vals = f.eval_array(points)
     except EvalError as err:
-        err.index = samples.first_index(err.index)
-        raise
-    grid, idx = samples.fine_grid()
-    nx, nr = len(samples.gx), len(samples.rx)
-    at = np.concatenate([grid, _mix(samples.rt, ends[nx:nx + nr], ends[nx + nr:])])
-    try:
-        fm = f.eval_array(at)
-    except EvalError:
-        fm = None
-    if fm is None or log_space and not (fm > 0).all():
+        if err.index < k:  # at an end, where the flat triples meet it first
+            err.index = samples.first_index(err.index)
+            raise
+        vals = None
+    if vals is None or log_space and not (vals[k:] > 0).all():
         # every grid point is a lattice mix: the flat mixes raise the failure
         # where the triples first meet it, with its triple index
-        at = np.concatenate([grid[idx], at[len(grid):]])
-        fm = f.eval_array(at)
+        at = np.concatenate([points[k:g][idx], points[g:]])
+        fm = f.eval_array(at)  # raises whenever the call on the points did
+        fe = vals[:k]
+    else:
+        at, fe, fm = points[k:], vals[:k], vals[k:]
     if log_space:
-        _require_positive_values(fe, ends)
+        _require_positive_values(fe, points[:k])
         _require_positive_values(fm, at)
     return fe, fm, idx
 
@@ -738,8 +783,12 @@ def _chain_links(f, samples: SampleSet, tolerance: float, phi: PhiMap | None = N
 def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
                        sampler: SamplePlan, seed: int, tolerance: float,
                        log_space: bool) -> EquivalenceReport:
+    """Both sides of a chord check; see :func:`check_log_phi_chord_equivalence`."""
     if pair_count < 0:
         raise ValueError(f"pair_count must be >= 0, got {pair_count}")
+    if pair_count * sampler.t_points > MAX_SAMPLES:
+        raise ValueError(f"{pair_count} pairs give {pair_count * sampler.t_points} direct "
+                         f"triples, more than {MAX_SAMPLES}")
     if pair_count == 0:
         return EquivalenceReport(kind, True, 0, VERDICT_HOLDS, VERDICT_HOLDS, None, seed)
 
@@ -759,21 +808,23 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
                        np.repeat(py, sampler.t_points), np.tile(unit.gt, pair_count))
     direct_verdict = _judge(_margins(f, direct, log_space), direct, tolerance)[0]
 
-    # segment side: each pair induces g(t) = f(t*phi(x) + (1-t)*phi(y)) on [0, 1]
-    bad_pairs = []
+    # segment side: each pair induces g(t) = f(t*phi(x) + (1-t)*phi(y)) on
+    # [0, 1]; the first violated g settles the side, and no later pair runs
+    bad_pair = None
     for i in range(pair_count):
         seg = _Segment(f, px[i], py[i])
         if log_space:
             _require_positivity(seg, _UNIT)
         if _run_check(kind, seg, unit, tolerance, log_space).verdict == VERDICT_VIOLATED:
-            bad_pairs.append((float(pair_x[i]), float(pair_y[i])))
-    segment_verdict = VERDICT_VIOLATED if bad_pairs else VERDICT_HOLDS
+            bad_pair = float(pair_x[i]), float(pair_y[i])
+            break
+    segment_verdict = VERDICT_HOLDS if bad_pair is None else VERDICT_VIOLATED
 
     # a pair's direct margins are, bit for bit, its segment margins at lattice
     # (x, y) = (1, 0): only a segment can fail alone, so it names a disagreement
     agree = direct_verdict == segment_verdict
     return EquivalenceReport(kind, agree, pair_count, direct_verdict, segment_verdict,
-                             None if agree else bad_pairs[0], seed)
+                             None if agree else bad_pair, seed)
 
 
 def check_log_phi_chord_equivalence(f, phi: PhiMap, pair_count: int,
@@ -782,7 +833,18 @@ def check_log_phi_chord_equivalence(f, phi: PhiMap, pair_count: int,
                                     tolerance: float = DEFAULT_TOLERANCE,
                                     ) -> EquivalenceReport:
     """Empirical biconditional: the multiplicative bound along phi holds on
-    sampled triples iff every induced chord map g is log-convex on [0, 1]."""
+    sampled triples iff every induced chord map g is log-convex on [0, 1].
+
+    ``pair_count`` seeded pairs (x, y) of the domain are drawn.  The direct
+    side tests the bound at every pair crossed with the plan's t axis.  The
+    segment side certifies each g(t) = f(t*phi(x) + (1-t)*phi(y)) as
+    :func:`check_log_convex` would, on the plan's samples of [0, 1], pair
+    by pair, and stops at the first violated g, which is the one a
+    disagreement names.  So a pair after it is not checked: where f is not
+    positive only on such a pair's segment, off the domain's positivity
+    grid and the direct side's points, no ``PositivityViolated`` is raised.
+    ``pair_count * sampler.t_points`` may not exceed ``MAX_SAMPLES``.
+    """
     _require_positivity(f, phi.domain)
     return _chord_equivalence("log_phi", f, phi, pair_count, sampler, seed,
                               tolerance, log_space=True)
@@ -793,6 +855,9 @@ def check_phi_chord_equivalence(f, phi: PhiMap, pair_count: int,
                                 seed: int = 0, *,
                                 tolerance: float = DEFAULT_TOLERANCE,
                                 ) -> EquivalenceReport:
-    """Additive analogue of :func:`check_log_phi_chord_equivalence` (plain convexity)."""
+    """Additive analogue of :func:`check_log_phi_chord_equivalence` (plain
+    convexity, each g certified as :func:`check_convex` would), with the same
+    draw, the same stop at the first violated g and the same bound on
+    ``pair_count``."""
     return _chord_equivalence("phi", f, phi, pair_count, sampler, seed,
                               tolerance, log_space=False)

@@ -409,6 +409,52 @@ class TestChordEquivalences:
                 SamplePlan(x_points=5, t_points=5, random_count=8, seed=0))
         assert check_log_phi_chord_equivalence(*args, seed=9) == check_log_phi_chord_equivalence(*args, seed=9)
 
+    @pytest.mark.parametrize("check", [check_phi_chord_equivalence,
+                                       check_log_phi_chord_equivalence])
+    def test_first_violated_pair_ends_the_segment_side(self, check, monkeypatch):
+        # sqrt is concave: the first pair's chord map is violated already
+        calls = []
+        run_check = convexity._run_check
+        monkeypatch.setattr(convexity, "_run_check",
+                            lambda *args, **kw: calls.append(args[1]) or run_check(*args, **kw))
+        rep = check(parse("sqrt(x + 1)"), PhiMap.identity(UNIT), 8, SMALL, seed=3)
+        assert rep.segment_verdict == rep.direct_verdict == VERDICT_VIOLATED
+        assert rep.pairs_tested == 8
+        assert len(calls) == 1 and isinstance(calls[0], convexity._Segment)
+
+    def test_positivity_after_the_first_violated_pair_goes_unseen(self):
+        # f is 0 at one point of the second pair's positivity grid only, off
+        # the domain's grid and the direct side's points: the first pair's
+        # chord map is violated, so the second pair is never checked
+        plan = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
+        phi = PhiMap.identity(UNIT)
+        pair_x, pair_y, _, _, _ = _ref_direct_triples(phi, 3, plan, seed=6)
+        second = _RefSegment(parse("x"), pair_x[1], pair_y[1])
+        c = float(second.eval_array(np.linspace(0.0, 1.0, convexity.POSITIVITY_GRID + 1))[100])
+        f = parse(f"abs(x - {c!r})")
+        assert check_positive(f, UNIT).ok
+        assert not check_positive(convexity._Segment(f, pair_x[1], pair_y[1]), UNIT).ok
+        rep = check_log_phi_chord_equivalence(f, phi, 3, plan, seed=6)
+        assert rep.segment_verdict == VERDICT_VIOLATED
+        assert rep.disagreeing_pair == (float(pair_x[0]), float(pair_y[0]))
+        assert rep == _ref_chord_equivalence(f, phi, 3, plan, 6, log_space=True)
+
+    def test_pair_count_is_bounded_before_any_draw(self):
+        import tracemalloc
+
+        plan = SamplePlan()
+        pair_count = MAX_SAMPLES // plan.t_points + 1
+        tracemalloc.start()
+        try:
+            for check in (check_phi_chord_equivalence, check_log_phi_chord_equivalence):
+                with pytest.raises(ValueError, match=f"more than {MAX_SAMPLES}"):
+                    check(parse("exp(x)"), PhiMap.identity(UNIT), pair_count, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pair draw alone would take 2 * 8 bytes per pair, about 4 MB
+        assert peak < 2**20
+
 
 # ----------------------------- flat reference engine -------------------------
 # The margin engine as it was before the sample set was stored factored:
@@ -616,6 +662,8 @@ def _ref_chord_equivalence(f, phi, pair_count, plan, seed, log_space,
     direct_violated = _ref_margins(f, np.repeat(px, plan.t_points), np.repeat(py, plan.t_points),
                                    ts, log_space) < -tolerance
     direct_verdict = VERDICT_VIOLATED if direct_violated.any() else VERDICT_HOLDS
+    # the segment side stops at its first violated pair: a later pair's
+    # positivity failure is not raised
     segment_verdict, first_bad = VERDICT_HOLDS, None
     for i in range(pair_count):
         seg = _RefSegment(f, px[i], py[i])
@@ -623,8 +671,8 @@ def _ref_chord_equivalence(f, phi, pair_count, plan, seed, log_space,
             _ref_require_positivity(seg, UNIT)
         if _ref_run_check(seg, (0.0, 1.0), plan, log_space)[0] == VERDICT_VIOLATED:
             segment_verdict = VERDICT_VIOLATED
-            if first_bad is None:
-                first_bad = (float(pair_x[i]), float(pair_y[i]))
+            first_bad = (float(pair_x[i]), float(pair_y[i]))
+            break
     agree = direct_verdict == segment_verdict
     disagreeing = None
     if not agree:
@@ -907,6 +955,41 @@ class TestPhiReduction:
         xs, miss = phi.preimage(us)
         assert xs.tobytes() == us.tobytes() and (miss == 0).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-12.0, 2.0))
+        .map(lambda aw: Interval(aw[0], aw[0] + 10.0**aw[1])),
+        st.sampled_from([Interval(-1.0, -0.0), Interval(-0.0, 1.0), Interval(-0.5, 0.5)]),
+    ), st.data())
+    def test_identity_preimage_is_the_general_path_bit_for_bit(self, domain, data):
+        # the identity answers without refining; "1*x" is no bare variable,
+        # so it takes the rounds.  u is drawn as a witness end is, a point of
+        # the range at its own scale, or its ends, a zero, or a point beyond
+        # them (test_identity_preimage_below_the_scale_of_the_rounds has u
+        # far below that scale)
+        lo, hi = PhiMap.identity(domain).range
+        us = data.draw(st.lists(st.one_of(
+            st.floats(0.0, 1.0).map(lambda r: lo + (hi - lo) * r),
+            st.sampled_from([lo, hi, 0.0, -0.0]),
+            st.floats(0.0, 1.0).flatmap(lambda d: st.sampled_from([lo - d, hi + d]))),
+            min_size=1))
+        got = PhiMap.identity(domain).preimage(us)
+        want = PhiMap(parse("1*x"), domain).preimage(us)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_identity_preimage_below_the_scale_of_the_rounds(self):
+        # a negative u far below the domain's scale, in a bracket that ends at
+        # 0: the rounds stop 2**24 subnormal ulps below 0, within the slack;
+        # the identity gives u itself
+        domain = Interval(-0.5, 0.5)
+        us = [-1e-100, -2.2e-308]
+        xs, miss = PhiMap.identity(domain).preimage(us)
+        assert xs.tolist() == us and (miss == 0).all()
+        xs, miss = PhiMap(parse("1*x"), domain).preimage(us)
+        assert xs.tolist() == [-2.0**24 * 2.0**-1074] * 2
+        assert (0 < miss).all() and (miss < 1e-99).all()
+
     @pytest.mark.parametrize("phi_text", ["2.5 - x", "0.5 + 0.5*(x - 0.5)",
                                           "0.5 + 1.5*((x - 0.5)/1.5)^0.6"])
     def test_preimage_is_within_one_float(self, phi_text):
@@ -1139,6 +1222,27 @@ class TestFineGrid:
                 fe, fm, got_idx = convexity._values(f, samples, log_space)
                 assert got_idx is idx
                 assert fm[idx].tobytes() == f.eval_array(lattice_mix).tobytes()
+
+    @pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(x_points=6, t_points=5, seed=3)])
+    def test_one_call_of_f_per_clean_set(self, plan):
+        class Counted:
+            def __init__(self, f):
+                self.f, self.calls = f, 0
+
+            def eval_array(self, xs):
+                self.calls += 1
+                return self.f.eval_array(xs)
+
+        samples = plan.samples(Interval(0.5, 2.0))
+        xs, ys, ts = triples(samples)
+        lattice_mix = _ref_lattice_mix(plan.x_points, plan.t_points, 0.5, 2.0)
+        for log_space in (False, True):
+            for _ in range(2):  # the second call reads the kept points
+                f = Counted(parse("exp(x) + x^2"))
+                got = convexity._margins(f, samples, log_space)
+                assert f.calls == 1
+                want = _ref_margins(f.f, xs, ys, ts, log_space, lattice_mix)
+                assert got.tobytes() == want.tobytes()
 
     def test_failure_at_a_grid_point_reported_at_its_first_triple(self):
         plan = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
