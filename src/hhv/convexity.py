@@ -355,8 +355,12 @@ class PhiMap:
         closed (φ hits u at an end, or no float lies inside), or after
         ``_PREIMAGE_ROUNDS``.  The secant point settles a smooth φ in about
         three rounds and the identity in one; the uniform points shrink any
-        bracket ``len(_UNIFORM) + 1`` times per round.  A bracket on which φ
-        cannot be evaluated stays as it is.  For φ the bare variable, x is u
+        bracket ``len(_UNIFORM) + 1`` times per round.  A bracket that is
+        still open after ``_PREIMAGE_ROUNDS`` gives its nearer end, and the
+        miss is that end's |φ(x) - u|: for ``1*x`` on [-0.5, 0.5], u = -1e-100
+        lies far below the scale of the rounds, and x is -8.3e-317 with miss
+        1e-100, although x = u would hit.  A bracket on which φ cannot be
+        evaluated stays as it is.  For φ the bare variable, x is u
         itself, clipped to the range, with no round, as the rounds find it:
         a zero is 0.0, or -0.0 where the domain ends at -0.0.
         """

@@ -10,6 +10,11 @@ The full grammar is published as EBNF in docs/grammar.ebnf.
 Evaluation never returns a silent NaN: every point either yields a finite
 real or raises a typed :class:`~hhv.errors.DomainError` /
 :class:`~hhv.errors.Overflow` carrying the offending abscissa.
+
+A constant integer exponent k, 2 <= k <= 8, is evaluated as rounded
+products (binary powering), with relative error at most (k-1)·2**-53 and the
+same bits on every CPU; every other exponent goes through numpy's general
+power, whose last bit depends on the SIMD code numpy dispatches to.
 """
 from __future__ import annotations
 
@@ -303,6 +308,12 @@ def serialize(node: Node) -> str:
 
 # ----------------------------- evaluation -----------------------------------
 
+# x^k for the constant exponents evaluated as products: after p = x*x, "s"
+# squares p and "m" multiplies it by x (left-to-right binary powering).  The
+# keys are floats, as a constant exponent reaches _walk.
+_PRODUCT_POWERS = {2.0: "", 3.0: "m", 4.0: "s", 5.0: "sm", 6.0: "ms", 7.0: "msm", 8.0: "ss"}
+
+
 def _walk(node: Node, x: np.ndarray, guards: list[tuple[np.ndarray, str]]) -> np.ndarray | float:
     # Constant subtrees stay Python floats: IEEE-754 arithmetic on them and
     # numpy's on broadcast arrays agree bit for bit.  An array is built only
@@ -351,11 +362,25 @@ def _walk(node: Node, x: np.ndarray, guards: list[tuple[np.ndarray, str]]) -> np
             guards.append((rv == 0, "division by zero"))
             return lv / rv
         if op == "^":
+            if type(rv) is float and rv in _PRODUCT_POWERS:
+                # rounded products in place of np.power, whose last bit
+                # follows its SIMD dispatch: relative error at most
+                # (k-1)*2**-53, the same bits on every CPU, and a constant
+                # base stays a float.  A finite base has no domain failure
+                # and an overflow is inf, so no guard is needed.  p is a new
+                # value, so the steps may update it in place.
+                p = lv * lv
+                for step in _PRODUCT_POWERS[rv]:
+                    if step == "s":
+                        p *= p
+                    else:
+                        p *= lv
+                return p
             if type(lv) is float:
                 lv = np.full_like(x, lv)
             if type(rv) is float:
-                # a scalar exponent would take numpy's square/sqrt/reciprocal
-                # fast paths, which round differently from the general power
+                # a scalar exponent would take numpy's sqrt/reciprocal fast
+                # paths (0.5, -1), which round differently from the general power
                 r, rv = rv, np.full_like(x, rv)
                 if not (r.is_integer() or math.isinf(r)):
                     guards.append((lv < 0, "negative base with non-integer exponent"))

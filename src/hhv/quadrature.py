@@ -71,6 +71,7 @@ GAUSS_WEIGHTS = _TABLE[:, 2].copy()
 # one product gives K15 and K15 - G7, another the rounding floor
 _SUMS = np.stack((KRONROD_WEIGHTS, KRONROD_WEIGHTS - GAUSS_WEIGHTS), axis=1)
 _FLOOR_WEIGHTS = ROUNDING_FLOOR * KRONROD_WEIGHTS
+_TINY = float(np.finfo(float).tiny)  # the least normal float
 for _table in (NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS, _SUMS, _FLOOR_WEIGHTS):
     _table.flags.writeable = False
 
@@ -109,10 +110,10 @@ def integrate(
     refers to as ``min_magnitude``.  Raises
     :class:`~hhv.errors.MaxDepthExceeded` if a panel of depth ``max_depth``
     (width ``(b - a) / 2**max_depth``) misses its share, or if a panel's
-    rounding floor ``50*eps*M`` alone exceeds its share, at that panel's
-    depth: a ``tol`` below ``50*eps`` fails on the first call, and an
-    integrable singularity fails loudly rather than returning a best
-    effort.  Its
+    rounding floor ``50*eps*M`` alone exceeds its share, while that share is
+    a normal float, at that panel's depth: a ``tol`` below ``50*eps`` fails
+    on the first call, and an integrable singularity fails loudly rather
+    than returning a best effort.  Its
     subclass :class:`~hhv.errors.OpenPanelLimitExceeded` if the next level
     would hold more than ``MAX_OPEN_PANELS`` panels.  A non-finite integrand
     value or panel sum raises :class:`~hhv.errors.Overflow`.
@@ -147,8 +148,9 @@ def integrate(
                 break
             # a panel whose rounding floor alone misses its share is never
             # accepted: its children's floors sum to about its own, on half
-            # the share each, so one of them misses too
-            if floor.max() > budget:
+            # the share each, so one of them misses too.  A subnormal share
+            # is rounded too coarsely for that, and the loop goes on.
+            if budget >= _TINY and floor.max() > budget:
                 i = int(np.argmax(floor > budget))
                 raise MaxDepthExceeded(float(centers[i] - half), float(centers[i] + half), depth)
             if accepted:

@@ -980,15 +980,17 @@ class TestPhiReduction:
 
     def test_identity_preimage_below_the_scale_of_the_rounds(self):
         # a negative u far below the domain's scale, in a bracket that ends at
-        # 0: the rounds stop 2**24 subnormal ulps below 0, within the slack;
-        # the identity gives u itself
+        # 0: the rounds stop 2**24 subnormal ulps below 0, within the slack,
+        # and the miss is the true one at that end; the identity gives u itself
         domain = Interval(-0.5, 0.5)
         us = [-1e-100, -2.2e-308]
         xs, miss = PhiMap.identity(domain).preimage(us)
         assert xs.tolist() == us and (miss == 0).all()
-        xs, miss = PhiMap(parse("1*x"), domain).preimage(us)
+        phi = PhiMap(parse("1*x"), domain)
+        xs, miss = phi.preimage(us)
         assert xs.tolist() == [-2.0**24 * 2.0**-1074] * 2
         assert (0 < miss).all() and (miss < 1e-99).all()
+        assert miss.tobytes() == np.abs(phi.phi.eval_array(xs) - us).tobytes()
 
     @pytest.mark.parametrize("phi_text", ["2.5 - x", "0.5 + 0.5*(x - 0.5)",
                                           "0.5 + 1.5*((x - 0.5)/1.5)^0.6"])

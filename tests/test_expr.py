@@ -2,6 +2,7 @@ import gc
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -184,6 +185,44 @@ class TestEvaluate:
 _REF_CONSTANTS = {"e": math.e, "pi": math.pi}
 
 
+def _ref_constant(node):
+    """The float that evaluate_array keeps for a constant subtree, or None
+    where it builds an array: for x, exp, ln, sqrt, a division by a zero
+    constant and a power whose exponent is not a constant 2 to 8."""
+    if isinstance(node, Num):
+        return float(node.value)
+    if isinstance(node, Const):
+        return _REF_CONSTANTS[node.name]
+    if isinstance(node, Unary) and node.op in ("neg", "abs"):
+        v = _ref_constant(node.arg)
+        return None if v is None else (-v if node.op == "neg" else abs(v))
+    if isinstance(node, Binary):
+        lv, rv = _ref_constant(node.left), _ref_constant(node.right)
+        if lv is None or rv is None:
+            return None
+        if node.op == "^":
+            return _ref_power(lv, int(rv)) if rv in range(2, 9) else None
+        if node.op == "/":
+            return lv / rv if rv != 0 else None
+        if node.op == "+":
+            return lv + rv
+        if node.op == "-":
+            return lv - rv
+        return lv * rv
+    return None
+
+
+def _ref_power(base, k):
+    """base**k by left-to-right binary powering: for each bit of k below the
+    leading one, square, then multiply by base where the bit is set."""
+    p = base
+    for bit in bin(k)[3:]:
+        p = p * p
+        if bit == "1":
+            p = p * base
+    return p
+
+
 def _ref_walk(node, x, guards):
     if isinstance(node, Num):
         return np.full_like(x, node.value)
@@ -224,6 +263,9 @@ def _ref_walk(node, x, guards):
             frac_exp = rv != np.round(rv)
             guards.append((neg_base & frac_exp, "negative base with non-integer exponent"))
             guards.append(((lv == 0) & (rv < 0), "zero raised to a negative exponent"))
+            k = _ref_constant(node.right)
+            if k in range(2, 9):
+                return _ref_power(lv, int(k))
             safe = np.where(neg_base & frac_exp, np.nan, lv)
             return np.power(safe, rv)
         raise AssertionError(op)
@@ -305,11 +347,23 @@ class TestGuardElision:
         assert err is None
         assert list(vals) == [9.0, 0.0, 2.25]
 
-    @pytest.mark.parametrize("text", ["x^2", "x^0.5", "x^-1"])
+    def test_square_is_the_product(self):
+        # the bits of x*x, which numpy's x**2 and the chains' squares also give
+        xs = np.linspace(-3.7, 3.7, 257)
+        vals, err = _assert_matches_reference(parse("x^2"), xs)
+        assert err is None and vals.tobytes() == (xs * xs).tobytes()
+
+    @pytest.mark.parametrize("text", ["x^0.5", "x^-1"])
     def test_constant_exponent_avoids_scalar_fast_paths(self, text):
-        # numpy's square/sqrt/reciprocal paths for these scalar exponents
-        # differ from the general power in the last bit on ~5% of points
+        # numpy's sqrt/reciprocal paths for these scalar exponents differ
+        # from the general power in the last bit on ~5% of points
         _assert_matches_reference(parse(text), np.linspace(0.01, 3.7, 257))
+
+    @pytest.mark.parametrize("text, k", [("x^9", 9.0), ("x^-2", -2.0)])
+    def test_other_exponents_take_the_general_power(self, text, k):
+        xs = np.linspace(0.01, 3.7, 257)
+        vals, err = _assert_matches_reference(parse(text), xs)
+        assert err is None and vals.tobytes() == np.power(xs, np.full_like(xs, k)).tobytes()
 
     @pytest.mark.parametrize("text, xs, reason, index", [
         ("x^-2", [1.0, 0.0], "zero raised to a negative exponent", 1),
@@ -338,6 +392,70 @@ class TestGuardElision:
         assert isinstance(vals, np.ndarray) and vals.dtype == np.float64
         assert vals.shape == xs.shape
         assert (vals == value).all()
+
+
+_FMAX = float(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)  # the least normal float
+# |x^k| rounds to inf from 2**1024 - 2**970, half an ulp above _FMAX
+with mpmath.workprec(64):
+    _OVERFLOW = mpmath.mpf(2) ** 1024 - mpmath.mpf(2) ** 970
+
+
+@st.composite
+def _power_cases(draw):
+    """(k, bases) for x^k: signed zeros, subnormals, bases near the underflow
+    and overflow thresholds of x^k and anywhere in the float range, of
+    either sign."""
+    k = draw(st.integers(min_value=2, max_value=8))
+    magnitudes = st.one_of(
+        st.sampled_from([0.0, 5e-324, _TINY, 1.0, _FMAX]),
+        st.floats(min_value=0.0, max_value=_TINY),
+        st.floats(min_value=0.0, max_value=_FMAX),
+        st.floats(min_value=0.999, max_value=1.001).map(lambda s: s * _TINY ** (1 / k)),
+        st.floats(min_value=0.999, max_value=1.001).map(lambda s: s * _FMAX ** (1 / k)),
+    )
+    signed = st.tuples(magnitudes, st.booleans()).map(lambda mn: -mn[0] if mn[1] else mn[0])
+    return k, draw(st.lists(signed, min_size=1, max_size=33))
+
+
+class TestIntegerPowerOracle:
+    """x^k for k = 2..8 against mpmath.  Where x^k is a normal float, the
+    products' relative error is at most (k-1)*2**-53, the first-order form
+    of Higham's product bound γ_{k-1}; where it is subnormal or underflows,
+    each of the k-1 products may also lose an ulp of the subnormal range.
+    The sign is exact, of a zero too, and Overflow is raised where np.power
+    overflows, at the same index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_power_cases())
+    def test_products_are_within_the_product_bound(self, case):
+        k, bases = case
+        with mpmath.workprec(600):  # x^k of a float is exact in 8*53 bits
+            exact = [mpmath.mpf(b) ** k for b in bases]
+            # within 2**-40 of the threshold the rounding of either power may
+            # decide whether x^k overflows
+            edge = [abs(abs(e) / _OVERFLOW - 1) < mpmath.mpf(2) ** -40 for e in exact]
+        cases = [(b, e) for b, e, near in zip(bases, exact, edge) if not near]
+        assume(cases)
+        xs = np.array([b for b, _ in cases])
+        with np.errstate(all="ignore"):
+            over = ~np.isfinite(np.power(xs, np.full_like(xs, k)))
+        f = parse(f"x^{k}")
+        if over.any():
+            i = int(over.argmax())
+            with pytest.raises(Overflow) as exc:
+                evaluate_array(f, xs)
+            assert exc.value.index == i and exc.value.x == xs[i]
+        got = evaluate_array(f, xs[~over])
+        finite = [c for c, o in zip(cases, over) if not o]
+        with mpmath.workprec(600):
+            for g, (b, e) in zip(got, finite):
+                assert np.signbit(g) == (np.signbit(b) and k % 2 == 1)
+                err = abs(mpmath.mpf(float(g)) - e)
+                if abs(e) >= _TINY:
+                    assert err <= (k - 1) * mpmath.mpf(2) ** -53 * abs(e)
+                else:
+                    assert err <= (k - 1) * (mpmath.mpf(2) ** -53 * abs(e) + mpmath.mpf(2) ** -1074)
 
 
 class TestCheckPositive:
