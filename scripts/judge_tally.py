@@ -11,8 +11,12 @@ id, a search's target), the totals, and the first few jobs that are not
 ``right``.  ``known`` is the rounding-band defect class the reference names
 apart from ``wrong``.  Then prints, for each seed, ``worker.digest`` of the
 records of its jobs in run order: two trees whose digests match gave the
-same record, bit for bit, on every job.  Exits 1 when any job is ``wrong``
-or ``error``.
+same record, bit for bit, on every job.  Last, for each seed, prints
+``verdicts seed N: <sha256>``, a digest of the verdict fields alone (a
+check's or a chain's verdict, each link's verdict, a chord check's direct,
+segment and agree): two runs whose margins differ in their last bits, as on CPUs with
+different SIMD code, still print the same line when every verdict agrees.
+Exits 1 when any job is ``wrong`` or ``error``.
 
 Runs from the root of a source checkout; ``hhv`` is imported from ``src/``.
 """
@@ -47,6 +51,19 @@ def job_class(spec: dict) -> str:
     return f"search:{spec['target']}"
 
 
+def verdicts(rec: dict):
+    """The verdict fields of a record: a check's or a chain's verdict, each
+    link's verdict, a chord check's direct, segment and agree; None for
+    other records."""
+    if rec["kind"] in ("check", "chain"):
+        return rec["verdict"]
+    if rec["kind"] == "implication":
+        return [link[1] for link in rec["links"]]
+    if rec["kind"] == "chord":
+        return [rec["direct"], rec["segment"], rec["agree"]]
+    return None
+
+
 def judge_pass(workload: str, seed: int, rep: int, tally: dict, cases: list,
                records: list) -> None:
     specs, calls = worker.build(workload, seed, rep)
@@ -71,11 +88,13 @@ def main() -> int:
     tally: dict[str, Counter] = {}
     cases: list[dict] = []
     digests: dict[int, str] = {}
+    verdict_digests: dict[int, str] = {}
     for seed in args.seeds:
         records: list[dict] = []
         for rep in PASSES:
             judge_pass(args.workload, seed, rep, tally, cases, records)
         digests[seed] = worker.digest(records)
+        verdict_digests[seed] = worker.digest([verdicts(rec) for rec in records])
 
     total = sum(tally.values(), Counter())
     width = max(len(name) for name in [*tally, "total"])
@@ -85,6 +104,8 @@ def main() -> int:
         print(f"{name:<{width}}  " + "  ".join(f"{counts[s]:>6}" for s in STATUSES))
     for seed, digest in digests.items():
         print(f"digest seed {seed}: {digest}")
+    for seed, digest in verdict_digests.items():
+        print(f"verdicts seed {seed}: {digest}")
     bad = [c for c in cases if c["status"] in ("wrong", "error")]
     for case in (bad or cases)[:SHOWN]:
         print(json.dumps(case))

@@ -110,8 +110,10 @@ _FLAGS = (
      "quadrature tolerance, relative to the integral of |f| (default 1e-10)", None),
     (_RUN, "--tol", "tolerance", "margin tolerance: absolute for a class (default 1e-9); for "
      "a chain relative to the larger adjacent term (default 1e-8)", None),
-    (("check", "search"), "--grid-x", "grid_x", "x lattice size", None),
-    (("check", "search"), "--grid-t", "grid_t", "t lattice size (odd)", None),
+    (("check", "search"), "--grid-x", "grid_x",
+     "x points: the fine grid has (grid-x - 1)*(grid-t - 1) steps", None),
+    (("check", "search"), "--grid-t", "grid_t",
+     "t axis size (odd): the t values of the widest chord; also sizes the fine grid", None),
     (("check", "search"), "--samples", "samples", "random triples per check", None),
     (_RUN + ("report",), "--format", "output_format", "stdout format", ("json", "csv", "human")),
     (("chain",), "--diagnostics", "diagnostics", "include proof-intermediate diagnostic terms",

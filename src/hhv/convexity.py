@@ -1,13 +1,16 @@
 """Sampling-based certifiers for convexity classes and their margins.
 
 Each certifier evaluates the defining inequality of its class on a
-deterministic lattice of (x, y, t) triples unioned with counter-based
+deterministic set of (x, y, t) triples unioned with counter-based
 pseudo-random triples, reports the minimum signed margin (right side
 minus left side), and returns the smallest-index witness on violation.
 A positive verdict is always ``holds_on_samples``; sampling cannot prove
-a universally quantified inequality.  The lattice is stored as one fine
-grid: its x axis is every q-th grid point and each of its mixes is a grid
-point (:meth:`SampleSet.fine_grid`), so f runs once per grid point.
+a universally quantified inequality.  The deterministic triples are the
+dyadic second differences of one fine grid, Jensen's midpoint test at
+every point and every power-of-two half-width, plus the widest chord at
+every t of the plan's t axis (:class:`SampleSet`).  In exact arithmetic a
+grid whose adjacent second differences are non-negative is convex, so
+every chord between its points holds; f runs once per grid point.
 
 The φ classes are the plain classes on the range of φ.  For a continuous
 φ the pairs (φ(x), φ(y)) with x, y in D cover φ(D)², so f is (log-)φ-convex
@@ -92,13 +95,16 @@ def _philox(seed: int, stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Lattice sizes plus the count of seeded pseudo-random triples.
+    """The sizes of a sample set: its fine grid, its t axis and its count of
+    seeded pseudo-random triples.
 
-    The t grid must be odd so that it contains 0, 1/2, and 1; random
-    triples come from a counter-based generator keyed on (seed, index),
-    so a larger ``random_count`` extends rather than reshuffles the set.
-    A plan holds at most ``MAX_SAMPLES`` triples, so that its arrays fit in
-    memory.
+    The fine grid has n = (x_points - 1)*(t_points - 1) steps, and its dyadic
+    second differences are the set's midpoint triples.  The t axis, which
+    must be odd so that it holds 0, 1/2 and 1, is crossed with the widest
+    chord (b, a).  Random triples come from a counter-based generator keyed
+    on (seed, index), so a larger ``random_count`` extends rather than
+    reshuffles the set.  A plan holds at most ``MAX_SAMPLES`` triples
+    (:attr:`size`), so that its arrays fit in memory.
     """
 
     x_points: int = 33
@@ -118,7 +124,12 @@ class SamplePlan:
 
     @property
     def size(self) -> int:
-        return self.x_points**2 * self.t_points + self.random_count
+        """The count of triples: the differences of the grid of n steps, which
+        are n - 2k + 1 for each of the j dyadic k with 2k <= n, so
+        j*(n + 1) - 2*(2**j - 1) in all; the span row; the random triples."""
+        n = (self.x_points - 1) * (self.t_points - 1)
+        j = n.bit_length() - 1
+        return j * (n + 1) - 2 * (2**j - 1) + self.t_points + self.random_count
 
     def samples(self, interval: Interval) -> "SampleSet":
         """The sample set over ``interval``, stored factored, its arrays read-only.
@@ -139,15 +150,19 @@ class SampleTriple:
 
 
 class SampleSet(NamedTuple):
-    """Sample triples stored factored: the lattice's fine grid, then flat triples.
+    """Sample triples stored factored: a fine grid and a t axis, then flat triples.
 
-    With q = len(gt) - 1, the lattice axis :attr:`gx` is every q-th point of
-    ``fine``.  The triples, in order, are every (gx[i], gx[j], gt[k]) with k
-    varying fastest, then every (rx[m], ry[m], rt[m]).  A lattice abscissa
-    is a chord end of many triples, so functions of the ends are evaluated
-    once per entry of :meth:`ends` and broadcast by :meth:`pairwise`; every
-    lattice mix is a point of ``fine`` (:meth:`fine_grid`).  A flat set, such
-    as the chord check's direct side, has an empty grid and t axis.
+    With n = len(fine) - 1, the triples, in order, are:
+
+    * the grid's dyadic second differences, each the triple
+      (fine[c - k], fine[c + k], 1/2) for k = 1, 2, 4, ... with 2k <= n, k
+      ascending and then c (:func:`_differences`); its mix is fine[c];
+    * the span row, (fine[n], fine[0], gt[j]) for every j;
+    * every (rx[m], ry[m], rt[m]).
+
+    So f runs on the grid once and :meth:`pairwise` gathers the rest.  A
+    flat set, such as the chord check's direct side, has an empty grid and
+    t axis.
     """
 
     fine: np.ndarray
@@ -157,75 +172,31 @@ class SampleSet(NamedTuple):
     rt: np.ndarray
 
     @property
-    def gx(self) -> np.ndarray:  # a view: no set holds an axis off its grid
-        return self.fine[::max(len(self.gt) - 1, 1)]
-
-    @property
-    def lattice_size(self) -> int:
-        return len(self.gx) ** 2 * len(self.gt)
-
-    @property
     def size(self) -> int:
-        return self.lattice_size + len(self.rx)
+        return len(_differences(len(self.fine))[0]) + len(self.gt) + len(self.rx)
 
-    def ends(self) -> np.ndarray:
-        """The chord ends: the lattice axis, the random x, the random y."""
-        return np.concatenate([self.gx, self.rx, self.ry])
-
-    def first_index(self, k: int) -> int:
-        """Index of the triple at which ``ends()[k]`` is first met when every
-        x of the flat triples is visited before every y.
-
-        The map is monotone in ``k``, so the first failing end gives the
-        failing triple of that flat evaluation order.
-        """
-        nx, nr = len(self.gx), len(self.rx)
-        if k < nx:
-            return k * nx * len(self.gt)
-        if k < nx + nr:
-            return self.lattice_size + k - nx
-        return self.lattice_size + k - nx - nr
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every triple's x, y and t, in order."""
+        lo, _, hi = _differences(len(self.fine))
+        g, span = self.fine, len(self.gt)
+        return (np.concatenate([g[lo], np.repeat(g[-1:], span), self.rx]),
+                np.concatenate([g[hi], np.repeat(g[:1], span), self.ry]),
+                np.concatenate([np.full(len(lo), 0.5), self.gt, self.rt]))
 
     def point(self, i: int) -> SampleTriple:
         """The triple at index ``i``."""
-        if i < self.lattice_size:
-            gx, nt = self.gx, len(self.gt)
-            a, rest = divmod(i, len(gx) * nt)
-            b, k = divmod(rest, nt)
-            return SampleTriple(float(gx[a]), float(gx[b]), float(self.gt[k]))
-        m = i - self.lattice_size
-        return SampleTriple(float(self.rx[m]), float(self.ry[m]), float(self.rt[m]))
+        return SampleTriple(*(float(part[i]) for part in self.flat()))
 
-    def pairwise(self, fn, at_ends: np.ndarray) -> np.ndarray:
-        """``fn(t, v(x), v(y))`` for every triple, in order, from v at :meth:`ends`.
-
-        ``fn`` works elementwise, so the lattice part is the same IEEE
-        arithmetic on broadcast operands as on flattened ones.
-        """
-        nx, nr, nt = len(self.gx), len(self.rx), len(self.gt)
-        g = at_ends[:nx]
-        lattice = fn(self.gt[None, None, :], g[:, None, None], g[None, :, None])
-        rand = fn(self.rt, at_ends[nx:nx + nr], at_ends[nx + nr:])
-        return np.concatenate([np.broadcast_to(lattice, (nx, nx, nt)).reshape(-1), rand])
-
-    def fine_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """The grid that holds every lattice mix, and each mix's index in it.
-
-        With q = len(gt) - 1, the mix of lattice triple (gx[i], gx[j], gt[k])
-        is fine point q*j + k*(i - j) when gt is the plan's t axis, the points
-        k/q (:func:`_unit_grid`), and fine point (q/2)*(i + j) when every gt
-        is 1/2, as :func:`check_log_phi_midconvex` pins it; the grid is then
-        fine's every (q/2)-th point.  The axis is fine's every q-th point, so
-        a degenerate chord's mix is its end.  A flat set's t axis is empty,
-        and so are its grid and index.  Any other t axis raises ValueError.
-        """
-        nx, nt = len(self.gx), len(self.gt)
-        axis = _unit_grid(nt - 1)  # empty for a flat set, as its t axis is
-        if self.gt is axis or (self.gt == axis).all():
-            return self.fine, _fine_index(nx, nt, False)
-        if (self.gt == 0.5).all():
-            return self.fine[::(nt - 1) // 2], _fine_index(nx, nt, True)
-        raise ValueError("a lattice's t axis must be its plan's or every t 1/2")
+    def pairwise(self, fn, at_points: np.ndarray) -> np.ndarray:
+        """``fn(t, v(x), v(y))`` for every triple, in order, from v at the
+        set's points (:func:`_points`).  ``fn`` works elementwise."""
+        lo, _, hi = _differences(len(self.fine))
+        n, span, r = len(self.fine), len(self.gt), len(self.rx)
+        g, rand = at_points[:n], at_points[n + span:]
+        # the span row broadcasts its two ends, the same arithmetic per triple
+        span_row = np.broadcast_to(fn(self.gt, g[-1:], g[:1]), self.gt.shape)
+        return np.concatenate([fn(0.5, g[lo], g[hi]), span_row,
+                               fn(self.rt, rand[:r], rand[r:2 * r])])
 
 
 def _samples(plan: SamplePlan, a: float, b: float) -> SampleSet:
@@ -264,23 +235,26 @@ def _draw_samples(plan: SamplePlan, a: float, b: float, *_signs: float) -> Sampl
 @lru_cache(maxsize=8)
 def _unit_grid(n: int) -> np.ndarray:
     """The floats nearest m/n, m = 0, ..., n, read-only and shared: a plan's t
-    axis for n = t_points - 1, and the steps of its fine grid.  On [0, 1]
-    the grid's every (x_points - 1)-th point is then the t axis bit for bit,
-    as the chord check's direct side needs, and 1/2 is on the t axis."""
+    axis for n = t_points - 1, which then holds 0, 1/2 and 1 exactly, and
+    the steps of its fine grid."""
     grid = np.arange(n + 1) / n
     grid.flags.writeable = False
     return grid
 
 
 @lru_cache(maxsize=8)
-def _fine_index(nx: int, nt: int, pinned: bool) -> np.ndarray:
-    """Read-only index of each lattice mix in :meth:`SampleSet.fine_grid`, in
-    triple order; ``pinned`` for the t axis of 1/2s."""
-    i, j, k = np.ogrid[:nx, :nx, :nt]
-    idx = i + j + 0 * k if pinned else (nt - 1) * j + k * (i - j)
-    idx = idx.reshape(-1)
-    idx.flags.writeable = False
-    return idx
+def _differences(points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only indices (lo, mid, hi) = (c - k, c, c + k) of the dyadic second
+    differences of a grid of ``points`` points, for k = 1, 2, 4, ... with
+    2k <= points - 1, k ascending and then c; empty for an empty grid."""
+    ks = [1 << j for j in range(max(points - 1, 1).bit_length() - 1)]
+    none = [np.empty(0, np.intp)]
+    mid = np.concatenate([np.arange(k, points - k) for k in ks] + none)
+    half = np.concatenate([np.full(points - 2 * k, k) for k in ks] + none)
+    out = mid - half, mid, mid + half
+    for idx in out:
+        idx.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -502,16 +476,16 @@ def _larger(t, u, v):
 
 
 # one entry: every pair of a chord check and every trial of a search that
-# shares the domain's set reads it; kept as one (set, points, index) tuple, so
-# that no reader pairs one set's points with another set, and holding the set
+# shares the domain's set reads it; kept as one (set, points) pair, so that
+# no reader pairs one set's points with another set, and holding the set
 # keeps its id from passing to another
-_last_points: tuple[SampleSet, np.ndarray, np.ndarray] | None = None
+_last_points: tuple[SampleSet, np.ndarray] | None = None
 
 
-def _points(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
-    """The points f runs on for ``samples``, read-only: :meth:`SampleSet.ends`,
-    then the fine grid, then the random mixes (:func:`_mix`); and the index
-    that reads each lattice mix from the grid part (:meth:`SampleSet.fine_grid`).
+def _points(samples: SampleSet) -> np.ndarray:
+    """The points f runs on for ``samples``, read-only: the fine grid, the
+    span row's mixes, the random x, the random y, the random mixes
+    (:func:`_mix`).
 
     The last set's points are kept and handed out again while the same set
     object asks.  A new set, such as a flat or a pinned one, builds its own.
@@ -519,69 +493,52 @@ def _points(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
     global _last_points
     memo = _last_points
     if memo is not None and memo[0] is samples:
-        return memo[1], memo[2]
-    ends = samples.ends()
-    grid, idx = samples.fine_grid()
-    nx, nr = len(samples.gx), len(samples.rx)
-    points = np.concatenate([ends, grid, _mix(samples.rt, ends[nx:nx + nr], ends[nx + nr:])])
+        return memo[1]
+    g = samples.fine
+    points = np.concatenate([g, _mix(samples.gt, g[-1:], g[:1]), samples.rx, samples.ry,
+                             _mix(samples.rt, samples.rx, samples.ry)])
     points.flags.writeable = False
-    _last_points = samples, points, idx
-    return points, idx
+    _last_points = samples, points
+    return points
 
 
-def _values(f, samples: SampleSet,
-            log_space: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f at the chord ends and at the mixes (:func:`_mix`), in one call of
-    ``f.eval_array`` on the set's points (:func:`_points`).
+def _at_mixes(samples: SampleSet, at_points: np.ndarray) -> np.ndarray:
+    """The entries of ``at_points``, one per point of the set (:func:`_points`),
+    at every triple's mix, in order."""
+    n, span, r = len(samples.fine), len(samples.gt), len(samples.rx)
+    return np.concatenate([at_points[:n][_differences(n)[1]], at_points[n:n + span],
+                           at_points[len(at_points) - r:]])
 
-    Raises what evaluating f(x), f(y) and f(mix) over the flat triples, in
-    that order, raises first; an EvalError's index refers to the triples.
-    The ends come first among the points, so a failure there is the first;
-    a failure among the mixes, or a mix that is not positive in log space,
-    is raised again by evaluating the flat mixes.  Returns f at
-    :meth:`SampleSet.ends`, f at the fine grid (:meth:`SampleSet.fine_grid`)
-    and then at the random mixes, and the index that reads each lattice mix
-    from the grid part.
+
+def _values(f, samples: SampleSet, log_space: bool) -> np.ndarray:
+    """f at the set's points (:func:`_points`), in one call of ``f.eval_array``.
+
+    Raises what evaluating f over the flat triples raises first: f at every
+    x, then every y, then every mix, an EvalError's index the triple's; then,
+    in log space, the first value in that order that is not positive.  Only
+    that failure path evaluates the flat triples.
     """
-    points, idx = _points(samples)
-    nr = len(samples.rx)
-    k, g = len(samples.gx) + 2 * nr, len(points) - nr  # the ends; the ends and grid
+    points = _points(samples)
     try:
         vals = f.eval_array(points)
-    except EvalError as err:
-        if err.index < k:  # at an end, where the flat triples meet it first
-            err.index = samples.first_index(err.index)
-            raise
-        vals = None
-    if vals is None or log_space and not (vals[k:] > 0).all():
-        # every grid point is a lattice mix: the flat mixes raise the failure
-        # where the triples first meet it, with its triple index
-        at = np.concatenate([points[k:g][idx], points[g:]])
-        fm = f.eval_array(at)  # raises whenever the call on the points did
-        fe = vals[:k]
-    else:
-        at, fe, fm = points[k:], vals[:k], vals[k:]
-    if log_space:
-        _require_positive_values(fe, points[:k])
-        _require_positive_values(fm, at)
-    return fe, fm, idx
-
-
-def _less_mixes(chords: np.ndarray, fm: np.ndarray, idx: np.ndarray,
-                samples: SampleSet) -> np.ndarray:
-    """``chords`` less the values at the mixes, in place, each triple's from
-    ``fm`` as :func:`_values` gives it with ``idx``."""
-    n = samples.lattice_size
-    chords[:n] -= fm[idx]
-    chords[n:] -= fm[len(fm) - len(samples.rx):]
-    return chords
+        if not log_space or (vals > 0).all():
+            return vals
+    except EvalError:
+        pass
+    x, y, _ = samples.flat()
+    flat = x, y, _at_mixes(samples, points)
+    vals = [f.eval_array(at) for at in flat]
+    for v, at in zip(vals, flat):
+        if log_space:
+            _require_positive_values(v, at)
+    raise AssertionError("every point of a set is an end or a mix of its triples")
 
 
 def _margins(f, samples: SampleSet, log_space: bool) -> np.ndarray:
-    fe, fm, idx = _values(f, samples, log_space)
+    vals = _values(f, samples, log_space)
     if log_space:
-        fe, fm = np.log(fe), np.log(fm)
-    return _less_mixes(samples.pairwise(_chord, fe), fm, idx, samples)
+        vals = np.log(vals)
+    return samples.pairwise(_chord, vals) - _at_mixes(samples, vals)
 
 
 def _tolerance_rule(tolerance: float):
@@ -612,19 +569,11 @@ def _judge(margins: np.ndarray, samples: SampleSet,
 
 def _through(phi: PhiMap, samples: SampleSet) -> SampleSet:
     """The triples of ``samples`` with every end replaced by its image under
-    φ, range-checked, all as flat triples: the images of a lattice axis are
-    no axis of a fine grid.  An EvalError's index refers to the triples."""
-    try:
-        ends = phi.eval_array(samples.ends())
-    except EvalError as err:
-        err.index = samples.first_index(err.index)
-        raise
-    nx, nr, nt = len(samples.gx), len(samples.rx), len(samples.gt)
-    g, none = ends[:nx], np.empty(0)
-    return SampleSet(none, none,
-                     np.concatenate([np.repeat(g, nx * nt), ends[nx:nx + nr]]),
-                     np.concatenate([np.tile(np.repeat(g, nt), nx), ends[nx + nr:]]),
-                     np.concatenate([np.tile(samples.gt, nx * nx), samples.rt]))
+    φ, range-checked, all as flat triples: the images of a grid are no
+    grid.  An EvalError's index refers to the triples."""
+    x, y, t = samples.flat()
+    none = np.empty(0)
+    return SampleSet(none, none, phi.eval_array(x), phi.eval_array(y), t)
 
 
 def _run_check(class_checked, f, samples: SampleSet, tolerance,
@@ -736,8 +685,9 @@ def check_log_phi_convex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), *,
 def check_log_phi_midconvex(f, phi: PhiMap, sampler: SamplePlan = SamplePlan(), *,
                             tolerance: float = DEFAULT_TOLERANCE) -> ConvexityReport:
     """The t = 1/2 restriction of :func:`check_log_phi_convex`, on ``phi.range``
-    for a continuous φ, with its fallback where φ jumps; the sampler's t
-    component is ignored."""
+    for a continuous φ, with its fallback where φ jumps.  Every t is 1/2: the
+    differences are midpoint tests already, and the span row and the random
+    triples are pinned there."""
     _require_positivity(f, phi.domain)
     return _run_phi_check("log_phi_midconvex", f, phi, sampler, tolerance, log_space=True,
                           half_t=True)
@@ -771,14 +721,15 @@ def _chain_links(f, samples: SampleSet, tolerance: float, phi: PhiMap | None = N
     """The :class:`LinkCheck` of each link on ``samples``; with ``phi``, as
     :func:`_run_check` takes it."""
     on = samples if phi is None else _through(phi, samples)
-    fe, fm, idx = _values(f, on, log_space=True)
-    log_gm = on.pairwise(_chord, np.log(fe))
-    weighted_am = on.pairwise(_chord, fe)
+    vals = _values(f, on, log_space=True)
+    log_vals = np.log(vals)
+    log_gm = on.pairwise(_chord, log_vals)
+    weighted_am = on.pairwise(_chord, vals)
     am_gm = weighted_am - np.exp(log_gm)
     return [LinkCheck(name, *_judge(margins, samples, tolerance)) for name, margins in (
-        ("multiplicative_bound", _less_mixes(log_gm, np.log(fm), idx, on)),
+        ("multiplicative_bound", log_gm - _at_mixes(on, log_vals)),
         ("weighted_am_gm", am_gm),
-        ("max_bound", on.pairwise(_larger, fe) - weighted_am),
+        ("max_bound", on.pairwise(_larger, vals) - weighted_am),
     )]
 
 
@@ -804,11 +755,11 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
     py = phi.eval_array(pair_y)
 
     # one sample set for all pairs: each g is certified on it as check_convex
-    # or check_log_convex would, and the direct side takes its t lattice
+    # or check_log_convex would, and the direct side takes its t axis
     unit = sampler.samples(_UNIT)
-    # direct side on matched samples: the mapped pairs crossed with the t lattice
-    no_lattice = np.empty(0)
-    direct = SampleSet(no_lattice, no_lattice, np.repeat(px, sampler.t_points),
+    # direct side on matched samples: the mapped pairs crossed with the t axis
+    none = np.empty(0)
+    direct = SampleSet(none, none, np.repeat(px, sampler.t_points),
                        np.repeat(py, sampler.t_points), np.tile(unit.gt, pair_count))
     direct_verdict = _judge(_margins(f, direct, log_space), direct, tolerance)[0]
 
@@ -824,8 +775,9 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
             break
     segment_verdict = VERDICT_HOLDS if bad_pair is None else VERDICT_VIOLATED
 
-    # a pair's direct margins are, bit for bit, its segment margins at lattice
-    # (x, y) = (1, 0): only a segment can fail alone, so it names a disagreement
+    # a pair's direct margins are, bit for bit, its segment margins on the
+    # span row (x, y) = (1, 0): only a segment can fail alone, so it names a
+    # disagreement
     agree = direct_verdict == segment_verdict
     return EquivalenceReport(kind, agree, pair_count, direct_verdict, segment_verdict,
                              None if agree else bad_pair, seed)

@@ -20,12 +20,31 @@ UNIT = Interval(0.0, 1.0)
 SMALL = SamplePlan(x_points=9, t_points=9, random_count=64, seed=1)
 
 
+def _dyadic_centres(n):
+    """(c, k) of every dyadic second difference of a grid of n steps, in order:
+    k = 1, 2, 4, ... with 2k <= n, then c = k, ..., n - k."""
+    k = 1
+    while 2 * k <= n:
+        yield from ((c, k) for c in range(k, n - k + 1))
+        k *= 2
+
+
 def triples(samples: SampleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every triple of ``samples`` as flat (x, y, t) arrays, in order."""
-    x, y, t = np.meshgrid(samples.gx, samples.gx, samples.gt, indexing="ij")
-    return (np.concatenate([x.ravel(), samples.rx]),
-            np.concatenate([y.ravel(), samples.ry]),
-            np.concatenate([t.ravel(), samples.rt]))
+    """Every triple of ``samples`` as flat (x, y, t) arrays, in order, built
+    point by point: the grid's differences, the span row, the random triples."""
+    g, n = samples.fine, len(samples.fine) - 1
+    diffs = list(_dyadic_centres(n))
+    span = [(g[n], g[0], t) for t in samples.gt]
+    grid = [(g[c - k], g[c + k], 0.5) for c, k in diffs] + span
+    x, y, t = (np.array([p[i] for p in grid], dtype=float) for i in range(3))
+    return (np.concatenate([x, samples.rx]), np.concatenate([y, samples.ry]),
+            np.concatenate([t, samples.rt]))
+
+
+def _ref_grid_mix(samples):
+    """The mix of each difference triple, in order: the grid point at its centre."""
+    return np.array([samples.fine[c] for c, _ in _dyadic_centres(len(samples.fine) - 1)],
+                    dtype=float)
 
 
 def brute_force_log_convex(f, interval, nx=41, nt=21):
@@ -78,10 +97,10 @@ class TestSamplePlan:
         big = SamplePlan(x_points=3, t_points=3, random_count=200, seed=9)
         xs_s, ys_s, ts_s = triples(small.samples(UNIT))
         xs_b, ys_b, ts_b = triples(big.samples(UNIT))
-        lattice = 3 * 3 * 3
-        assert (xs_b[: lattice + 100] == xs_s).all()
-        assert (ys_b[: lattice + 100] == ys_s).all()
-        assert (ts_b[: lattice + 100] == ts_s).all()
+        assert len(xs_s) == small.size
+        assert (xs_b[:small.size] == xs_s).all()
+        assert (ys_b[:small.size] == ys_s).all()
+        assert (ts_b[:small.size] == ts_s).all()
 
     def test_sample_arrays_are_read_only(self):
         samples = SamplePlan(x_points=3, t_points=3, random_count=4).samples(UNIT)
@@ -98,17 +117,32 @@ class TestSamplePlan:
             is not first
         # -0.0 == 0.0, but a set over [-1, -0.0] keeps its end's sign
         signed = plan.samples(Interval(-1.0, -0.0))
-        assert math.copysign(1.0, signed.gx[-1]) == -1.0
-        assert math.copysign(1.0, plan.samples(Interval(-1.0, 0.0)).gx[-1]) == 1.0
+        assert math.copysign(1.0, signed.fine[-1]) == -1.0
+        assert math.copysign(1.0, plan.samples(Interval(-1.0, 0.0)).fine[-1]) == 1.0
 
     def test_plan_above_max_samples_rejected(self):
-        # 1024^2 * 3 lattice triples plus the random ones reach the cap exactly
-        random_count = MAX_SAMPLES - 1024**2 * 3
+        # a grid of 2046 steps has 10 dyadic half-widths and 18 424 differences;
+        # with the span row of 3 and the random triples they reach the cap exactly
+        assert 10 * 2047 - 2 * (2**10 - 1) == 18_424
+        random_count = MAX_SAMPLES - 18_424 - 3
         assert SamplePlan(x_points=1024, t_points=3, random_count=random_count)
         with pytest.raises(ValueError, match="more than"):
             SamplePlan(x_points=1024, t_points=3, random_count=random_count + 1)
         with pytest.raises(ValueError, match="more than"):
             SamplePlan(x_points=100000)
+
+    def test_default_and_hunt_plan_sizes(self):
+        # 3 595 differences of the 512-step grid, the span row, the random triples
+        assert SamplePlan().size == 3595 + 17 + 4096 == 7708
+        assert SamplePlan(x_points=9, t_points=9, random_count=128).size == 264 + 9 + 128
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 40), st.sampled_from(range(3, 40, 2)), st.integers(0, 64))
+    def test_size_is_the_length_of_the_built_layout(self, x_points, t_points, random_count):
+        plan = SamplePlan(x_points=x_points, t_points=t_points, random_count=random_count)
+        samples = plan.samples(UNIT)
+        xs, ys, ts = triples(samples)
+        assert plan.size == samples.size == len(xs) == len(samples.flat()[0])
 
 
 class TestPhiloxKeys:
@@ -306,7 +340,22 @@ class TestMidconvex:
 
     def test_t_pinned_to_half(self):
         rep = check_log_phi_midconvex(parse("exp(x)"), PhiMap.identity(UNIT), SMALL)
-        assert rep.samples_tested == 9 * 9 * 9 + 64
+        assert rep.samples_tested == SMALL.size
+        # every triple tests the midpoint: the differences, the span row and
+        # the random triples, on the range and through the jump fallback alike
+        seen = []
+        judge = convexity._judge
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convexity, "_judge",
+                       lambda margins, samples, tol: seen.append(samples) or judge(margins, samples, tol))
+            check_log_phi_midconvex(parse("x"), PhiMap.identity(Interval(1, 2)), SMALL)
+            check_log_phi_midconvex(parse("sqrt(abs(x - 0.5)) + 0.1"),
+                                    PhiMap(parse(_TWO_PIECES), UNIT), SMALL)
+        assert len(seen) == 3  # the range, then the fallback over the domain
+        for samples in seen:
+            assert (triples(samples)[2] == 0.5).all() and (samples.flat()[2] == 0.5).all()
+        assert check_log_phi_midconvex(parse("x"), PhiMap.identity(Interval(1, 2)),
+                                       SMALL).witness.t == 0.5
 
     def test_full_class_implies_midpoint_class(self):
         f = parse("exp(x^2)")
@@ -457,13 +506,13 @@ class TestChordEquivalences:
 
 
 # ----------------------------- flat reference engine -------------------------
-# The margin engine as it was before the sample set was stored factored:
-# f is evaluated at every x, every y and every mix of the flat triples of a
-# sample set (`triples` above).  The factored engine must reproduce its
-# margins bit for bit, and its reports and errors exactly.  A lattice mix
-# is the fine grid's point rather than t*x + (1-t)*y (see _ref_lattice_mix);
-# off the lattice, a degenerate chord's mix is its end.  A φ class is the
-# plain class on [min φ, max φ] over PhiMap's construction grid
+# The margin engine as it would run on flat arrays: f is evaluated at every
+# x, every y and every mix of the flat triples of a sample set (`triples`
+# above).  The factored engine must reproduce its margins bit for bit, and
+# its reports and errors exactly.  A difference's mix is the grid point at
+# its centre rather than (x + y)/2 (see _ref_grid_mix); every other mix is
+# t*x + (1-t)*y, except that a degenerate chord's mix is its end.  A φ
+# class is the plain class on [min φ, max φ] over PhiMap's construction grid
 # (_ref_range), its witness mapped into the domain.
 
 class _RefSegment:
@@ -499,22 +548,15 @@ def _ref_t_axis(t_points):
     return np.array([k / q for k in range(t_points)])
 
 
-def _ref_lattice_mix(x_points, t_points, a, b, half_t=False):
-    """Every lattice mix of the plan's axes over [a, b], with t on its t axis
-    or 1/2 with ``half_t``, in triple order, read from the fine grid."""
-    q = t_points - 1
-    fine = _ref_fine(a, b, (x_points - 1) * q)
-    if half_t:
-        return np.array([fine[q // 2 * (i + j)] for i in range(x_points)
-                         for j in range(x_points) for _ in range(t_points)])
-    return np.array([fine[q * j + k * (i - j)] for i in range(x_points)
-                     for j in range(x_points) for k in range(t_points)])
-
-
-def _ref_values(f, xs, ys, ts, log_space, lattice_mix=None):
+def _ref_mixes(xs, ys, ts, grid_mix=None):
     mix = np.where(xs == ys, xs, ts * xs + (1.0 - ts) * ys)
-    if lattice_mix is not None:
-        mix[:len(lattice_mix)] = lattice_mix
+    if grid_mix is not None:
+        mix[:len(grid_mix)] = grid_mix
+    return mix
+
+
+def _ref_values(f, xs, ys, ts, log_space, grid_mix=None):
+    mix = _ref_mixes(xs, ys, ts, grid_mix)
     fx = f.eval_array(xs)
     fy = f.eval_array(ys)
     fm = f.eval_array(mix)
@@ -525,8 +567,8 @@ def _ref_values(f, xs, ys, ts, log_space, lattice_mix=None):
     return fx, fy, fm
 
 
-def _ref_margins(f, xs, ys, ts, log_space, lattice_mix=None):
-    fx, fy, fm = _ref_values(f, xs, ys, ts, log_space, lattice_mix)
+def _ref_margins(f, xs, ys, ts, log_space, grid_mix=None):
+    fx, fy, fm = _ref_values(f, xs, ys, ts, log_space, grid_mix)
     if log_space:
         return ts * np.log(fx) + (1.0 - ts) * np.log(fy) - np.log(fm)
     return ts * fx + (1.0 - ts) * fy - fm
@@ -549,13 +591,13 @@ def _ref_samples(plan, a, b):
 def _ref_run_check(f, ab, plan, log_space, half_t=False,
                    tolerance=convexity.DEFAULT_TOLERANCE):
     """(verdict, min_margin, witness, samples_tested, failure_detail) on [a, b]."""
-    xs, ys, ts = triples(_ref_samples(plan, *ab))
+    samples = _ref_samples(plan, *ab)
+    xs, ys, ts = triples(samples)
     if half_t:
         ts = np.full_like(ts, 0.5)
-    lattice_mix = _ref_lattice_mix(plan.x_points, plan.t_points, *ab, half_t)
     n = len(xs)
     try:
-        margins = _ref_margins(f, xs, ys, ts, log_space, lattice_mix)
+        margins = _ref_margins(f, xs, ys, ts, log_space, _ref_grid_mix(samples))
     except EvalError as err:
         i = err.index
         witness = SampleTriple(float(xs[i]), float(ys[i]), float(ts[i]))
@@ -616,10 +658,9 @@ def _certify(name, f, phi, plan):
 def _ref_implication_chain(f, phi, plan, tolerance=convexity.DEFAULT_TOLERANCE):
     """Link witnesses stay on the range, as in _ref_certify."""
     _ref_require_positivity(f, phi.domain)
-    ab = _ref_range(phi)
-    xs, ys, ts = triples(_ref_samples(plan, *ab))
-    fx, fy, fm = _ref_values(f, xs, ys, ts, True,
-                             _ref_lattice_mix(plan.x_points, plan.t_points, *ab))
+    samples = _ref_samples(plan, *_ref_range(phi))
+    xs, ys, ts = triples(samples)
+    fx, fy, fm = _ref_values(f, xs, ys, ts, True, _ref_grid_mix(samples))
     lfx, lfy = np.log(fx), np.log(fy)
     weighted_am = ts * fx + (1.0 - ts) * fy
     link_margins = (
@@ -695,11 +736,7 @@ def _outcome(call):
 
 def _assert_margins_match(f, samples, log_space):
     xs, ys, ts = triples(samples)
-    lattice_mix = None
-    if len(samples.gx):
-        lattice_mix = _ref_lattice_mix(len(samples.gx), len(samples.gt),
-                                       samples.gx[0], samples.gx[-1])
-    want = _outcome(lambda: _ref_margins(f, xs, ys, ts, log_space, lattice_mix))
+    want = _outcome(lambda: _ref_margins(f, xs, ys, ts, log_space, _ref_grid_mix(samples)))
     got = _outcome(lambda: convexity._margins(f, samples, log_space))
     if isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray)
@@ -769,42 +806,52 @@ def _phi(kind, a, b):
 
 class TestFactoredSamples:
     def test_triples_flatten_in_lattice_then_random_order(self):
+        # the differences of the 4-step grid, k = 1 then k = 2, then the span
+        # row, then the random triples
         plan = SamplePlan(x_points=3, t_points=3, random_count=4, seed=2)
         samples = plan.samples(UNIT)
-        xs, ys, ts = triples(plan.samples(UNIT))
-        assert len(xs) == samples.size == 3 * 3 * 3 + 4
-        assert list(xs[:27:9]) == [0.0, 0.5, 1.0]
-        assert list(ys[:9:3]) == [0.0, 0.5, 1.0]
-        assert list(ts[:3]) == [0.0, 0.5, 1.0]
-        assert (xs[27:] == samples.rx).all() and (ys[27:] == samples.ry).all()
-        assert (ts[27:] == samples.rt).all()
+        xs, ys, ts = triples(samples)
+        assert len(xs) == samples.size == 3 + 1 + 3 + 4
+        assert list(zip(xs[:7], ys[:7], ts[:7])) == [
+            (0.0, 0.5, 0.5), (0.25, 0.75, 0.5), (0.5, 1.0, 0.5), (0.0, 1.0, 0.5),
+            (1.0, 0.0, 0.0), (1.0, 0.0, 0.5), (1.0, 0.0, 1.0)]
+        assert (xs[7:] == samples.rx).all() and (ys[7:] == samples.ry).all()
+        assert (ts[7:] == samples.rt).all()
         for i in range(samples.size):
             assert samples.point(i) == SampleTriple(xs[i], ys[i], ts[i])
+        for got, want in zip(samples.flat(), (xs, ys, ts)):
+            assert got.tobytes() == want.tobytes()
 
     def test_first_index_is_first_flat_occurrence_x_before_y(self):
-        samples = SamplePlan(x_points=4, t_points=5, random_count=6, seed=3).samples(UNIT)
-        xs, ys, _ = triples(samples)
-        ends = samples.ends()
-        n_x = len(samples.gx) + len(samples.rx)
-        for k, value in enumerate(ends):
-            flat = xs if k < n_x else ys
-            hits = np.flatnonzero(flat == value)
-            assert samples.first_index(k) == hits[0]
+        # f fails at one point of the set: the failure is reported at the first
+        # triple whose x is that point, else whose y is, else whose mix is
+        for plan in (SamplePlan(x_points=4, t_points=5, random_count=6, seed=3),
+                     SamplePlan(x_points=2, t_points=3, random_count=3, seed=1)):
+            samples = plan.samples(UNIT)
+            xs, ys, ts = triples(samples)
+            mixes = _ref_mixes(xs, ys, ts, _ref_grid_mix(samples))
+            for c in np.concatenate([samples.fine, samples.rx, samples.ry,
+                                     mixes[-len(samples.rx):]]):
+                want = next(np.flatnonzero(at == c)[0] for at in (xs, ys, mixes)
+                            if (at == c).any())
+                with pytest.raises(EvalError) as err:
+                    convexity._values(parse(f"1/(x - {float(c)!r})"), samples, False)
+                assert err.value.index == want
 
     @settings(max_examples=120, deadline=None)
     @given(_plans, _domains, _map_kinds, st.data())
     def test_matches_flat_reference(self, plan, domain, map_kind, data):
         phi = _phi(map_kind, *domain)
         samples = plan.samples(phi.domain)
-        ends = samples.ends()
+        ends = np.concatenate([samples.fine, samples.rx, samples.ry])
         template = data.draw(st.sampled_from(_smooth + _failing))
         if "{c}" in template:
-            # c at a chord end, before or after phi, at a point of the fine
-            # grid (a lattice mix only there), or anywhere in the domain
-            fine = np.linspace(*domain, (plan.x_points - 1) * (plan.t_points - 1) + 1)
+            # c at a chord end, before or after phi, at a random mix, or
+            # anywhere in the domain
+            mixes = convexity._at_mixes(samples, convexity._points(samples))
             c = data.draw(st.one_of(
                 st.sampled_from(list(ends) + list(phi.eval_array(ends))),
-                st.sampled_from(list(fine)),
+                st.sampled_from(list(mixes[len(mixes) - len(samples.rx):]) or [domain[0]]),
                 st.floats(*domain),
             ))
             template = template.format(c=repr(float(c)))
@@ -937,7 +984,7 @@ class TestPhiReduction:
         for check in (check_phi_convex, check_log_phi_convex, check_log_phi_midconvex):
             rep = check(f, phi)
             assert rep.verdict == VERDICT_HOLDS and rep.failure_kind is None
-            assert rep.samples_tested == 33**2 * 17 + 4096
+            assert rep.samples_tested == 3595 + 17 + 4096
         assert check_implication_chain(f, phi).verdict == VERDICT_HOLDS
 
     def test_range_is_taken_from_the_construction_grid(self):
@@ -1087,7 +1134,7 @@ class TestJumpingPhi:
 
 class TestDirectSegmentIdentity:
     """A pair's direct margins in the chord check are, bit for bit, its
-    segment margins at the lattice triples (x, y) = (1, 0), t on the lattice.
+    segment margins on the span row (x, y) = (1, 0), t on the plan's t axis.
     So a violated direct side always comes with a violated segment, and a
     disagreement is always named by a segment."""
 
@@ -1101,18 +1148,19 @@ class TestDirectSegmentIdentity:
         pair_x, pair_y, _, _, ts = _ref_direct_triples(phi, pair_count, plan, pair_seed)
         px, py = phi.eval_array(pair_x), phi.eval_array(pair_y)
         none = np.empty(0)
-        nx, nt = plan.x_points, plan.t_points
+        nt = plan.t_points
         direct = convexity._margins(
             f, SampleSet(none, none, np.repeat(px, nt), np.repeat(py, nt), ts), log_space)
         unit = plan.samples(UNIT)
-        start = (nx - 1) * nx * nt
+        start = plan.size - nt - plan.random_count  # after the differences
+        assert unit.point(start) == SampleTriple(1.0, 0.0, 0.0)
         for i, (u, v) in enumerate(zip(px, py)):
             segment = convexity._margins(convexity._Segment(f, u, v), unit, log_space)
             assert segment[start:start + nt].tobytes() == direct[i * nt:(i + 1) * nt].tobytes()
 
 
-# lattice sizes of every kind: (x_points - 1)*(t_points - 1) a power of two or not
-_lattice_plans = st.builds(
+# grid sizes of every kind: (x_points - 1)*(t_points - 1) a power of two or not
+_grid_plans = st.builds(
     SamplePlan,
     x_points=st.integers(2, 33),
     t_points=st.sampled_from(range(3, 18, 2)),
@@ -1129,101 +1177,112 @@ _intervals = st.one_of(
 )
 
 
-def _power_of_two_lattice(plan):
+def _power_of_two_grid(plan):
     n = (plan.x_points - 1) * (plan.t_points - 1)
     return n & (n - 1) == 0
 
 
 def _mix_bound(plan, a, b):
-    """How far a lattice mix may lie from t*x + (1-t)*y.  Off a power of two
-    the points m/n round, and so does the width: a sweep of 110 000 random
-    plans up to 40 x 39 found at most 3 ulp of max(|a|, |b|, b - a)."""
-    if _power_of_two_lattice(plan):
+    """How far a difference's mix, its grid centre, may lie from x/2 + y/2.
+    Off a power of two the points m/n round, and so does the width: a sweep
+    of 30 000 random plans up to 40 x 39 found at most 2 ulp of max(|a|, |b|)
+    on a power of two and 2 ulp of max(|a|, |b|, b - a) off one; the bounds
+    asserted are those of the lattice mixes the differences replaced."""
+    if _power_of_two_grid(plan):
         return 2 * np.spacing(max(abs(a), abs(b)))
     return 3 * np.spacing(max(abs(a), abs(b), b - a))
 
 
 class TestFineGrid:
-    """The lattice mixes are read from one fine grid, on which f runs once;
-    see SampleSet.fine_grid."""
+    """The differences' ends and mixes are points of one fine grid, on which f
+    runs once; see SampleSet."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_lattice_plans, _intervals)
+    @given(_grid_plans, _intervals)
     def test_axis_is_every_qth_grid_point(self, plan, ab):
         a, b = ab
         samples = convexity._samples(plan, a, b)
-        fine, idx = samples.fine_grid()
+        fine = samples.fine
         nx, nt = plan.x_points, plan.t_points
         q = nt - 1
         assert len(fine) == (nx - 1) * q + 1 and fine[-1] == b
-        assert fine[::q].tobytes() == samples.gx.tobytes()
-        unit_fine, _ = plan.samples(UNIT).fine_grid()
+        # on [0, 1] the t axis is every (x_points - 1)-th grid point
+        unit_fine = plan.samples(UNIT).fine
         assert unit_fine[::nx - 1].tobytes() == samples.gt.tobytes()
         assert samples.gt[q // 2] == 0.5
-        # the axes of a power-of-two lattice with a normal step are linspace's
-        if _power_of_two_lattice(plan) and (b - a) / (len(fine) - 1) >= np.finfo(float).tiny:
-            assert samples.gx.tobytes() == np.linspace(a, b, nx).tobytes()
+        # the every-q-th points of a power-of-two grid with a normal step are linspace's
+        if _power_of_two_grid(plan) and (b - a) / (len(fine) - 1) >= np.finfo(float).tiny:
+            assert fine[::q].tobytes() == np.linspace(a, b, nx).tobytes()
             assert samples.gt.tobytes() == np.linspace(0.0, 1.0, nt).tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(_lattice_plans, _intervals)
+    @given(_grid_plans, _intervals)
     def test_index_hits_every_point_and_reads_the_mix(self, plan, ab):
         a, b = ab
         samples = convexity._samples(plan, a, b)
-        fine, idx = samples.fine_grid()
-        assert idx.dtype == np.intp and len(idx) == samples.lattice_size
-        assert set(idx.tolist()) == set(range(len(fine)))
+        fine = samples.fine
+        lo, mid, hi = convexity._differences(len(fine))
+        assert all(idx.dtype == np.intp for idx in (lo, mid, hi))
+        assert set(np.concatenate([lo, mid, hi]).tolist()) == set(range(len(fine)))
+        assert ((hi - mid) == (mid - lo)).all()
         xs, ys, ts = triples(samples)
-        n = samples.lattice_size
-        mix = ts[:n] * xs[:n] + (1.0 - ts[:n]) * ys[:n]
-        assert (np.abs(fine[idx] - mix) <= _mix_bound(plan, a, b)).all()
+        d = len(mid)
+        assert (fine[lo] == xs[:d]).all() and (fine[hi] == ys[:d]).all()
+        mixes = convexity._at_mixes(samples, convexity._points(samples))
+        assert mixes[:d].tobytes() == fine[mid].tobytes()
+        assert (np.abs(mixes[:d] - (0.5 * xs[:d] + 0.5 * ys[:d])) <= _mix_bound(plan, a, b)).all()
+        # the span row's mixes and the random ones are t*x + (1-t)*y
+        assert mixes[d:].tobytes() == _ref_mixes(xs[d:], ys[d:], ts[d:]).tobytes()
 
     def test_index_is_cached_and_read_only(self):
-        fine, idx = SamplePlan().samples(UNIT).fine_grid()
-        assert SamplePlan(random_count=5).samples(Interval(2.0, 3.0)).fine_grid()[1] is idx
-        assert not idx.flags.writeable
-        with pytest.raises(ValueError):
-            idx[0] = 1
+        samples = SamplePlan().samples(UNIT)
+        idx = convexity._differences(len(samples.fine))
+        other = SamplePlan(random_count=5).samples(Interval(2.0, 3.0))
+        assert convexity._differences(len(other.fine)) is idx
+        for part in idx:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 1
 
     @settings(max_examples=100, deadline=None)
-    @given(_lattice_plans, st.one_of(_domains, st.sampled_from([(0.0, 1e-310), (0.5, 0.5)])),
+    @given(_grid_plans, st.one_of(_domains, st.sampled_from([(0.0, 1e-310), (0.5, 0.5)])),
            st.sampled_from(_positive_smooth), st.booleans())
     def test_end_and_degenerate_margins(self, plan, domain, text, log_space):
         f = parse(text)
         samples = convexity._samples(plan, *domain)
-        nx, nt = plan.x_points, plan.t_points
         margins = convexity._margins(f, samples, log_space)
-        lattice = margins[:samples.lattice_size].reshape(nx, nx, nt)
-        # t = 0 and t = 1: the mix is an end, and so is f there
-        assert (lattice[:, :, 0] == 0).all() and (lattice[:, :, -1] == 0).all()
-        # x == y: f(mix) is f(x), bit for bit
-        fe, fm, idx = convexity._values(f, samples, log_space)
-        at_mix = fm[idx].reshape(nx, nx, nt)
-        for i in range(nx):
-            assert (at_mix[i, i] == fe[i]).all()
+        d, nt = plan.size - plan.t_points - plan.random_count, plan.t_points
+        # t = 0 and t = 1 on the span row: the mix is an end, and so is f there
+        assert margins[d] == 0 and margins[d + nt - 1] == 0
+        # x == y: the mix is x, so f(mix) is f(x), bit for bit
+        xs, ys, _ = samples.flat()
+        mixes = convexity._at_mixes(samples, convexity._points(samples))
+        same = xs == ys
+        assert mixes[same].tobytes() == xs[same].tobytes()
+        if domain[0] == domain[1]:
+            assert same.all()
 
     @pytest.mark.parametrize("plan, interval", [
         (SamplePlan(x_points=4, t_points=7, random_count=16, seed=3), UNIT),
         (SamplePlan(x_points=6, t_points=5, random_count=16, seed=3), Interval(0.5, 2.0)),
-        # a subnormal step: the axis is still every 4th point of the grid
+        # a subnormal step
         (SamplePlan(x_points=5, t_points=5, random_count=16, seed=3), Interval(0.0, 1e-310)),
     ])
     def test_other_lattices_read_the_grid(self, plan, interval):
-        # plans whose lattice is no power of two, or whose step is subnormal
+        # plans whose grid is no power of two, or whose step is subnormal
         samples = plan.samples(interval)
-        fine, idx = samples.fine_grid()
-        assert fine[::plan.t_points - 1].tobytes() == samples.gx.tobytes()
+        assert samples.fine.tobytes() == _ref_fine(
+            interval.a, interval.b, (plan.x_points - 1) * (plan.t_points - 1)).tobytes()
         xs, ys, ts = triples(samples)
-        lattice_mix = _ref_lattice_mix(plan.x_points, plan.t_points, interval.a, interval.b)
+        grid_mix = _ref_grid_mix(samples)
         for text in ("x^2 + 1", "exp(x)", "1/(1 + x^2)"):
             f = parse(text)
             for log_space in (False, True):
                 got = convexity._margins(f, samples, log_space)
-                want = _ref_margins(f, xs, ys, ts, log_space, lattice_mix)
+                want = _ref_margins(f, xs, ys, ts, log_space, grid_mix)
                 assert got.tobytes() == want.tobytes()
-                fe, fm, got_idx = convexity._values(f, samples, log_space)
-                assert got_idx is idx
-                assert fm[idx].tobytes() == f.eval_array(lattice_mix).tobytes()
+                at_mix = convexity._at_mixes(samples, convexity._values(f, samples, log_space))
+                assert at_mix[:len(grid_mix)].tobytes() == f.eval_array(grid_mix).tobytes()
 
     @pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(x_points=6, t_points=5, seed=3)])
     def test_one_call_of_f_per_clean_set(self, plan):
@@ -1237,86 +1296,84 @@ class TestFineGrid:
 
         samples = plan.samples(Interval(0.5, 2.0))
         xs, ys, ts = triples(samples)
-        lattice_mix = _ref_lattice_mix(plan.x_points, plan.t_points, 0.5, 2.0)
+        grid_mix = _ref_grid_mix(samples)
         for log_space in (False, True):
             for _ in range(2):  # the second call reads the kept points
                 f = Counted(parse("exp(x) + x^2"))
                 got = convexity._margins(f, samples, log_space)
                 assert f.calls == 1
-                want = _ref_margins(f.f, xs, ys, ts, log_space, lattice_mix)
+                want = _ref_margins(f.f, xs, ys, ts, log_space, grid_mix)
                 assert got.tobytes() == want.tobytes()
 
     def test_failure_at_a_grid_point_reported_at_its_first_triple(self):
         plan = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
         samples = plan.samples(UNIT)
-        fine, idx = samples.fine_grid()
-        c = float(fine[1])  # no chord end; first the mix of (0, 0.25, 0.75)
+        c = float(samples.fine[1])  # first the x of the difference centred on 2/16
         rep = check_convex(parse(f"1/(x - {c!r})"), UNIT, plan)
         assert rep.failure_kind == "domain"
-        assert rep.witness == SampleTriple(0.0, 0.25, 0.75)
+        assert rep.witness == SampleTriple(0.0625, 0.1875, 0.5)
         with pytest.raises(PositivityViolated, match=repr(c)):
             check_log_convex(parse(f"abs(x - {c!r})"), UNIT, plan)
         for text in (f"1/(x - {c!r})", f"abs(x - {c!r})"):
             _assert_all_match(parse(text), PhiMap.identity(UNIT), plan)
 
+    def test_failure_at_a_point_that_is_only_a_mix(self):
+        # on a grid of two steps the middle point is the mix of the one
+        # difference and of the span row at t = 1/2, and no end
+        plan = SamplePlan(x_points=2, t_points=3, random_count=5, seed=4)
+        rep = check_convex(parse("1/(x - 0.5)"), UNIT, plan)
+        assert rep.failure_kind == "domain"
+        assert rep.witness == SampleTriple(0.0, 1.0, 0.5)
+        for text in ("1/(x - 0.5)", "abs(x - 0.5)"):
+            _assert_all_match(parse(text), PhiMap.identity(UNIT), plan)
+
 
 class TestPinnedFineGrid:
-    """check_log_phi_midconvex pins t to 1/2; its lattice mixes are read from
-    the fine grid at (q/2)*(i + j), never through the t-lattice index."""
+    """check_log_phi_midconvex pins every t to 1/2; the differences are
+    midpoint tests already, and they read the same grid and index."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_lattice_plans, _intervals)
+    @given(_grid_plans, _intervals)
     def test_pinned_index_reads_the_midpoints(self, plan, ab):
         a, b = ab
         samples = convexity._samples(plan, a, b)
-        pinned = samples._replace(gt=np.full_like(samples.gt, 0.5))
-        grid, idx = pinned.fine_grid()
-        nx, nt = plan.x_points, plan.t_points
-        assert idx.dtype == np.intp and len(idx) == samples.lattice_size
-        assert set(idx.tolist()) == set(range(len(grid))) and len(grid) == 2 * nx - 1
-        gx = samples.gx
-        mid = np.broadcast_to((0.5 * gx[:, None] + 0.5 * gx[None, :])[:, :, None], (nx, nx, nt))
-        assert (np.abs(grid[idx] - mid.reshape(-1)) <= _mix_bound(plan, a, b)).all()
+        pinned = convexity._pinned(samples)
+        xs, ys, ts = pinned.flat()
+        assert (ts == 0.5).all() and pinned.size == samples.size
+        d = plan.size - plan.t_points - plan.random_count
+        mixes = convexity._at_mixes(pinned, convexity._points(pinned))
+        assert mixes[:d].tobytes() == samples.fine[convexity._differences(len(samples.fine))[1]].tobytes()
+        assert (np.abs(mixes[:d] - (0.5 * xs[:d] + 0.5 * ys[:d])) <= _mix_bound(plan, a, b)).all()
+        assert mixes[d:].tobytes() == _ref_mixes(xs[d:], ys[d:], ts[d:]).tobytes()
         # the degenerate chords read their end bit for bit
-        assert (grid[idx].reshape(nx, nx, nt)[np.arange(nx), np.arange(nx)]
-                == gx[:, None]).all()
+        same = xs == ys
+        assert mixes[same].tobytes() == xs[same].tobytes()
 
     def test_pinned_index_is_cached_and_read_only(self):
         samples = SamplePlan().samples(UNIT)
-        _, idx = samples._replace(gt=np.full_like(samples.gt, 0.5)).fine_grid()
-        again = SamplePlan(seed=3).samples(Interval(2.0, 3.0))
-        assert again._replace(gt=np.full_like(again.gt, 0.5)).fine_grid()[1] is idx
-        assert not idx.flags.writeable
-        assert idx is not samples.fine_grid()[1]
-
-    def test_other_t_axes_refuse_the_grid(self):
-        samples = SamplePlan().samples(UNIT)
-        for gt in (np.full_like(samples.gt, 0.25), samples.gt[::-1].copy()):
-            with pytest.raises(ValueError, match="t axis"):
-                samples._replace(gt=gt).fine_grid()
-        # the axis is a view of the grid: no set holds an axis off its grid
-        with pytest.raises(ValueError):
-            samples._replace(gx=samples.gx[::-1].copy())
+        pinned = convexity._pinned(samples)
+        assert pinned.fine is samples.fine
+        assert convexity._differences(len(pinned.fine)) is convexity._differences(len(samples.fine))
 
 
 class TestFactoredDomainFailures:
     PLAN = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
 
     def test_first_failure_before_a_lattice_y_end(self):
-        # sqrt(0.6 - x) fails at x = 0.75; in triple order the first triple
-        # holding it is (0, 0.75, 0), but every f(x) is evaluated before any
-        # f(y), so the reported triple is the first with x = 0.75
+        # sqrt(0.6 - x) fails from x = 0.625 on; in triple order the first
+        # triple holding it is (0.5, 0.625, 1/2), but every f(x) is evaluated
+        # before any f(y), so the reported triple is the first with x = 0.625
         f = parse("sqrt(0.6 - x)")
         rep = check_convex(f, UNIT, self.PLAN)
         assert rep.failure_kind == "domain"
-        assert rep.witness == SampleTriple(0.75, 0.0, 0.0)
-        assert "x=0.75" in rep.failure_detail
+        assert rep.witness == SampleTriple(0.625, 0.75, 0.5)
+        assert "x=0.625" in rep.failure_detail
         _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
 
     def test_lattice_x_failure(self):
         f = parse("ln(x - 0.5)")
         rep = check_convex(f, UNIT, self.PLAN)
-        assert rep.witness == SampleTriple(0.0, 0.0, 0.0)
+        assert rep.witness == SampleTriple(0.0, 0.125, 0.5)
         _assert_all_match(f, PhiMap.identity(UNIT), self.PLAN)
 
     @pytest.mark.parametrize("end", ["rx", "ry"])
@@ -1394,3 +1451,88 @@ class TestFactoredDomainFailures:
         direct = SampleSet(np.empty(0), np.empty(0), phi.eval_array(xs), phi.eval_array(ys), ts)
         for text in ("exp(x^2)", "sqrt(x + 0.1)"):
             _assert_margins_match(parse(text), direct, True)
+
+
+# ----------------------------- lattice reference -----------------------------
+# The deterministic triples the certifiers sampled before the grid's
+# differences replaced them: every (gx[i], gx[j], gt[k]) with gx the grid's
+# every q-th point and t on the plan's t axis, k varying fastest, each mix
+# the grid point q*j + k*(i - j); then the random triples.  Kept as the
+# reference whose verdicts the differences must reach.
+
+def _lattice_check(f, ab, plan, tolerance=convexity.DEFAULT_TOLERANCE):
+    """(verdict, min margin) of plain convexity by the lattice on [a, b]."""
+    samples = _ref_samples(plan, *ab)
+    q, nx, nt = plan.t_points - 1, plan.x_points, plan.t_points
+    x, y, t = np.meshgrid(samples.fine[::q], samples.fine[::q], samples.gt, indexing="ij")
+    i, j, k = np.ogrid[:nx, :nx, :nt]
+    lattice_mix = samples.fine[(q * j + k * (i - j)).reshape(-1)]
+    margins = _ref_margins(f, np.concatenate([x.ravel(), samples.rx]),
+                           np.concatenate([y.ravel(), samples.ry]),
+                           np.concatenate([t.ravel(), samples.rt]), False, lattice_mix)
+    min_margin = float(margins.min())
+    return (VERDICT_VIOLATED if min_margin < -tolerance else VERDICT_HOLDS), min_margin
+
+
+_DIP = "x^2 - 1e-4*exp(-1e6*(x - 0.30001)^2)"
+_SWEEP_PLANS = [SamplePlan(seed=1), SamplePlan(x_points=9, t_points=9, random_count=128, seed=1),
+                SamplePlan(x_points=10, t_points=7, random_count=512, seed=1)]
+# mildly concave parabolas near the tolerance, and narrow bumps and dips
+_SWEEP = ([f"-{eps!r}*(x - {c})^2" for eps in (1e-10, 1e-9, 1e-8, 1e-7) for c in (0.3, 0.77)]
+          + [f"x^2 {sign} {h!r}*exp(-((x - 0.30001)/{w!r})^2)"
+             for sign in "+-" for h in (1e-3, 1e-8) for w in (0.1, 0.01, 1e-3, 1e-4)])
+
+
+class TestDifferences:
+    """The grid's dyadic second differences, the span row and the random
+    triples decide every verdict the lattice decided, and more."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_narrow_dip_violated_for_every_seed(self, seed):
+        # the adjacent differences meet a dip narrower than the lattice's step,
+        # which the lattice misses for seeds 1-3
+        plan = SamplePlan(seed=seed)
+        rep = check_convex(parse(_DIP), UNIT, plan)
+        assert rep.verdict == VERDICT_VIOLATED and rep.failure_kind == "inequality"
+        assert _mp_margin(_DIP, "x", rep.witness, False) < -rep.tolerance
+        assert _lattice_check(parse(_DIP), (0.0, 1.0), plan)[0] == (
+            VERDICT_HOLDS if seed in (1, 2, 3) else VERDICT_VIOLATED)
+
+    def test_steep_exponential_holds(self):
+        # the lattice's degenerate diagonal rounded t*f(x) + (1-t)*f(x) off
+        # f(x) ~ 1.5e10 here and reported a violation
+        f, phi = parse("exp(30*x)"), PhiMap.identity(UNIT)
+        for rep in (check_convex(f, UNIT), check_log_convex(f, UNIT), check_phi_convex(f, phi),
+                    check_log_phi_convex(f, phi), check_implication_chain(f, phi)):
+            assert rep.verdict == VERDICT_HOLDS
+
+    def test_former_rounding_band_cases_hold(self):
+        # cases the benchmark's judge had set apart as rounding at f's magnitude
+        phi = "0.0994017 + 0.3310823*(0.25 + 0.5*((x - 0.0994017)/0.3310823)^0.983476)"
+        assert check_convex(parse("exp(13.2471*x + 16.3956)"), Interval(0.373633, 0.769413),
+                            SamplePlan(seed=319054924)).verdict == VERDICT_HOLDS
+        assert check_phi_convex(parse("exp(-21.2765*x + 25)"),
+                                PhiMap(parse(phi), Interval(0.0994017, 0.430484)),
+                                SamplePlan(seed=2059386101)).verdict == VERDICT_HOLDS
+        assert check_implication_chain(parse("exp(-16.4981*x + 20.8687)"),
+                                       PhiMap.identity(Interval(0.270155, 0.838815)),
+                                       SamplePlan(seed=1246224447)).verdict == VERDICT_HOLDS
+        phi = ("0.987931 + 0.8300390000000001*(0.25 + 0.5*((x - 0.987931)"
+               "/0.8300390000000001)^1.49363)")
+        rep = check_phi_chord_equivalence(parse("exp(7.32801*x + 25)"),
+                                          PhiMap(parse(phi), Interval(0.987931, 1.81797)), 4,
+                                          SamplePlan(seed=1496642866), seed=1496642866)
+        assert rep.agree and rep.segment_verdict == VERDICT_HOLDS
+
+    @pytest.mark.parametrize("plan", _SWEEP_PLANS, ids=["default", "hunt", "odd"])
+    def test_no_verdict_only_the_lattice_reaches(self, plan):
+        # a lattice violation is one of the differences too, and a violation
+        # they alone find is one in mpmath
+        for text in _SWEEP:
+            f = parse(text)
+            rep = check_convex(f, UNIT, plan)
+            lattice, _ = _lattice_check(f, (0.0, 1.0), plan)
+            if lattice == VERDICT_VIOLATED:
+                assert rep.verdict == VERDICT_VIOLATED, text
+            if rep.verdict == VERDICT_VIOLATED:
+                assert _mp_margin(text, "x", rep.witness, False) < -rep.tolerance, text
