@@ -14,8 +14,10 @@ records of its jobs in run order: two trees whose digests match gave the
 same record, bit for bit, on every job.  Last, for each seed, prints
 ``verdicts seed N: <sha256>``, a digest of the verdict fields alone (a
 check's or a chain's verdict, each link's verdict, a chord check's direct,
-segment and agree): two runs whose margins differ in their last bits, as on CPUs with
-different SIMD code, still print the same line when every verdict agrees.
+segment and agree, a search's outcome without its witness's margins, an
+error's type): two runs whose margins differ in their last bits, as on CPUs
+with different SIMD code, still print the same line when every verdict
+agrees.
 Exits 1 when any job is ``wrong`` or ``error``.
 
 Runs from the root of a source checkout; ``hhv`` is imported from ``src/``.
@@ -53,15 +55,22 @@ def job_class(spec: dict) -> str:
 
 def verdicts(rec: dict):
     """The verdict fields of a record: a check's or a chain's verdict, each
-    link's verdict, a chord check's direct, segment and agree; None for
-    other records."""
+    link's verdict, a chord check's direct, segment and agree, a search's
+    found, trials and skips with its witness's texts, trial and report's
+    verdicts, and an error's type."""
     if rec["kind"] in ("check", "chain"):
         return rec["verdict"]
     if rec["kind"] == "implication":
         return [link[1] for link in rec["links"]]
     if rec["kind"] == "chord":
         return [rec["direct"], rec["segment"], rec["agree"]]
-    return None
+    if rec["kind"] == "search":
+        w = rec["witness"]
+        return [rec["found"], rec["trials"], rec["skipped"], None if w is None else
+                [w["f"], w["phi"], w["g"], w["trial"], verdicts(w["report"])]]
+    if rec["kind"] == "error":
+        return rec["type"]
+    raise TypeError(f"unexpected record kind {rec['kind']!r}")
 
 
 def judge_pass(workload: str, seed: int, rep: int, tally: dict, cases: list,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -314,51 +315,47 @@ def serialize(node: Node) -> str:
 _PRODUCT_POWERS = {2.0: "", 3.0: "m", 4.0: "s", 5.0: "sm", 6.0: "ms", 7.0: "msm", 8.0: "ss"}
 
 
-def _walk(node: Node, x: np.ndarray, guards: list[tuple[np.ndarray, str]]) -> np.ndarray | float:
+def _full(x: np.ndarray | np.float64, v: float) -> np.ndarray | np.float64:
+    """The constant ``v`` in the shape of ``x``: a point's is a float64 scalar."""
+    return np.float64(v) if type(x) is np.float64 else np.full_like(x, v)
+
+
+def _power(base, exponent):
+    # numpy's power takes fast paths (0.5, -1, 2) for an exponent of stride
+    # 0, as a scalar's is, which round differently from its general loop; a
+    # point's exponent goes in as a one-element array
+    if type(exponent) is np.float64:
+        return np.power(base, exponent.reshape(1))[0]
+    return np.power(base, exponent)
+
+
+def _walk(node: Node, x: np.ndarray | np.float64,
+          guards: list[tuple[np.ndarray, str]]) -> np.ndarray | np.float64 | float:
     # Constant subtrees stay Python floats: IEEE-754 arithmetic on them and
     # numpy's on broadcast arrays agree bit for bit.  An array is built only
     # where an operation needs one.  A guard is appended only when it can
     # fire; the rest keep the post-order, so the reported error is unchanged.
     # A value at a point where a guard fires is never returned and reaches
-    # only guards later in post-order, so it is not replaced by NaN.
-    if isinstance(node, Num):
-        return float(node.value)
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
-    if isinstance(node, Unary):
-        v = _walk(node.arg, x, guards)
-        if node.op == "neg":
-            return -v
-        if node.op == "abs":
-            return abs(v)
-        if type(v) is float:
-            v = np.full_like(x, v)
-        if node.op == "exp":
-            return np.exp(v)
-        if node.op == "ln":
-            guards.append((~(v > 0), "ln of non-positive argument"))
-            return np.log(v)
-        if node.op == "sqrt":
-            guards.append((v < 0, "sqrt of negative argument"))
-            return np.sqrt(v)
-        raise AssertionError(node.op)
-    if isinstance(node, Binary):
+    # only guards later in post-order, so it is not replaced by NaN.  x is an
+    # array, or a point as a float64 scalar, on which numpy's ufuncs give
+    # the bits of a one-element array.  Dispatch is on the exact type, the
+    # most frequent node and operators first.
+    kind = type(node)
+    if kind is Binary:
         lv = _walk(node.left, x, guards)
         rv = _walk(node.right, x, guards)
         op = node.op
+        if op == "*":
+            return lv * rv
         if op == "+":
             return lv + rv
         if op == "-":
             return lv - rv
-        if op == "*":
-            return lv * rv
         if op == "/":
             if type(rv) is float:
                 if rv != 0:
                     return lv / rv
-                rv = np.full_like(x, rv)
+                rv = _full(x, rv)
             guards.append((rv == 0, "division by zero"))
             return lv / rv
         if op == "^":
@@ -377,30 +374,60 @@ def _walk(node: Node, x: np.ndarray, guards: list[tuple[np.ndarray, str]]) -> np
                         p *= lv
                 return p
             if type(lv) is float:
-                lv = np.full_like(x, lv)
+                lv = _full(x, lv)
             if type(rv) is float:
-                # a scalar exponent would take numpy's sqrt/reciprocal fast
-                # paths (0.5, -1), which round differently from the general power
-                r, rv = rv, np.full_like(x, rv)
+                # an exponent broadcast from a float would have stride 0 and
+                # take numpy's fast paths (see _power)
+                r, rv = rv, _full(x, rv)
                 if not (r.is_integer() or math.isinf(r)):
                     guards.append((lv < 0, "negative base with non-integer exponent"))
                 if r < 0:
                     guards.append((lv == 0, "zero raised to a negative exponent"))
-                return np.power(lv, rv)
+                return _power(lv, rv)
             frac_exp = rv != np.round(rv)
             guards.append(((lv < 0) & frac_exp, "negative base with non-integer exponent"))
             guards.append(((lv == 0) & (rv < 0), "zero raised to a negative exponent"))
-            return np.power(lv, rv)
+            return _power(lv, rv)
         raise AssertionError(op)
+    if kind is Var:
+        return x
+    if kind is Num:
+        return float(node.value)
+    if kind is Unary:
+        v = _walk(node.arg, x, guards)
+        if node.op == "neg":
+            return -v
+        if node.op == "abs":
+            return abs(v)
+        if type(v) is float:
+            v = _full(x, v)
+        if node.op == "exp":
+            return np.exp(v)
+        if node.op == "ln":
+            guards.append((~(v > 0), "ln of non-positive argument"))
+            return np.log(v)
+        if node.op == "sqrt":
+            guards.append((v < 0, "sqrt of negative argument"))
+            return np.sqrt(v)
+        raise AssertionError(node.op)
+    if kind is Const:
+        return _CONSTANTS[node.name]
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def evaluate_array(f: Expr, xs: np.ndarray) -> np.ndarray:
+def evaluate_array(f: Expr, xs: np.ndarray | np.float64) -> np.ndarray | np.float64:
     """Evaluate ``f`` elementwise on a 1-D array of finite points.
 
     On failure raises the typed error for the smallest failing index, so
     witness selection is independent of internal evaluation order.
+
+    A single point given as an ``np.float64`` runs the same walk on the
+    scalar and returns an ``np.float64``, bit-identical to element 0 of the
+    one-element array, or raises the same error with ``index=0``; it builds
+    no array for the point.
     """
+    if type(xs) is np.float64:
+        return _evaluate_point(f, xs)
     pts = np.asarray(xs, dtype=float)
     # argmin/argmax find the first offending point without a separate
     # all()/any() pass, which dominates on small arrays
@@ -429,9 +456,28 @@ def evaluate_array(f: Expr, xs: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _evaluate_point(f: Expr, x: np.float64) -> np.float64:
+    if not math.isfinite(x):
+        raise ValueError("evaluation points must be finite")
+    guards: list[tuple[np.ndarray, str]] = []
+    with np.errstate(all="ignore"):
+        val = _walk(f.root, x, guards)
+    # the first guard in post-order, as the array path reports at one index
+    for fired, reason in guards:
+        if fired:
+            raise DomainError(reason, x=float(x), index=0)
+    if not math.isfinite(val):
+        raise Overflow(x=float(x), index=0)
+    return np.float64(val)
+
+
 def evaluate(f: Expr, x: float) -> float:
-    """Evaluate ``f`` at a single finite point; see :func:`evaluate_array`."""
-    return float(evaluate_array(f, np.array([x], dtype=float))[0])
+    """Evaluate ``f`` at a single finite point; see :func:`evaluate_array`.
+
+    The point goes to ``evaluate_array`` as an ``np.float64``: the same bits
+    and the same errors as a one-element array, at a fraction of its cost.
+    """
+    return float(evaluate_array(f, np.float64(x)))
 
 
 class PositivityCheck(NamedTuple):
@@ -440,16 +486,48 @@ class PositivityCheck(NamedTuple):
     detail: str | None
 
 
+def _linspace(a: float, b: float, points: int) -> np.ndarray:
+    """``np.linspace(a, b, points)``, read-only and shared between callers."""
+    # -0.0 == 0.0 as a cache key, and linspace(-1, -0.0) ends at -0.0; the
+    # ends' signs tell the two apart
+    return _linspace_memo(a, b, points, math.copysign(1.0, a), math.copysign(1.0, b))
+
+
+@lru_cache(maxsize=4)
+def _linspace_memo(a: float, b: float, points: int, *_signs: float) -> np.ndarray:
+    grid = np.linspace(a, b, points)
+    grid.flags.writeable = False
+    return grid
+
+
+# The last passing check, (f, key, result).  A search checks the Expr that
+# generate() has just checked again in its target.  Only an Expr is kept: its
+# tree is immutable, so its values cannot change, whereas a chord's _Segment
+# is mutable.  A failing check is never kept.
+_last_pass: tuple | None = None
+
+
 def check_positive(f: Expr, interval: Interval, n: int = 257) -> PositivityCheck:
     """Sample ``f`` on ``n + 1`` equally spaced points and certify positivity.
 
     Returns a failed check with the smallest-index witness where ``f`` is
     non-positive or not evaluable.  A discontinuity strictly between grid
     points goes undetected; callers choose ``n`` accordingly.
+
+    The last passing check of an :class:`Expr` is remembered: the same
+    object, on an equal interval (an end of -0.0 is not one of 0.0) with an
+    equal ``n``, gets that result back without evaluating ``f`` again.  An
+    equal but distinct ``Expr`` is evaluated.
     """
+    global _last_pass
     if n < 2:
         raise ValueError(f"grid size must be >= 2, got {n}")
-    xs = np.linspace(interval.a, interval.b, n + 1)
+    a, b = interval.a, interval.b
+    key = (a, b, math.copysign(1.0, a), math.copysign(1.0, b), n)
+    memo = _last_pass  # one read: another thread may replace the entry
+    if memo is not None and memo[0] is f and memo[1] == key:
+        return memo[2]
+    xs = _linspace(a, b, n + 1)
     result = PositivityCheck(True, None, None)
     try:
         vals = f.eval_array(xs)
@@ -463,4 +541,6 @@ def check_positive(f: Expr, interval: Interval, n: int = 257) -> PositivityCheck
     if nonpos.any():
         j = int(np.argmax(nonpos))
         return PositivityCheck(False, float(xs[j]), f"f(x) = {float(vals[j])!r} is not positive")
+    if result.ok and type(f) is Expr:
+        _last_pass = (f, key, result)
     return result

@@ -1,13 +1,14 @@
 import gc
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hhv import expr
+from hhv import convexity, expr
 from hhv.errors import DomainError, EvalError, Overflow, ParseError, UnknownIdentifierError
 from hhv.expr import (
     Binary, Const, Expr, Interval, Num, Unary, Var,
@@ -394,6 +395,93 @@ class TestGuardElision:
         assert (vals == value).all()
 
 
+def _point_outcome(evaluator):
+    """(value, None), or (None, (type, message, x's repr, index)) for an
+    evaluation error; repr tells -0.0 from 0.0."""
+    try:
+        return evaluator(), None
+    except EvalError as err:
+        return None, (type(err), str(err), repr(err.x), err.index)
+
+
+def _assert_point_matches_array(f, x):
+    """evaluate(f, x) has the bits of a one-element array's value, or raises
+    its error, and no operation on the way warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_err = _point_outcome(lambda: evaluate(f, x))
+        want, want_err = _point_outcome(lambda: evaluate_array(f, np.array([x]))[0])
+    assert got_err == want_err
+    if want_err is None:
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()
+    return got, got_err
+
+
+class TestScalarPath:
+    """A single point runs the array walk on an np.float64 scalar."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_wide_asts, _points)
+    def test_bit_identical_to_one_element_array(self, node, points):
+        f = Expr(node, serialize(node))
+        for x in points:
+            _assert_point_matches_array(f, x)
+
+    @pytest.mark.parametrize("text, x, want", [
+        ("x", -0.0, -0.0),
+        ("1/exp(800)", 0.0, 0.0),  # finite from an infinite intermediate
+        ("-(x*0)", 1.0, -0.0),
+        ("2", 0.3, 2.0),
+    ])
+    def test_values(self, text, x, want):
+        got, err = _assert_point_matches_array(parse(text), x)
+        assert err is None and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("text, x, kind, reason", [
+        ("x/0", 1.0, DomainError, "division by zero"),
+        ("1/(x - x)", 0.5, DomainError, "division by zero"),
+        ("ln(x)", -1.0, DomainError, "ln of non-positive argument"),
+        ("ln(x)", -0.0, DomainError, "ln of non-positive argument"),
+        ("sqrt(x)", -1.0, DomainError, "sqrt of negative argument"),
+        ("x^1.5", -2.0, DomainError, "negative base with non-integer exponent"),
+        ("(-2)^x", 0.5, DomainError, "negative base with non-integer exponent"),
+        ("x^-1", 0.0, DomainError, "zero raised to a negative exponent"),
+        # the first guard in post-order wins, as at one index of an array
+        ("sqrt(x) + ln(x)", -1.0, DomainError, "sqrt of negative argument"),
+        ("exp(800)", 0.0, Overflow, None),
+        ("exp(x)", 800.0, Overflow, None),
+    ])
+    def test_errors(self, text, x, kind, reason):
+        _, err = _assert_point_matches_array(parse(text), x)
+        assert err is not None and err[0] is kind and err[2:] == (repr(x), 0)
+        if reason is not None:
+            assert err[1].startswith(reason)
+
+    @pytest.mark.parametrize("text", ["x^0.5", "x^-1", "x^(x - 1.5)", "x^(3 - x)", "x^(x + 1)"])
+    def test_exponents_of_numpy_fast_paths(self, text):
+        # numpy's power rounds 0.5, -1 and 2 differently for an exponent of
+        # stride 0, as a scalar's is; each point must still give the array's bits
+        f = parse(text)
+        xs = np.concatenate([np.linspace(0.01, 3.7, 257), [0.5, 1.0, 2.0, 3.0]])
+        vals = evaluate_array(f, xs)
+        assert np.array([evaluate(f, x) for x in xs]).tobytes() == vals.tobytes()
+
+    def test_nonfinite_point_is_rejected(self):
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be finite"):
+                evaluate(parse("x"), x)
+
+    def test_one_point_call_of_evaluate_array(self, monkeypatch):
+        # looked up at call time, so a wrapper of expr.evaluate_array sees a
+        # call of size 1
+        seen = []
+        monkeypatch.setattr(expr, "evaluate_array",
+                            lambda f, xs: seen.append(np.size(xs)) or evaluate_array(f, xs))
+        assert evaluate(parse("exp(x)"), 0.0) == 1.0
+        assert seen == [1]
+
+
 _FMAX = float(np.finfo(float).max)
 _TINY = float(np.finfo(float).tiny)  # the least normal float
 # |x^k| rounds to inf from 2**1024 - 2**970, half an ulp above _FMAX
@@ -516,6 +604,70 @@ class TestCheckPositive:
                             lambda f, xs: seen.append(len(xs)) or evaluate_array(f, xs))
         check_positive(parse(text), Interval(0, 1), 64)
         assert len(seen) == calls
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        seen = []
+        monkeypatch.setattr(expr, "evaluate_array",
+                            lambda f, xs: seen.append(len(xs)) or evaluate_array(f, xs))
+        return seen
+
+    def test_memo_needs_the_same_object_interval_and_n(self, monkeypatch):
+        f = parse("exp(x)")
+        first = check_positive(f, Interval(0.0, 1.0), 64)
+        seen = self._count_evaluations(monkeypatch)
+        assert check_positive(f, Interval(0.0, 1.0), 64) is first
+        assert seen == []
+        for interval, n in [(Interval(-0.0, 1.0), 64),  # ±0.0 ends are distinct
+                            (Interval(0.0, 1.0), 64),
+                            (Interval(0.0, 2.0), 64),
+                            (Interval(0.0, 2.0), 32)]:
+            before = len(seen)
+            assert check_positive(f, interval, n).ok
+            assert len(seen) == before + 1
+            assert check_positive(f, interval, n).ok  # now remembered
+            assert len(seen) == before + 1
+
+    def test_equal_but_distinct_expr_is_evaluated(self, monkeypatch):
+        f, g = parse("exp(x)"), parse("exp(x)")
+        assert f == g and f is not g
+        check_positive(f, Interval(0, 1), 64)
+        seen = self._count_evaluations(monkeypatch)
+        assert check_positive(g, Interval(0, 1), 64).ok
+        assert seen == [65]
+
+    def test_failing_check_is_not_kept(self, monkeypatch):
+        f = parse("x - 0.5")
+        seen = self._count_evaluations(monkeypatch)
+        for _ in range(2):
+            assert check_positive(f, Interval(0, 1), 64).witness == 0.0
+        assert seen == [65, 65]
+
+    def test_segment_is_never_memoized(self):
+        # a _Segment's ends may change between checks
+        seg = convexity._Segment(parse("x"), 0.2, 0.8)
+        assert check_positive(seg, Interval(0, 1), 64).ok
+        seg.v = -0.5  # f at t = 0
+        res = check_positive(seg, Interval(0, 1), 64)
+        assert not res.ok and res.witness == 0.0
+
+    @pytest.mark.parametrize("a, b, points", [
+        (0.0, 1.0, 258), (-1.0, -0.0, 258), (-1.0, 0.0, 258), (-0.0, 1.0, 65), (0.5, 2.0, 257),
+    ])
+    def test_cached_grid_is_read_only_linspace(self, a, b, points):
+        grid = expr._linspace(a, b, points)
+        assert grid.tobytes() == np.linspace(a, b, points).tobytes()
+        assert not grid.flags.writeable
+        assert expr._linspace(a, b, points) is grid
+        with pytest.raises(ValueError):
+            grid[0] = 7.0
+
+    def test_cached_grid_keeps_the_sign_of_zero_ends(self):
+        # -0.0 == 0.0 as a key, and linspace(-1, -0.0) ends at -0.0: either
+        # end, read first, must not be handed back for the other
+        for ends in [(0.0, -0.0), (-0.0, 0.0)]:
+            for b in ends:
+                assert np.signbit(expr._linspace(-1.0, b, 9)[-1]) == np.signbit(b)
 
     def test_failure_leaves_no_reference_cycle(self):
         # a kept EvalError would hold this frame through its traceback
