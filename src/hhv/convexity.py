@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvalError, PhiRangeViolated, PositivityViolated
-from .expr import Expr, Interval, Var, _linspace, check_positive, parse
+from .expr import Expr, Interval, Var, check_positive, parse
 
 __all__ = [
     "SamplePlan", "SampleSet", "SampleTriple", "PhiMap", "ConvexityReport",
@@ -283,7 +283,7 @@ class PhiMap:
         object.__setattr__(self, "range", (float(vals.min()), float(vals.max())))
 
     def _on_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        grid = _linspace(self.domain.a, self.domain.b, PHI_GRID)
+        grid = np.linspace(self.domain.a, self.domain.b, PHI_GRID)
         return grid, self.phi.eval_array(grid)
 
     @property

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -486,48 +485,16 @@ class PositivityCheck(NamedTuple):
     detail: str | None
 
 
-def _linspace(a: float, b: float, points: int) -> np.ndarray:
-    """``np.linspace(a, b, points)``, read-only and shared between callers."""
-    # -0.0 == 0.0 as a cache key, and linspace(-1, -0.0) ends at -0.0; the
-    # ends' signs tell the two apart
-    return _linspace_memo(a, b, points, math.copysign(1.0, a), math.copysign(1.0, b))
-
-
-@lru_cache(maxsize=4)
-def _linspace_memo(a: float, b: float, points: int, *_signs: float) -> np.ndarray:
-    grid = np.linspace(a, b, points)
-    grid.flags.writeable = False
-    return grid
-
-
-# The last passing check, (f, key, result).  A search checks the Expr that
-# generate() has just checked again in its target.  Only an Expr is kept: its
-# tree is immutable, so its values cannot change, whereas a chord's _Segment
-# is mutable.  A failing check is never kept.
-_last_pass: tuple | None = None
-
-
 def check_positive(f: Expr, interval: Interval, n: int = 257) -> PositivityCheck:
     """Sample ``f`` on ``n + 1`` equally spaced points and certify positivity.
 
     Returns a failed check with the smallest-index witness where ``f`` is
     non-positive or not evaluable.  A discontinuity strictly between grid
     points goes undetected; callers choose ``n`` accordingly.
-
-    The last passing check of an :class:`Expr` is remembered: the same
-    object, on an equal interval (an end of -0.0 is not one of 0.0) with an
-    equal ``n``, gets that result back without evaluating ``f`` again.  An
-    equal but distinct ``Expr`` is evaluated.
     """
-    global _last_pass
     if n < 2:
         raise ValueError(f"grid size must be >= 2, got {n}")
-    a, b = interval.a, interval.b
-    key = (a, b, math.copysign(1.0, a), math.copysign(1.0, b), n)
-    memo = _last_pass  # one read: another thread may replace the entry
-    if memo is not None and memo[0] is f and memo[1] == key:
-        return memo[2]
-    xs = _linspace(a, b, n + 1)
+    xs = np.linspace(interval.a, interval.b, n + 1)
     result = PositivityCheck(True, None, None)
     try:
         vals = f.eval_array(xs)
@@ -541,6 +508,4 @@ def check_positive(f: Expr, interval: Interval, n: int = 257) -> PositivityCheck
     if nonpos.any():
         j = int(np.argmax(nonpos))
         return PositivityCheck(False, float(xs[j]), f"f(x) = {float(vals[j])!r} is not positive")
-    if result.ok and type(f) is Expr:
-        _last_pass = (f, key, result)
     return result

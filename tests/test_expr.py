@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hhv import convexity, expr
+from hhv import expr
 from hhv.errors import DomainError, EvalError, Overflow, ParseError, UnknownIdentifierError
 from hhv.expr import (
     Binary, Const, Expr, Interval, Num, Unary, Var,
@@ -604,70 +604,6 @@ class TestCheckPositive:
                             lambda f, xs: seen.append(len(xs)) or evaluate_array(f, xs))
         check_positive(parse(text), Interval(0, 1), 64)
         assert len(seen) == calls
-
-    @staticmethod
-    def _count_evaluations(monkeypatch):
-        seen = []
-        monkeypatch.setattr(expr, "evaluate_array",
-                            lambda f, xs: seen.append(len(xs)) or evaluate_array(f, xs))
-        return seen
-
-    def test_memo_needs_the_same_object_interval_and_n(self, monkeypatch):
-        f = parse("exp(x)")
-        first = check_positive(f, Interval(0.0, 1.0), 64)
-        seen = self._count_evaluations(monkeypatch)
-        assert check_positive(f, Interval(0.0, 1.0), 64) is first
-        assert seen == []
-        for interval, n in [(Interval(-0.0, 1.0), 64),  # ±0.0 ends are distinct
-                            (Interval(0.0, 1.0), 64),
-                            (Interval(0.0, 2.0), 64),
-                            (Interval(0.0, 2.0), 32)]:
-            before = len(seen)
-            assert check_positive(f, interval, n).ok
-            assert len(seen) == before + 1
-            assert check_positive(f, interval, n).ok  # now remembered
-            assert len(seen) == before + 1
-
-    def test_equal_but_distinct_expr_is_evaluated(self, monkeypatch):
-        f, g = parse("exp(x)"), parse("exp(x)")
-        assert f == g and f is not g
-        check_positive(f, Interval(0, 1), 64)
-        seen = self._count_evaluations(monkeypatch)
-        assert check_positive(g, Interval(0, 1), 64).ok
-        assert seen == [65]
-
-    def test_failing_check_is_not_kept(self, monkeypatch):
-        f = parse("x - 0.5")
-        seen = self._count_evaluations(monkeypatch)
-        for _ in range(2):
-            assert check_positive(f, Interval(0, 1), 64).witness == 0.0
-        assert seen == [65, 65]
-
-    def test_segment_is_never_memoized(self):
-        # a _Segment's ends may change between checks
-        seg = convexity._Segment(parse("x"), 0.2, 0.8)
-        assert check_positive(seg, Interval(0, 1), 64).ok
-        seg.v = -0.5  # f at t = 0
-        res = check_positive(seg, Interval(0, 1), 64)
-        assert not res.ok and res.witness == 0.0
-
-    @pytest.mark.parametrize("a, b, points", [
-        (0.0, 1.0, 258), (-1.0, -0.0, 258), (-1.0, 0.0, 258), (-0.0, 1.0, 65), (0.5, 2.0, 257),
-    ])
-    def test_cached_grid_is_read_only_linspace(self, a, b, points):
-        grid = expr._linspace(a, b, points)
-        assert grid.tobytes() == np.linspace(a, b, points).tobytes()
-        assert not grid.flags.writeable
-        assert expr._linspace(a, b, points) is grid
-        with pytest.raises(ValueError):
-            grid[0] = 7.0
-
-    def test_cached_grid_keeps_the_sign_of_zero_ends(self):
-        # -0.0 == 0.0 as a key, and linspace(-1, -0.0) ends at -0.0: either
-        # end, read first, must not be handed back for the other
-        for ends in [(0.0, -0.0), (-0.0, 0.0)]:
-            for b in ends:
-                assert np.signbit(expr._linspace(-1.0, b, 9)[-1]) == np.signbit(b)
 
     def test_failure_leaves_no_reference_cycle(self):
         # a kept EvalError would hold this frame through its traceback
