@@ -3,24 +3,23 @@
 Integrands are vectorized callables ``f(xs: ndarray) -> ndarray`` (an
 ``Expr.eval_array`` bound method, or any numpy-compatible function).
 
-Each panel is integrated by the QUADPACK ``qk15`` rule (Piessens et al.,
-1983): the 15-point Kronrod extension K15 of the 7-point Gauss rule G7,
-exact on polynomials of degree 22 and 13.  The rule is open, so it never
+Each panel is integrated by the QUADPACK ``qk31`` rule (Piessens et al.,
+1983): the 31-point Kronrod extension K31 of the 15-point Gauss rule G15,
+exact on polynomials of degree 46 and 29.  The rule is open, so it never
 evaluates the interval's ends.  A panel's error bound is
-``|K15 - G7| + 50*eps*M``, where ``M`` is K15 applied to ``|f|``: the second
-term is the rounding floor, which ``|K15 - G7|`` does not see.
+``|K31 - G15| + 50*eps*M``, where ``M`` is K31 applied to ``|f|``: the second
+term is the rounding floor, which ``|K31 - G15|`` does not see.
 
 The budget is ``tol`` times the magnitude ``M`` of the whole interval, or
 times ``min_magnitude`` when that is larger, or ``tol`` alone when both are
 0; a panel's share of it is the budget times the panel's width over the
-interval's.  Panels whose bound
-exceeds their share are bisected breadth first: a level holds the open
-panels of one depth, all of one width, and evaluates their 15 nodes each in
-one integrand call.  A level evaluates at most ``MAX_OPEN_PANELS`` panels,
-which bounds the memory of integrands that keep refining everywhere.  A
-panel whose rounding floor alone exceeds its share ends the integration at
-the level where it appears, since one of its children would exceed its own
-share too.
+interval's.  Panels whose bound exceeds their share are bisected breadth
+first: a level holds the open panels of one depth, all of one width, and
+evaluates their 31 nodes each in one integrand call.  A level evaluates at
+most ``MAX_OPEN_PANELS`` panels, about a million points, which bounds the
+memory of integrands that keep refining everywhere.  A panel whose rounding
+floor alone exceeds its share ends the integration at the level where it
+appears, since one of its children would exceed its own share too.
 
 The values are scaled by the panel's half-width before they are summed, so
 a finite integral of finite values stays finite; a panel whose sums do not
@@ -41,34 +40,46 @@ __all__ = ["QuadratureResult", "integrate", "mean_value"]
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_DEPTH = 50
-MAX_OPEN_PANELS = 2**16
+MAX_OPEN_PANELS = 2**15
 ROUNDING_FLOOR = 50 * np.finfo(float).eps
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
-# QUADPACK qk15 on [-1, 1]: the positive K15 abscissae, descending as QUADPACK
-# lists them, each with its K15 weight and its G7 weight (0 off the G7 nodes);
-# the rule is symmetric about the centre.  tests/test_quadrature.py checks
-# every entry against mpmath.
+# QUADPACK qk31 on [-1, 1]: the positive K31 abscissae, descending as QUADPACK
+# lists them, each with its K31 weight and its G15 weight (0 off the G15
+# nodes); the rule is symmetric about the centre.  tests/test_quadrature.py
+# checks every entry against mpmath.
 _KRONROD = (
-    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
-    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
-     0.129484966168869693270611432679082),
-    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
-    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
-     0.279705391489276667901467771423780),
-    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
-    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
-     0.381830050505118944950369775488975),
-    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+    (0.998002298693397060285172840152271, 0.005377479872923348987792051430128, 0.0),
+    (0.987992518020485428489565718586613, 0.015007947329316122538374763075807,
+     0.030753241996117268354628393577204),
+    (0.967739075679139134257347978784337, 0.025460847326715320186874001019653, 0.0),
+    (0.937273392400705904307758947710209, 0.035346360791375846222037948478360,
+     0.070366047488108124709267416450667),
+    (0.897264532344081900882509656454496, 0.044589751324764876608227299373280, 0.0),
+    (0.848206583410427216200648320774217, 0.053481524690928087265343147239430,
+     0.107159220467171935011869546685869),
+    (0.790418501442465932967649294817947, 0.062009567800670640285139230960803, 0.0),
+    (0.724417731360170047416186054613938, 0.069854121318728258709520077099147,
+     0.139570677926154314447804794511028),
+    (0.650996741297416970533735895313275, 0.076849680757720378894432777482659, 0.0),
+    (0.570972172608538847537226737253911, 0.083080502823133021038289247286104,
+     0.166269205816993933553200860481209),
+    (0.485081863640239680693655740232351, 0.088564443056211770647275443693774, 0.0),
+    (0.394151347077563369897207370981045, 0.093126598170825321225486872747346,
+     0.186161000015562211026800561866423),
+    (0.299180007153168812166780024266389, 0.096642726983623678505179907627589, 0.0),
+    (0.201194093997434522300628303394596, 0.099173598721791959332393173484603,
+     0.198431485327111576456118326443839),
+    (0.101142066918717499027074231447392, 0.100769845523875595044946662617570, 0.0),
 )
-_CENTER = (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+_CENTER = (0.0, 0.101330007014791549017374792767493, 0.202578241925561272880620199967519)
 _TABLE = np.array([(-x, wk, wg) for x, wk, wg in _KRONROD] + [_CENTER]
                   + [(x, wk, wg) for x, wk, wg in reversed(_KRONROD)])
 NODES = _TABLE[:, 0].copy()
 KRONROD_WEIGHTS = _TABLE[:, 1].copy()
 GAUSS_WEIGHTS = _TABLE[:, 2].copy()
-# one product gives K15 and K15 - G7, another the rounding floor
+# one product gives K31 and K31 - G15, another the rounding floor
 _SUMS = np.stack((KRONROD_WEIGHTS, KRONROD_WEIGHTS - GAUSS_WEIGHTS), axis=1)
 _FLOOR_WEIGHTS = ROUNDING_FLOOR * KRONROD_WEIGHTS
 _TINY = float(np.finfo(float).tiny)  # the least normal float
@@ -105,7 +116,7 @@ def integrate(
     ``error_estimate`` is the sum of the accepted panels' bounds, at most
     ``tol * max(∫|f|, min_magnitude)``, with ``∫|f|`` as the rule estimates
     it on the whole interval (``tol`` when both are 0); ``evaluations``
-    counts 15 per panel.  A caller whose integrand is known only to an
+    counts 31 per panel.  A caller whose integrand is known only to an
     absolute accuracy, such as ``ln f``, passes the magnitude that accuracy
     refers to as ``min_magnitude``.  Raises
     :class:`~hhv.errors.MaxDepthExceeded` if a panel of depth ``max_depth``

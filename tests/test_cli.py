@@ -786,7 +786,7 @@ class TestSubprocessEntry:
         payload = json.loads(proc.stdout)
         assert payload["verdict"] == "holds_on_samples"
 
-    def test_overflowing_simpson_sum_exits_three_without_warning(self):
+    def test_overflowing_panel_sum_exits_three_without_warning(self):
         # f itself stays finite; its integral over [0, 10], 1e309, overflows
         proc = self.run_module("-W", "error", "-m", "hhv", "chain", "--id", "classic_hh",
                                "--f", "1e308 + 0*x", "--a", "0", "--b", "10")

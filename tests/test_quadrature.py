@@ -2,13 +2,14 @@ import gc
 import math
 import warnings
 from typing import Callable, NamedTuple
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st, target
 
-from hhv import chains
+from hhv import chains, quadrature
 from hhv.chains import eval_classic_hh, eval_dragomir_mond, eval_theorem1, eval_theorem2
 from hhv.convexity import PhiMap
 from hhv.errors import (
@@ -29,7 +30,7 @@ class TestOracles:
         assert res.value == pytest.approx(0.5, abs=1e-15)
 
     def test_quadratic_exact(self):
-        # K15 is exact on polynomials of degree 22, so one panel suffices
+        # K31 is exact on polynomials of degree 46, so one panel suffices
         res = integrate(lambda x: x**2, UNIT, 1e-12)
         assert abs(res.value - 1.0 / 3.0) <= 1e-12
 
@@ -41,7 +42,7 @@ class TestOracles:
         res = integrate(np.sin, Interval(0.0, math.pi), 1e-10)
         assert isinstance(res, QuadratureResult)
         assert 0.0 < res.error_estimate <= 1e-10 * 2.0
-        assert res.evaluations >= 15
+        assert res.evaluations >= 31
         assert res.value == pytest.approx(2.0, abs=1e-9)
 
 
@@ -84,7 +85,7 @@ class TestOracles:
 
     def test_zero_magnitude_falls_back_to_tol(self):
         res = integrate(lambda x: np.zeros_like(x), UNIT, 1e-10)
-        assert (res.value, res.error_estimate, res.evaluations) == (0.0, 0.0, 15)
+        assert (res.value, res.error_estimate, res.evaluations) == (0.0, 0.0, 31)
 
 
 class TestProperties:
@@ -177,7 +178,7 @@ class TestFailures:
     @pytest.mark.parametrize("text", [
         "1e308 + 0*x",  # on [0, 10] the integral is 1e309
     ])
-    def test_overflowing_simpson_sum_raises_overflow(self, text):
+    def test_overflowing_panel_sum_raises_overflow(self, text):
         # the integrand is finite everywhere; only the panel sums overflow,
         # and they raise at the first level, in its one call
         f = parse(text).eval_array
@@ -191,7 +192,7 @@ class TestFailures:
             warnings.simplefilter("error")
             with pytest.raises(Overflow):
                 integrate(counted, Interval(0.0, 10.0), 1e-10)
-        assert calls == [15]
+        assert calls == [31]
 
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):
@@ -205,86 +206,158 @@ class TestFailures:
                 integrate(parse("x^2").eval_array, UNIT, tol=tol)
 
 
-# ------------------------------- the qk15 tables -------------------------------
-# Checked at 30 digits: the G7 nodes are the roots of the Legendre polynomial
-# P7, the Kronrod nodes those of the Stieltjes polynomial E8 (Laurie 1997),
-# each weight is the double nearest to the one those nodes determine, and
-# the tables make K15 exact on x^k for k <= 22 and G7 for k <= 13.
+# ------------------------------- the rule tables -------------------------------
+# Checked at 50 digits: the G15 nodes are the roots of the Legendre polynomial
+# P15, the Kronrod nodes those of the Stieltjes polynomial E16 (Laurie 1997),
+# each weight is the double nearest to the one those nodes determine, and the
+# tables make K31 exact on polynomials of degree 46 and G15 on those of
+# degree 29.  The same checks pin the qk15 reference (n = 7) below.
 
-def _legendre_roots():
-    with mp.workdps(30):
-        return [mp.findroot(lambda t: mp.legendre(7, t), mp.mpf(float(x)))
-                for x in NODES[GAUSS_WEIGHTS > 0]]
-
-def _monomial_error(weights, k):
-    """The rule's error on x^k over [-1, 1], in mpmath at 30 digits."""
-    with mp.workdps(30):
-        rule = mp.fsum(mp.mpf(float(w)) * mp.mpf(float(x)) ** k
-                       for x, w in zip(NODES, weights))
-        return rule - (mp.mpf(2) / (k + 1) if k % 2 == 0 else 0)
+class _Rule(NamedTuple):
+    nodes: np.ndarray
+    kronrod: np.ndarray
+    gauss: np.ndarray  # 0 off the Gauss nodes
 
 
-def _stieltjes_roots():
-    """The roots of E8, the monic even polynomial of degree 8 orthogonal to
-    x^k * P7(x) for k < 8; for even k that holds by parity."""
-    with mp.workdps(30):
-        p7 = mp.taylor(lambda x: mp.legendre(7, x), 0, 7)
+QK31 = _Rule(NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS)
+_DPS = 50
+
+
+def _legendre_roots(rule, n):
+    """The roots of P_n, refined from the rule's Gauss nodes."""
+    with mp.workdps(_DPS):
+        return [mp.findroot(lambda t: mp.legendre(n, t), mp.mpf(float(x)))
+                for x in rule.nodes[rule.gauss > 0]]
+
+
+def _legendre_errors(nodes, weights, degree):
+    """The rule's errors on P_0 .. P_degree over [-1, 1], in mpmath.  An
+    error on P_k is the error on x^k times P_k's leading coefficient, which
+    lifts a rule's first inexact degree far above the rounding of its
+    weights; on x^48, K31's error is below that rounding."""
+    with mp.workdps(_DPS):
+        xs, ws = [mp.mpf(float(x)) for x in nodes], [mp.mpf(float(w)) for w in weights]
+        return [abs(mp.fsum(w * mp.legendre(k, x) for x, w in zip(xs, ws)) - (2 if k == 0 else 0))
+                for k in range(degree + 1)]
+
+
+def _stieltjes_roots(n):
+    """The roots of E_{n+1} for odd n: the monic even polynomial of degree
+    n + 1 orthogonal to x^k * P_n(x) for k <= n; for even k that holds by
+    parity."""
+    with mp.workdps(_DPS):
+        p = mp.taylor(lambda x: mp.legendre(n, x), 0, n)
 
         def moment(coeffs):  # ∫ over [-1, 1] of sum c_i x^i
             return mp.fsum(c * 2 / (i + 1) for i, c in enumerate(coeffs) if i % 2 == 0)
 
-        def times_p7(k):
-            return [0] * k + p7
+        def times_p(k):
+            return [0] * k + p
 
-        rows = [[moment(times_p7(k + e)) for e in (0, 2, 4, 6)] for k in (1, 3, 5, 7)]
-        rhs = [-moment(times_p7(k + 8)) for k in (1, 3, 5, 7)]
-        c0, c2, c4, c6 = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-        roots = mp.polyroots([1, 0, c6, 0, c4, 0, c2, 0, c0], maxsteps=200, extraprec=100)
+        evens, odds = range(0, n + 1, 2), range(1, n + 1, 2)
+        rows = [[moment(times_p(k + e)) for e in evens] for k in odds]
+        rhs = [-moment(times_p(k + n + 1)) for k in odds]
+        coeffs = [mp.mpf(1)] + [mp.mpf(0)] * (n + 1)  # highest degree first
+        for e, c in zip(evens, mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))):
+            coeffs[n + 1 - e] = c
+        roots = mp.polyroots(coeffs, maxsteps=400, extraprec=200)
         return sorted(mp.re(r) for r in roots)
 
 
-class TestRuleTables:
-    def test_kronrod_exact_to_degree_22(self):
-        errors = [abs(_monomial_error(KRONROD_WEIGHTS, k)) for k in range(25)]
-        assert max(errors[:23]) <= 1e-15
-        assert errors[24] > 1e-12  # and no further
+def _gauss_weights(rule, n):
+    # w = 2 / ((1 - x^2) * P_n'(x)^2) at each root x
+    with mp.workdps(_DPS):
+        return [2 / ((1 - r**2) * mp.diff(lambda t: mp.legendre(n, t), r) ** 2)
+                for r in _legendre_roots(rule, n)]
 
-    def test_gauss_exact_to_degree_13(self):
-        errors = [abs(_monomial_error(GAUSS_WEIGHTS, k)) for k in range(15)]
-        assert max(errors[:14]) <= 1e-15
-        assert errors[14] > 1e-6
+
+def _kronrod_weights(rule, n):
+    """The symmetric weights on the nodes that integrate the even powers up
+    to x^(2n) exactly (odd powers hold by symmetry): the centre's, then the
+    positive nodes' in ascending order."""
+    with mp.workdps(_DPS):
+        nodes = sorted(_legendre_roots(rule, n) + _stieltjes_roots(n))[n:]
+        rows = [[(1 if i == 0 else 2) * x**k for i, x in enumerate(nodes)]
+                for k in range(0, 2 * n + 1, 2)]
+        moments = [mp.mpf(2) / (k + 1) for k in range(0, 2 * n + 1, 2)]
+        return mp.lu_solve(mp.matrix(rows), mp.matrix(moments))
+
+
+class TestRuleTables:
+    def test_kronrod_exact_to_degree_46(self):
+        errors = _legendre_errors(NODES, KRONROD_WEIGHTS, 48)
+        assert max(errors[:47]) <= 1e-15
+        assert errors[48] > 1e-6  # and no further
+
+    def test_gauss_exact_to_degree_29(self):
+        errors = _legendre_errors(NODES, GAUSS_WEIGHTS, 30)
+        assert max(errors[:30]) <= 1e-15
+        assert errors[30] > 1e-6
 
     def test_gauss_nodes_are_legendre_roots(self):
         gauss = NODES[GAUSS_WEIGHTS > 0]
-        assert len(gauss) == 7
-        assert [float(r) for r in _legendre_roots()] == list(gauss)
+        assert len(gauss) == 15
+        assert [float(r) for r in _legendre_roots(QK31, 15)] == list(gauss)
 
     def test_kronrod_nodes_are_stieltjes_roots(self):
         kronrod = NODES[GAUSS_WEIGHTS == 0]
-        assert [float(r) for r in _stieltjes_roots()] == list(kronrod)
+        assert len(kronrod) == 16
+        assert [float(r) for r in _stieltjes_roots(15)] == list(kronrod)
 
     def test_gauss_weights(self):
-        # w = 2 / ((1 - x^2) * P7'(x)^2) at each root x
-        with mp.workdps(30):
-            weights = [2 / ((1 - r**2) * mp.diff(lambda t: mp.legendre(7, t), r) ** 2)
-                       for r in _legendre_roots()]
-        assert [float(w) for w in weights] == list(GAUSS_WEIGHTS[GAUSS_WEIGHTS > 0])
+        assert [float(w) for w in _gauss_weights(QK31, 15)] \
+            == list(GAUSS_WEIGHTS[GAUSS_WEIGHTS > 0])
 
     def test_kronrod_weights(self):
-        # the symmetric weights on the 30-digit nodes that integrate the even
-        # powers up to x^14 exactly (odd powers hold by symmetry)
-        with mp.workdps(30):
-            nodes = sorted(_legendre_roots() + _stieltjes_roots())[7:]  # 0, then positive
-            rows = [[(1 if i == 0 else 2) * x**k for i, x in enumerate(nodes)]
-                    for k in range(0, 15, 2)]
-            moments = [mp.mpf(2) / (k + 1) for k in range(0, 15, 2)]
-            weights = mp.lu_solve(mp.matrix(rows), mp.matrix(moments))
-        assert [float(w) for w in weights] == list(KRONROD_WEIGHTS[7:])
+        assert [float(w) for w in _kronrod_weights(QK31, 15)] == list(KRONROD_WEIGHTS[15:])
 
     def test_tables_are_read_only(self):
         for table in (NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS):
             with pytest.raises(ValueError):
                 table[0] = 0.0
+
+    def test_qk15_reference(self):
+        # the same checks with n = 7: K15 is exact to degree 22, G7 to 13
+        nodes, kronrod, gauss = QK15
+        kronrod_errors = _legendre_errors(nodes, kronrod, 24)
+        gauss_errors = _legendre_errors(nodes, gauss, 14)
+        assert max(kronrod_errors[:23]) <= 1e-15 and kronrod_errors[24] > 1e-6
+        assert max(gauss_errors[:14]) <= 1e-15 and gauss_errors[14] > 1e-6
+        assert [float(r) for r in _legendre_roots(QK15, 7)] == list(nodes[gauss > 0])
+        assert [float(r) for r in _stieltjes_roots(7)] == list(nodes[gauss == 0])
+        assert [float(w) for w in _gauss_weights(QK15, 7)] == list(gauss[gauss > 0])
+        assert [float(w) for w in _kronrod_weights(QK15, 7)] == list(kronrod[7:])
+
+
+# ------------------------------- the qk15 reference -------------------------------
+# QUADPACK qk15, the rule integrate() used before qk31, kept to compare the
+# two: the positive K15 abscissae, descending, each with its K15 weight and
+# its G7 weight (0 off the G7 nodes), then the centre.
+
+_QK15_POSITIVE = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_QK15_CENTER = (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+QK15 = _Rule(*np.array([(-x, wk, wg) for x, wk, wg in _QK15_POSITIVE] + [_QK15_CENTER]
+                       + [(x, wk, wg) for x, wk, wg in reversed(_QK15_POSITIVE)]).T)
+
+
+def _on_qk15():
+    """integrate() on the qk15 reference, with its open-panel limit of 2**16,
+    while the context lasts."""
+    return mock.patch.multiple(
+        quadrature, NODES=QK15.nodes, MAX_OPEN_PANELS=2**16,
+        _SUMS=np.stack((QK15.kronrod, QK15.kronrod - QK15.gauss), axis=1),
+        _FLOOR_WEIGHTS=quadrature.ROUNDING_FLOOR * QK15.kronrod)
 
 
 # ------------------------------ an independent oracle ------------------------------
@@ -397,6 +470,31 @@ class TestOracleProperty:
         assert abs(log_term - log_ref) <= (quad_tol + _SLACK) * max(log_magnitude, 1.0)
 
 
+class TestAgainstQk15:
+    # integrand calls are counted both ways; `pytest
+    # --hypothesis-show-statistics` prints how often qk31 needs fewer, as
+    # many or more, and the search is steered toward more
+    @given(_CASES, st.floats(-1, 1), st.floats(1e-3, 2), st.floats(-12, -3))
+    @settings(max_examples=200, deadline=None)
+    def test_finishes_wherever_qk15_finishes(self, case, a, width, log_tol):
+        interval, tol = Interval(a, a + width), 10.0 ** log_tol
+        f = parse(case.text).eval_array
+        old, old_calls = _counted(f)
+        try:
+            with _on_qk15():
+                integrate(old, interval, tol)
+        except HHVError:
+            return
+        new, new_calls = _counted(f)
+        res = integrate(new, interval, tol)
+        ref = _tanh_sinh(case.fn, interval.a, interval.b)
+        magnitude = _tanh_sinh(lambda x: abs(case.fn(x)), interval.a, interval.b, case.roots)
+        assert abs(res.value - ref) <= (tol + _SLACK) * magnitude + _SUBNORMAL
+        more = len(new_calls) - len(old_calls)
+        event("qk31 calls " + ("fewer" if more < 0 else "more" if more else "as many"))
+        target(float(more), label="qk31 calls beyond qk15's")
+
+
 # ------------------------------- levels of panels -------------------------------
 
 def _outcome(f, interval, tol, max_depth):
@@ -441,9 +539,9 @@ class TestPanelTable:
         counted, calls = _counted(pole)
         ours = _outcome(counted, UNIT, 1e-10, 50)
         # one call per level; 5/16 is the centre node of the depth-3 panel
-        # [1/4, 3/8], the third of that level's six open panels
-        assert ours[0] is Overflow and ours[2:4] == (5.0 / 16.0, 2 * 15 + 7)
-        assert calls == [15, 30, 60, 90]
+        # [1/4, 3/8], the first of that level's two open panels
+        assert ours[0] is Overflow and ours[2:4] == (5.0 / 16.0, 15)
+        assert calls == [31, 62, 62, 62]
 
     @pytest.mark.parametrize("f", [
         parse("x^2 + 0*(1/x) + 0*(1/(1 - x))").eval_array,
@@ -451,13 +549,13 @@ class TestPanelTable:
     ])
     def test_failure_only_at_a_grid_point(self, f):
         # f fails only at the ends of the interval, which the open rule never
-        # evaluates; K15 is exact on x^2, so one panel is accepted
+        # evaluates; K31 is exact on x^2, so one panel is accepted
         counted, calls = _counted(f)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ours = _outcome(counted, UNIT, 1e-10, 50)
-        assert ours[0] == (1.0 / 3.0).hex() and ours[2] == 15
-        assert calls == [15] and not caught
+        assert ours[0] == (1.0 / 3.0).hex() and ours[2] == 31
+        assert calls == [31] and not caught
 
     @pytest.mark.parametrize("max_depth", [0, 50])
     def test_division_by_zero_where_the_loop_goes(self, max_depth):
@@ -467,17 +565,17 @@ class TestPanelTable:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             res = integrate(f, UNIT, 1e-10, max_depth)
-        assert (res.value, res.evaluations) == (1.0, 15)
+        assert (res.value, res.evaluations) == (1.0, 31)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RuntimeWarning, match="divide by zero"):
                 integrate(f, UNIT, 1e-10, max_depth)
 
     @pytest.mark.parametrize("text, calls", [
-        # K15 resolves exp(x^2) on one panel
-        ("exp(x^2)", [15]),
+        # K31 resolves exp(x^2) on one panel
+        ("exp(x^2)", [31]),
         # the open panels of each level are evaluated in one call
-        ("exp(40*x)", [15, 30, 30, 60, 30]),
+        ("exp(40*x)", [31, 62]),
     ])
     def test_one_call_for_the_first_levels(self, text, calls):
         counted, seen = _counted(parse(text).eval_array)
@@ -500,9 +598,9 @@ class TestPanelTable:
 
     @pytest.mark.parametrize("f", [lambda x: x**2, np.exp])
     def test_max_depth_zero(self, f):
-        # K15 is exact on x^2 and within its budget on exp: one panel each
+        # K31 is exact on x^2 and within its budget on exp: one panel each
         res = integrate(f, UNIT, 1e-10, 0)
-        assert res.evaluations == 15
+        assert res.evaluations == 31
         assert res.value == pytest.approx(1.0 / 3.0 if f is not np.exp else math.e - 1,
                                           rel=1e-15)
 
@@ -511,24 +609,26 @@ class TestPanelTable:
 
 
 class TestOpenPanelLimit:
-    # no panel of this integrand meets its share before depth 17, so every
+    # no panel of this integrand meets its share before the limit, so every
     # level doubles the open panels
     @staticmethod
     def wiggle(x):
         return np.sin(1e6 * x)
 
     def test_too_many_open_panels_raise(self):
+        f, calls = _counted(self.wiggle)
         with pytest.raises(OpenPanelLimitExceeded) as exc:
-            integrate(self.wiggle, UNIT, 1e-10)
+            integrate(f, UNIT, 1e-10)
         err = exc.value
         assert isinstance(err, MaxDepthExceeded)
-        # the next level would evaluate 2**17 panels
-        assert (err.a, err.b, err.depth, err.limit) == (0.0, 2.0**-16, 16, MAX_OPEN_PANELS)
-        assert str(MAX_OPEN_PANELS) in str(err)
+        assert calls == [NODES.size * 2**depth for depth in range(16)]
+        # the next level would evaluate 2**16 panels
+        assert (err.a, err.b, err.depth, err.limit) == (0.0, 2.0**-15, 15, MAX_OPEN_PANELS)
+        assert MAX_OPEN_PANELS == 2**15 and str(MAX_OPEN_PANELS) in str(err)
 
     def test_depth_limit_is_checked_first(self):
         with pytest.raises(MaxDepthExceeded) as exc:
-            integrate(self.wiggle, UNIT, 1e-10, max_depth=16)
+            integrate(self.wiggle, UNIT, 1e-10, max_depth=15)
         assert type(exc.value) is MaxDepthExceeded
 
     def test_tolerance_below_the_rounding_floor_cannot_be_met(self):
@@ -597,7 +697,7 @@ def _ref_integrate(f, interval, tol):
 
 
 class TestFloorStop:
-    # the K15 estimate of ∫|f| on the children can undercut the parent's
+    # the K31 estimate of ∫|f| on the children can undercut the parent's
     # where f changes sign, so the stop is checked against the rule without it
     @given(_CASES, st.floats(-1, 1), st.floats(1e-3, 2), st.floats(-16, -3))
     # a share below the normal range, where the floors round too coarsely
