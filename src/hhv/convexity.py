@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EvalError, PhiRangeViolated, PositivityViolated
-from .expr import Expr, Interval, Var, check_positive, parse
+from .expr import Expr, Interval, Var, check_positive, grid, parse
 
 __all__ = [
     "SamplePlan", "SampleSet", "SampleTriple", "PhiMap", "ConvexityReport",
@@ -184,8 +184,16 @@ class SampleSet(NamedTuple):
                 np.concatenate([np.full(len(lo), 0.5), self.gt, self.rt]))
 
     def point(self, i: int) -> SampleTriple:
-        """The triple at index ``i``."""
-        return SampleTriple(*(float(part[i]) for part in self.flat()))
+        """The triple at index ``i``, read from its block without :meth:`flat`."""
+        lo, _, hi = _differences(len(self.fine))
+        i = range(len(lo) + len(self.gt) + len(self.rx))[i]
+        if i < len(lo):
+            return SampleTriple(float(self.fine[lo[i]]), float(self.fine[hi[i]]), 0.5)
+        i -= len(lo)
+        if i < len(self.gt):
+            return SampleTriple(float(self.fine[-1]), float(self.fine[0]), float(self.gt[i]))
+        i -= len(self.gt)
+        return SampleTriple(float(self.rx[i]), float(self.ry[i]), float(self.rt[i]))
 
     def pairwise(self, fn, at_points: np.ndarray) -> np.ndarray:
         """``fn(t, v(x), v(y))`` for every triple, in order, from v at the
@@ -283,8 +291,8 @@ class PhiMap:
         object.__setattr__(self, "range", (float(vals.min()), float(vals.max())))
 
     def _on_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        grid = np.linspace(self.domain.a, self.domain.b, PHI_GRID)
-        return grid, self.phi.eval_array(grid)
+        xs = grid(self.domain.a, self.domain.b, PHI_GRID)
+        return xs, self.phi.eval_array(xs)
 
     @property
     def slack(self) -> float:
@@ -488,7 +496,10 @@ def _points(samples: SampleSet) -> np.ndarray:
     (:func:`_mix`).
 
     The last set's points are kept and handed out again while the same set
-    object asks.  A new set, such as a flat or a pinned one, builds its own.
+    object asks.  A new set, such as a pinned one, builds its own.  A flat
+    set, a chord check's direct side or a set through φ, is built once and
+    never asked for again, so it is not kept: it would evict the set that
+    is.
     """
     global _last_points
     memo = _last_points
@@ -498,7 +509,8 @@ def _points(samples: SampleSet) -> np.ndarray:
     points = np.concatenate([g, _mix(samples.gt, g[-1:], g[:1]), samples.rx, samples.ry,
                              _mix(samples.rt, samples.rx, samples.ry)])
     points.flags.writeable = False
-    _last_points = samples, points
+    if len(g):
+        _last_points = samples, points
     return points
 
 

@@ -19,6 +19,7 @@ power, whose last bit depends on the SIMD code numpy dispatches to.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -30,7 +31,7 @@ from .errors import DomainError, EvalError, Overflow, ParseError, UnknownIdentif
 __all__ = [
     "Num", "Var", "Const", "Unary", "Binary", "Node",
     "Expr", "Interval", "PositivityCheck",
-    "parse", "serialize", "evaluate", "evaluate_array", "check_positive",
+    "parse", "serialize", "evaluate", "evaluate_array", "check_positive", "grid",
 ]
 
 _FUNCTIONS = ("exp", "ln", "sqrt", "abs")
@@ -485,16 +486,70 @@ class PositivityCheck(NamedTuple):
     detail: str | None
 
 
+def grid(a: float, b: float, points: int) -> np.ndarray:
+    """``np.linspace(a, b, points)``, bit for bit, for ``points >= 2``.
+
+    The same steps as numpy's, without its Python wrapper, which costs
+    about twice the arithmetic on a grid of a few hundred points: the
+    width and the step are rounded once each, every point is ``m*step +
+    a``, and the last is ``b``.  Where the step rounds to 0 (a width of a
+    few subnormals), each ``m`` is divided by ``points - 1`` and multiplied
+    by the width instead, as numpy does.  A count that is not an integer
+    raises ``TypeError``, as it does in numpy.
+    """
+    div = operator.index(points) - 1
+    if div < 1:
+        raise ValueError(f"a grid needs at least 2 points, got {points}")
+    delta = b - a
+    step = delta / div
+    y = np.arange(points, dtype=float)
+    if step == 0:
+        y /= div
+        y *= delta
+    else:
+        y *= step
+    y += a
+    y[-1] = b
+    return y
+
+
+# The two newest checks of an Expr, newest first, each (f, interval, n,
+# result).  An entry holds f and the interval, so neither id passes to
+# another object while it is kept.  Only an Expr enters: its tree is
+# immutable, whereas a chord check's _Segment is new for every pair.  The
+# tuple is replaced whole, so a reader in another thread sees one memo or
+# the next, never a mix.
+_checked: tuple[tuple[Expr, Interval, int, PositivityCheck], ...] = ()
+
+
 def check_positive(f: Expr, interval: Interval, n: int = 257) -> PositivityCheck:
     """Sample ``f`` on ``n + 1`` equally spaced points and certify positivity.
 
     Returns a failed check with the smallest-index witness where ``f`` is
     non-positive or not evaluable.  A discontinuity strictly between grid
     points goes undetected; callers choose ``n`` accordingly.
+
+    The two newest checks of an :class:`Expr` are remembered, failing ones
+    too: the same ``Expr`` object on the same ``Interval`` object with an
+    equal ``n`` gets its result back without evaluating ``f`` again.  A
+    search checks each candidate when it draws it and again in its target.
     """
+    global _checked
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"grid size must be >= 2, got {n}")
-    xs = np.linspace(interval.a, interval.b, n + 1)
+    memo = _checked  # one read: another thread may replace it
+    for entry in memo:
+        if entry[0] is f and entry[1] is interval and entry[2] == n:
+            return entry[3]
+    result = _check_positive(f, interval, n)
+    if type(f) is Expr:
+        _checked = ((f, interval, n, result),) + memo[:1]
+    return result
+
+
+def _check_positive(f, interval: Interval, n: int) -> PositivityCheck:
+    xs = grid(interval.a, interval.b, n + 1)
     result = PositivityCheck(True, None, None)
     try:
         vals = f.eval_array(xs)

@@ -135,30 +135,39 @@ class TestDragomirMond:
         with pytest.raises(PositivityViolated):
             eval_dragomir_mond(parse("x - 2"), UNIT)
 
+    # search workload witnesses: (f, interval, margin of link 0, of link 3)
+    AFFINE_WITNESSES = [
+        # seed 2270, pass 55
+        ("0.0019824457631973935*x + 0.8942207694409012", Interval(0.352712, 0.85842),
+         -4.677e-8, -9.354e-8),
+        # seed 2451, pass 7
+        ("0.0010202611139513706*x + 0.6017402195217652", Interval(0.490363, 1.18081),
+         -3.431e-8, -6.862e-8),
+    ]
+
     def test_nearly_constant_affine_violates_its_log_convexity_links(self):
-        # a witness of the benchmark's search workload: an affine f is
-        # log-concave, so links 0 and 3 fail, by margins about 5 times their
-        # band of 1e-8 times the terms (about 0.9); each term is within
-        # quad_tol of mpmath's, so the margins are mpmath's to 2e-10
-        text = "0.0019824457631973935*x + 0.8942207694409012"
-        interval = Interval(0.352712, 0.85842)
-        report = eval_dragomir_mond(parse(text), interval)
-        assert report.verdict == VERDICT_LINK_VIOLATED and report.violated_links == (0, 3)
-        with mp.workdps(40):
-            f, a, b = _mp_fn(text), mp.mpf(interval.a), mp.mpf(interval.b)
-            terms = [
-                f((a + b) / 2),
-                mp.exp(mp.quad(lambda x: mp.log(f(x)), [a, b]) / (b - a)),
-                mp.quad(lambda x: mp.sqrt(f(x) * f(a + b - x)), [a, b]) / (b - a),
-                mp.quad(f, [a, b]) / (b - a),
-                _mp_log_mean(f(b), f(a)),
-                (f(a) + f(b)) / 2,
-            ]
-            expected = [terms[i + 1] - terms[i] for i in range(len(terms) - 1)]
-        assert expected[0] == pytest.approx(-4.677e-8, rel=1e-3)
-        assert expected[3] == pytest.approx(-9.354e-8, rel=1e-3)
-        for got, want in zip(report.pair_margins, expected):
-            assert abs(got - want) <= 2 * DEFAULT_QUAD_TOL * terms[-1]
+        # an affine f is log-concave, so links 0 and 3 fail, by margins about
+        # 5 times their band of 1e-8 times the terms (about 0.9 and 0.6);
+        # each term is within quad_tol of mpmath's, so the margins are
+        # mpmath's to 2e-10
+        for text, interval, margin_0, margin_3 in self.AFFINE_WITNESSES:
+            report = eval_dragomir_mond(parse(text), interval)
+            assert report.verdict == VERDICT_LINK_VIOLATED and report.violated_links == (0, 3)
+            with mp.workdps(40):
+                f, a, b = _mp_fn(text), mp.mpf(interval.a), mp.mpf(interval.b)
+                terms = [
+                    f((a + b) / 2),
+                    mp.exp(mp.quad(lambda x: mp.log(f(x)), [a, b]) / (b - a)),
+                    mp.quad(lambda x: mp.sqrt(f(x) * f(a + b - x)), [a, b]) / (b - a),
+                    mp.quad(f, [a, b]) / (b - a),
+                    _mp_log_mean(f(b), f(a)),
+                    (f(a) + f(b)) / 2,
+                ]
+                expected = [terms[i + 1] - terms[i] for i in range(len(terms) - 1)]
+            assert expected[0] == pytest.approx(margin_0, rel=1e-3)
+            assert expected[3] == pytest.approx(margin_3, rel=1e-3)
+            for got, want in zip(report.pair_margins, expected):
+                assert abs(got - want) <= 2 * DEFAULT_QUAD_TOL * terms[-1]
 
 
 class TestTheorem1:

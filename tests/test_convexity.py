@@ -817,10 +817,23 @@ class TestFactoredSamples:
             (1.0, 0.0, 0.0), (1.0, 0.0, 0.5), (1.0, 0.0, 1.0)]
         assert (xs[7:] == samples.rx).all() and (ys[7:] == samples.ry).all()
         assert (ts[7:] == samples.rt).all()
+        flat = SampleSet(np.empty(0), np.empty(0), xs, ys, ts)
         for i in range(samples.size):
-            assert samples.point(i) == SampleTriple(xs[i], ys[i], ts[i])
+            assert samples.point(i) == flat.point(i) == SampleTriple(xs[i], ys[i], ts[i])
+        assert samples.point(-1) == SampleTriple(xs[-1], ys[-1], ts[-1])
+        with pytest.raises(IndexError):
+            samples.point(samples.size)
         for got, want in zip(samples.flat(), (xs, ys, ts)):
             assert got.tobytes() == want.tobytes()
+
+    def test_a_flat_set_leaves_the_kept_points(self):
+        # a chord check's direct side is flat and built once: it must not
+        # evict the plan's set on [0, 1], which every segment reads
+        samples = SamplePlan(x_points=3, t_points=3, random_count=4).samples(UNIT)
+        kept = convexity._points(samples)
+        flat = SampleSet(np.empty(0), np.empty(0), *samples.flat())
+        assert convexity._points(flat) is not kept
+        assert convexity._points(samples) is kept
 
     def test_first_index_is_first_flat_occurrence_x_before_y(self):
         # f fails at one point of the set: the failure is reported at the first

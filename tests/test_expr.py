@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hhv import expr
+from hhv import convexity, expr
 from hhv.errors import DomainError, EvalError, Overflow, ParseError, UnknownIdentifierError
 from hhv.expr import (
     Binary, Const, Expr, Interval, Num, Unary, Var,
-    check_positive, evaluate, evaluate_array, parse, serialize,
+    check_positive, evaluate, evaluate_array, grid, parse, serialize,
 )
 
 
@@ -617,6 +617,106 @@ class TestCheckPositive:
         finally:
             gc.enable()
         assert res.witness > 0.5 and res.detail.startswith("sqrt of negative argument")
+
+
+class TestPositivityMemo:
+    """The two newest checks of an Expr, held by identity."""
+
+    @pytest.fixture
+    def grid_evals(self, monkeypatch):
+        monkeypatch.setattr(expr, "_checked", ())
+        seen = []
+        monkeypatch.setattr(expr, "evaluate_array",
+                            lambda f, xs: seen.append(f) or evaluate_array(f, xs))
+        return seen
+
+    def test_repeat_check_evaluates_once(self, grid_evals):
+        f, unit = parse("exp(x)"), Interval(0, 1)
+        first = check_positive(f, unit, 64)
+        assert check_positive(f, unit, 64) is first
+        assert grid_evals == [f]
+
+    def test_third_expr_evicts_the_oldest(self, grid_evals):
+        unit = Interval(0, 1)
+        f, g, h = parse("exp(x)"), parse("1 + x"), parse("2 - x")
+        for fn in (f, g, h):
+            check_positive(fn, unit, 64)
+        grid_evals.clear()
+        check_positive(g, unit, 64)
+        check_positive(h, unit, 64)
+        assert grid_evals == []
+        check_positive(f, unit, 64)
+        assert grid_evals == [f]
+
+    def test_other_interval_object_or_n_misses(self, grid_evals):
+        f, unit = parse("exp(x)"), Interval(0, 1)
+        check_positive(f, unit, 64)
+        check_positive(f, Interval(0, 1), 64)  # equal, but another object
+        check_positive(f, unit, 32)
+        assert grid_evals == [f, f, f]
+
+    def test_a_chord_segment_never_enters(self, grid_evals):
+        # a chord check makes a new _Segment for every pair; only an Expr,
+        # whose tree is immutable, is remembered
+        f, unit = parse("exp(x)"), Interval(0, 1)
+        seg = convexity._Segment(f, 0.25, 0.75)
+        check_positive(seg, unit, 64)
+        check_positive(seg, unit, 64)
+        assert grid_evals == [f, f] and expr._checked == ()
+
+    @pytest.mark.parametrize("text", ["x - 0.5", "exp(sqrt(0.5 - x))"])
+    def test_remembered_failure_equals_a_fresh_check(self, text, grid_evals):
+        f, unit = parse(text), Interval(0, 1)
+        fresh = check_positive(f, unit, 64)
+        calls = len(grid_evals)
+        assert not fresh.ok
+        assert check_positive(f, unit, 64) == fresh
+        assert len(grid_evals) == calls
+        assert check_positive(parse(text), unit, 64) == fresh
+
+    def test_count_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            check_positive(parse("x"), Interval(0, 1), 64.0)
+
+
+def _bits(xs):
+    return np.asarray(xs, dtype=float).view(np.uint64).tolist()
+
+
+# a few subnormals apart: the step rounds to 0 and numpy takes its other branch
+_subnormal_ends = st.tuples(st.integers(-20, 20), st.integers(-4, 4)).map(
+    lambda mk: (mk[0] * 5e-324, (mk[0] + mk[1]) * 5e-324))
+_ends = st.one_of(
+    st.tuples(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+    st.tuples(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+    st.tuples(st.floats(-1e308, 1e308), st.floats(-1e308, 1e308)),
+    _subnormal_ends,
+)
+
+
+class TestGrid:
+    @given(_ends, st.sampled_from([2, 3, 257, 258]))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_linspace_bit_for_bit(self, ends, points):
+        a, b = ends
+        assume(math.isfinite(b - a))
+        assert _bits(grid(a, b, points)) == _bits(np.linspace(a, b, points))
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1e-322), (-0.0, 0.0), (5e-324, -5e-324)])
+    def test_step_zero_branch(self, a, b):
+        assert (b - a) / 257 == 0
+        assert _bits(grid(a, b, 258)) == _bits(np.linspace(a, b, 258))
+
+    def test_count_must_be_an_integer(self):
+        for points in (2.0, 258.5):
+            with pytest.raises(TypeError):
+                np.linspace(0.0, 1.0, points)
+            with pytest.raises(TypeError):
+                grid(0.0, 1.0, points)
+
+    def test_count_below_two_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            grid(0.0, 1.0, 1)
 
 
 class TestInterval:

@@ -1,14 +1,18 @@
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from hhv import search
-from hhv.convexity import PhiMap, SamplePlan, VERDICT_VIOLATED, check_log_convex
+from hhv import expr, search
+from hhv.convexity import (
+    POSITIVITY_GRID, PhiMap, SamplePlan, VERDICT_VIOLATED, check_log_convex,
+)
 from hhv.errors import GenerationExhausted, PhiRangeViolated
-from hhv.expr import Interval, check_positive, parse
+from hhv.expr import Interval, check_positive, evaluate_array, parse
 from hhv.search import (
     FamilySpec, SearchTarget, find_counterexample, generate, generate_phi, run_target,
 )
@@ -222,6 +226,15 @@ def _ranges(draw, nonnegative=False):
     return lo, hi
 
 
+def _unvalidated(family, degree, coeff_range, seed):
+    """A FamilySpec built without the checks that would reject it."""
+    spec = object.__new__(FamilySpec)
+    for name, value in zip(("family", "degree_bound", "coeff_range", "seed"),
+                           (family, degree, coeff_range, seed)):
+        object.__setattr__(spec, name, value)
+    return spec
+
+
 @st.composite
 def _domains(draw):
     a, b = draw(_ranges())
@@ -242,10 +255,19 @@ class TestGeneratePhiMatchesReference:
                 == _outcome(spec, domain, _ref_generate_phi))
 
     @given(st.integers(0, 6), _ranges(), st.integers(0, 2**64 - 1), _domains())
+    # a range whose width overflows, which FamilySpec rejects
+    @example(0, (-9.769313486231587e+306, 1.7e+308), 0, Interval(0.0, 1.0))
     @settings(max_examples=300, deadline=None)
     def test_matches_two_parse_draw_at_any_scale(self, degree, coeff_range, seed, domain):
         # generate_phi reads no family, and clips a negative lo to 0
-        spec = FamilySpec("exp_of_poly", degree, coeff_range, seed)
+        try:
+            spec = FamilySpec("exp_of_poly", degree, coeff_range, seed)
+        except ValueError as err:
+            # rejected because exp_of_poly could not draw from it; clipped
+            # to a non-negative lo, generate_phi still can
+            assert not math.isfinite(coeff_range[1] - coeff_range[0])
+            assert str(err).endswith("is too wide to draw from: its width overflows")
+            spec = _unvalidated("exp_of_poly", degree, coeff_range, seed)
         assert (_outcome(spec, domain, generate_phi)
                 == _outcome(spec, domain, _ref_generate_phi))
 
@@ -263,10 +285,7 @@ class TestGenerateMatchesReference:
             # FamilySpec rejects only ranges that the reference cannot draw a
             # candidate from: numpy refuses the range, or every affine_exp
             # candidate with hi <= 0 is zero
-            spec = object.__new__(FamilySpec)
-            for name, value in zip(("family", "degree_bound", "coeff_range", "seed"),
-                                   (family, degree, coeff_range, seed)):
-                object.__setattr__(spec, name, value)
+            spec = _unvalidated(family, degree, coeff_range, seed)
             failed = _outcome(spec, domain, _ref_generate)[0]
             assert failed in ("OverflowError", "ValueError", "GenerationExhausted")
             return
@@ -351,6 +370,32 @@ class TestFindCounterexample:
             Interval(0.5, 2.0), budget=50, seed=3, sampler=LIGHT)
         assert out.found and out.witness.phi_text is None
         assert calls == []
+
+    @pytest.mark.parametrize("target, takes", [
+        (SearchTarget("chain", "theorem2"), 2),  # f and g
+        (SearchTarget("check", "log_phi_convex"), 1),
+        (SearchTarget("chain", "dragomir_mond"), 1),
+    ])
+    def test_each_candidate_evaluated_once_on_the_positivity_grid(self, target, takes,
+                                                                  monkeypatch):
+        # generate checks each candidate's positivity and the target checks it
+        # again, on the same Interval object: the second check is remembered
+        on_grid = []
+
+        def counting(f, xs):
+            if np.size(xs) == POSITIVITY_GRID + 1:
+                on_grid.append(f)
+            return evaluate_array(f, xs)
+
+        monkeypatch.setattr(expr, "evaluate_array", counting)
+        out = find_counterexample(target, FamilySpec("exp_of_poly", 1, (-2, 2)),
+                                  FamilySpec("positive_poly", 2, (0.1, 2.0)), UNIT,
+                                  budget=20, seed=5, sampler=LIGHT)
+        # on_grid holds every candidate, so no two of them share an id
+        per_expr = Counter(map(id, on_grid))
+        assert out.trials == 20 and not out.skipped
+        assert len(per_expr) == takes * out.trials
+        assert set(per_expr.values()) == {1}
 
     def test_endpoint_product_underflow_skips_the_trial(self):
         # f and g near exp(-410): f*g underflows at both ends in every trial
