@@ -13,6 +13,9 @@ side that runs first alternates from pair to pair.  ``runs`` holds every
 result line, in the shape of BENCH_10.json.  ``summary`` gives, for each
 workload and end-to-end metric of BENCHMARK.json, the parent's median and
 quartiles, the change's median and the pairs in which the change is ahead.
+Each run's record also holds ``cpu_us_per_job``, the job CPU time per job
+that ``bench/run.py`` prints, unscaled by its calibration, and ``summary``
+compares it as ``<workload>.cpu_us_per_job`` (lower is better).
 With ``--trace-seed N``, one traced run per workload and side adds its
 result line under ``traced_seed_N``.
 
@@ -25,6 +28,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -34,6 +38,8 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# bench/run.py's timed summary: "... N jobs, C s of job CPU time in ..."
+CPU_LINE = re.compile(r"(\d+) jobs, (\d+(?:\.\d+)?) s of job CPU time")
 
 
 def export(ref: str, dest: Path) -> Path:
@@ -46,12 +52,20 @@ def export(ref: str, dest: Path) -> Path:
     return target
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The JSON result line of one ``bench/run.py`` run in ``root``."""
+def bench(root: Path, workload: str, seed: int, seconds: float,
+          trace: int) -> tuple[dict, str]:
+    """The JSON result line of one ``bench/run.py`` run in ``root``, and all
+    that the run printed."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, check=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    return json.loads(out.splitlines()[-1]), out
+
+
+def cpu_us_per_job(out: str) -> float:
+    """Job CPU time per job, in µs, from a timed run's printed summary."""
+    jobs, cpu_s = CPU_LINE.search(out).groups()
+    return float(cpu_s) / int(jobs) * 1e6
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -60,10 +74,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         pairs: dict[int, dict[str, dict]] = {}
         for r in runs:
             if r["workload"] == workload:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
-        for name, direction in better.items():
-            parent = [p["parent"][name]["value"] for p in pairs.values()]
-            change = [p["change"][name]["value"] for p in pairs.values()]
+                values = {k: m["value"] for k, m in r["result"]["metrics"].items()}
+                values["cpu_us_per_job"] = r["cpu_us_per_job"]
+                pairs.setdefault(r["seed"], {})[r["side"]] = values
+        for name, direction in {**better, "cpu_us_per_job": "lower"}.items():
+            parent = [p["parent"][name] for p in pairs.values()]
+            change = [p["change"][name] for p in pairs.values()]
             sign = 1 if direction == "higher" else -1
             q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
                          if len(parent) > 1 else parent * 3)
@@ -109,17 +125,19 @@ def main() -> int:
             for p, seed in enumerate(args.seeds):
                 order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
                 for first, side in enumerate(order, start=1):
-                    result = bench(sides[side], workload, seed, args.seconds, 0)
+                    result, out = bench(sides[side], workload, seed, args.seconds, 0)
+                    cpu = cpu_us_per_job(out)
                     print(f"{workload} seed {seed} {side}: jobs_per_s "
-                          f"{result['metrics']['jobs_per_s']['value']:.1f} correct "
-                          f"{result['correct']}", file=sys.stderr)
+                          f"{result['metrics']['jobs_per_s']['value']:.1f} cpu_us_per_job "
+                          f"{cpu:.1f} correct {result['correct']}", file=sys.stderr)
                     runs.append({"workload": workload, "seed": seed, "side": side,
-                                 "order_in_pair": first, "result": result})
+                                 "order_in_pair": first, "cpu_us_per_job": cpu,
+                                 "result": result})
         traced = {}
         if args.trace_seed is not None:
             for workload in args.workloads:
                 traced[workload] = {side: bench(root, workload, args.trace_seed,
-                                                args.seconds, 1)
+                                                args.seconds, 1)[0]
                                     for side, root in sides.items()}
 
     record = {

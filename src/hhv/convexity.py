@@ -137,7 +137,7 @@ class SamplePlan:
         The last set built is kept and handed out again, so the trials of a
         search, which share the plan and the domain, build it once; the
         random draw is kept per plan, so a set over another interval costs
-        only its affine map.
+        only its affine map and its mixes.
         """
         return _samples(self, interval.a, interval.b)
 
@@ -160,9 +160,11 @@ class SampleSet(NamedTuple):
     * the span row, (fine[n], fine[0], gt[j]) for every j;
     * every (rx[m], ry[m], rt[m]).
 
-    So f runs on the grid once and :meth:`pairwise` gathers the rest.  A
-    flat set, such as the chord check's direct side, has an empty grid and
-    t axis.
+    ``points`` are the points f runs on, read-only: the fine grid, the span
+    row's mixes, the random x, the random y, the random mixes.  A drawn set
+    holds them, ``fine``, ``rx`` and ``ry`` being views of them; a flat set,
+    such as the chord check's direct side, has an empty grid and t axis, and
+    it, or a set with its t replaced, leaves them to :func:`_points`.
     """
 
     fine: np.ndarray
@@ -170,6 +172,7 @@ class SampleSet(NamedTuple):
     rx: np.ndarray
     ry: np.ndarray
     rt: np.ndarray
+    points: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -195,16 +198,10 @@ class SampleSet(NamedTuple):
         i -= len(self.gt)
         return SampleTriple(float(self.rx[i]), float(self.ry[i]), float(self.rt[i]))
 
-    def pairwise(self, fn, at_points: np.ndarray) -> np.ndarray:
-        """``fn(t, v(x), v(y))`` for every triple, in order, from v at the
-        set's points (:func:`_points`).  ``fn`` works elementwise."""
-        lo, _, hi = _differences(len(self.fine))
-        n, span, r = len(self.fine), len(self.gt), len(self.rx)
-        g, rand = at_points[:n], at_points[n + span:]
-        # the span row broadcasts its two ends, the same arithmetic per triple
-        span_row = np.broadcast_to(fn(self.gt, g[-1:], g[:1]), self.gt.shape)
-        return np.concatenate([fn(0.5, g[lo], g[hi]), span_row,
-                               fn(self.rt, rand[:r], rand[r:2 * r])])
+    def mixes(self) -> np.ndarray:
+        """Every triple's mix, in order, read from the set's points."""
+        points = _points(self)
+        return np.concatenate([points[mix] for *_, mix, _ in _blocks(self)])
 
 
 def _samples(plan: SamplePlan, a: float, b: float) -> SampleSet:
@@ -225,16 +222,16 @@ def _unit_draw(plan: SamplePlan) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _draw_samples(plan: SamplePlan, a: float, b: float, *_signs: float) -> SampleSet:
     u = _unit_draw(plan)
-    fine = a + (b - a) * _unit_grid((plan.x_points - 1) * (plan.t_points - 1))
+    n, span, r = (plan.x_points - 1) * (plan.t_points - 1) + 1, plan.t_points, plan.random_count
+    points = np.empty(n + span + 3 * r)
+    fine, rx, ry = points[:n], points[n + span:n + span + r], points[n + span + r:n + span + 2 * r]
+    for out, unit in ((fine, _unit_grid(n - 1)), (rx, u[:, 0]), (ry, u[:, 1])):
+        np.multiply(unit, b - a, out=out)
+        out += a  # a + (b - a)*unit
     fine[-1] = b
-    samples = SampleSet(
-        fine=fine,
-        gt=_unit_grid(plan.t_points - 1),
-        rx=a + (b - a) * u[:, 0],
-        ry=a + (b - a) * u[:, 1],
-        # contiguous, for numpy's faster loops; the values are unchanged
-        rt=np.ascontiguousarray(u[:, 2]),
-    )
+    # rt contiguous, for numpy's faster loops; the values are unchanged
+    samples = SampleSet(fine, _unit_grid(span - 1), rx, ry, np.ascontiguousarray(u[:, 2]), points)
+    _write_mixes(samples)
     for arr in samples:  # every caller of the memo shares these arrays
         arr.flags.writeable = False
     return samples
@@ -456,8 +453,7 @@ class _Segment:
         self.v = float(v)
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return self.f.eval_array(ts * self.u + (1.0 - ts) * self.v)
+        return self.f.eval_array(_chord(np.asarray(ts, dtype=float), self.u, self.v))
 
 
 def _require_positive_values(vals: np.ndarray, points: np.ndarray, label="f") -> np.ndarray:
@@ -469,76 +465,68 @@ def _require_positive_values(vals: np.ndarray, points: np.ndarray, label="f") ->
     return vals
 
 
-def _chord(t, u, v):
-    return t * u + (1.0 - t) * v
+def _chord(t, u, v, out=None):
+    """t*u + (1-t)*v, into ``out`` when given."""
+    rest = 1.0 - t
+    rest *= v
+    out = np.multiply(t, u, out=out)
+    out += rest
+    return out
 
 
-def _mix(t, u, v):
-    """The chord's point t*u + (1-t)*v; a degenerate chord's is its end, as
-    on the fine grid, where t*u + (1-t)*u may round off u."""
-    return np.where(u == v, u, _chord(t, u, v))
+def _blocks(samples: SampleSet) -> tuple[tuple, tuple, tuple]:
+    """``(t, x, y, mix, at)`` for the differences, the span row and the random
+    triples: the block's t, the indices of its x, y and mix in the set's
+    points (:func:`_differences`, then slices; the span row's x and y are one
+    point each), and its slice of the triples.  Each value per triple is
+    written into its block's slice of one array, by the arithmetic of flat
+    triples, so it is the same float."""
+    n, span, r = len(samples.fine), len(samples.gt), len(samples.rx)
+    lo, mid, hi = _differences(n)
+    d, e = len(lo), n + span
+    return ((0.5, lo, hi, mid, slice(0, d)),
+            (samples.gt, slice(n - 1, n), slice(0, 1), slice(n, e), slice(d, d + span)),
+            (samples.rt, slice(e, e + r), slice(e + r, e + 2 * r), slice(e + 2 * r, e + 3 * r),
+             slice(d + span, d + span + r)))
 
 
-def _larger(t, u, v):
-    return np.maximum(u, v)
-
-
-# one entry: every pair of a chord check and every trial of a search that
-# shares the domain's set reads it; kept as one (set, points) pair, so that
-# no reader pairs one set's points with another set, and holding the set
-# keeps its id from passing to another
-_last_points: tuple[SampleSet, np.ndarray] | None = None
-
-
-def _points(samples: SampleSet) -> np.ndarray:
-    """The points f runs on for ``samples``, read-only: the fine grid, the
-    span row's mixes, the random x, the random y, the random mixes
-    (:func:`_mix`).
-
-    The last set's points are kept and handed out again while the same set
-    object asks.  A new set, such as a pinned one, builds its own.  A flat
-    set, a chord check's direct side or a set through φ, is built once and
-    never asked for again, so it is not kept: it would evict the set that
-    is.
-    """
-    global _last_points
-    memo = _last_points
-    if memo is not None and memo[0] is samples:
-        return memo[1]
-    g = samples.fine
-    points = np.concatenate([g, _mix(samples.gt, g[-1:], g[:1]), samples.rx, samples.ry,
-                             _mix(samples.rt, samples.rx, samples.ry)])
+def _write_mixes(samples: SampleSet) -> np.ndarray:
+    """``samples.points``, read-only, with the mixes t*x + (1-t)*y of the span
+    row and the random triples written in; a degenerate chord's is its end,
+    as on the fine grid, where t*x + (1-t)*x may round off x."""
+    points = samples.points
+    for t, x, y, mix, _ in _blocks(samples)[1:]:
+        _chord(t, points[x], points[y], points[mix])
+        np.copyto(points[mix], points[x], where=points[x] == points[y])
     points.flags.writeable = False
-    if len(g):
-        _last_points = samples, points
     return points
 
 
-def _at_mixes(samples: SampleSet, at_points: np.ndarray) -> np.ndarray:
-    """The entries of ``at_points``, one per point of the set (:func:`_points`),
-    at every triple's mix, in order."""
-    n, span, r = len(samples.fine), len(samples.gt), len(samples.rx)
-    return np.concatenate([at_points[:n][_differences(n)[1]], at_points[n:n + span],
-                           at_points[len(at_points) - r:]])
+def _points(samples: SampleSet) -> np.ndarray:
+    """``samples.points``, built for a set that does not hold them in the
+    layout of its fields, the mixes in place of its t axis and random t."""
+    if samples.points is not None:
+        return samples.points
+    return _write_mixes(samples._replace(points=np.concatenate(
+        [samples.fine, samples.gt, samples.rx, samples.ry, samples.rt])))
 
 
 def _values(f, samples: SampleSet, log_space: bool) -> np.ndarray:
-    """f at the set's points (:func:`_points`), in one call of ``f.eval_array``.
+    """f at the set's points (:func:`_points`) in one call of ``f.eval_array``.
 
     Raises what evaluating f over the flat triples raises first: f at every
     x, then every y, then every mix, an EvalError's index the triple's; then,
     in log space, the first value in that order that is not positive.  Only
     that failure path evaluates the flat triples.
     """
-    points = _points(samples)
     try:
-        vals = f.eval_array(points)
+        vals = f.eval_array(_points(samples))
         if not log_space or (vals > 0).all():
             return vals
     except EvalError:
         pass
     x, y, _ = samples.flat()
-    flat = x, y, _at_mixes(samples, points)
+    flat = x, y, samples.mixes()
     vals = [f.eval_array(at) for at in flat]
     for v, at in zip(vals, flat):
         if log_space:
@@ -546,11 +534,28 @@ def _values(f, samples: SampleSet, log_space: bool) -> np.ndarray:
     raise AssertionError("every point of a set is an end or a mix of its triples")
 
 
+def _chords(samples: SampleSet, v: np.ndarray) -> np.ndarray:
+    """t*v(x) + (1-t)*v(y) for every triple, from v at the set's points."""
+    out = np.empty(samples.size)
+    for t, x, y, _, at in _blocks(samples):
+        _chord(t, v[x], v[y], out[at])
+    return out
+
+
+def _less_mixes(samples: SampleSet, v: np.ndarray, per_triple: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """``per_triple`` minus v at every triple's mix, into ``out``."""
+    for *_, mix, at in _blocks(samples):
+        np.subtract(per_triple[at], v[mix], out=out[at])
+    return out
+
+
 def _margins(f, samples: SampleSet, log_space: bool) -> np.ndarray:
     vals = _values(f, samples, log_space)
     if log_space:
-        vals = np.log(vals)
-    return samples.pairwise(_chord, vals) - _at_mixes(samples, vals)
+        np.log(vals, out=vals)  # f's values are a new array, never the points
+    chords = _chords(samples, vals)
+    return _less_mixes(samples, vals, chords, chords)
 
 
 def _tolerance_rule(tolerance: float):
@@ -636,7 +641,8 @@ def _on_range(phi: PhiMap, sampler: SamplePlan, judge) -> list:
 
 def _pinned(samples: SampleSet) -> SampleSet:
     """``samples`` with every t pinned to 1/2."""
-    return samples._replace(gt=np.full_like(samples.gt, 0.5), rt=np.full_like(samples.rt, 0.5))
+    return samples._replace(gt=np.full_like(samples.gt, 0.5), rt=np.full_like(samples.rt, 0.5),
+                            points=None)
 
 
 def _run_phi_check(class_checked, f, phi: PhiMap, sampler: SamplePlan, tolerance,
@@ -735,13 +741,18 @@ def _chain_links(f, samples: SampleSet, tolerance: float, phi: PhiMap | None = N
     on = samples if phi is None else _through(phi, samples)
     vals = _values(f, on, log_space=True)
     log_vals = np.log(vals)
-    log_gm = on.pairwise(_chord, log_vals)
-    weighted_am = on.pairwise(_chord, vals)
-    am_gm = weighted_am - np.exp(log_gm)
+    log_gm = _chords(on, log_vals)
+    bound = _less_mixes(on, log_vals, log_gm, np.empty_like(log_gm))
+    weighted_am = _chords(on, vals)
+    am_gm = np.subtract(weighted_am, np.exp(log_gm, out=log_gm), out=log_gm)
+    max_bound = np.empty_like(weighted_am)
+    for _, x, y, _, at in _blocks(on):
+        np.maximum(vals[x], vals[y], out=max_bound[at])
+    max_bound -= weighted_am
     return [LinkCheck(name, *_judge(margins, samples, tolerance)) for name, margins in (
-        ("multiplicative_bound", log_gm - _at_mixes(on, log_vals)),
+        ("multiplicative_bound", bound),
         ("weighted_am_gm", am_gm),
-        ("max_bound", on.pairwise(_larger, vals) - weighted_am),
+        ("max_bound", max_bound),
     )]
 
 

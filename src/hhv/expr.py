@@ -419,7 +419,8 @@ def evaluate_array(f: Expr, xs: np.ndarray | np.float64) -> np.ndarray | np.floa
     """Evaluate ``f`` elementwise on a 1-D array of finite points.
 
     On failure raises the typed error for the smallest failing index, so
-    witness selection is independent of internal evaluation order.
+    witness selection is independent of internal evaluation order.  The
+    values are a new array, never ``xs`` itself, even where f is x.
 
     A single point given as an ``np.float64`` runs the same walk on the
     scalar and returns an ``np.float64``, bit-identical to element 0 of the
@@ -439,6 +440,8 @@ def evaluate_array(f: Expr, xs: np.ndarray | np.float64) -> np.ndarray | np.floa
         vals = _walk(f.root, pts, guards)
     if type(vals) is float:
         vals = np.full_like(pts, vals)
+    elif vals is pts:  # f is x: a caller may write into what it gets
+        vals = pts.copy()
     else:
         vals = np.asarray(vals, dtype=float)
     bad = ~np.isfinite(vals)

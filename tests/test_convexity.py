@@ -805,7 +805,34 @@ def _phi(kind, a, b):
 
 
 class TestFactoredSamples:
-    def test_triples_flatten_in_lattice_then_random_order(self):
+    # the default plan (3 595 differences, 4 096 random triples) and the hunt
+    # plan: the hypothesis test below draws plans of at most 9 x 9 and 64
+    @pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(x_points=9, t_points=9,
+                                                              random_count=128)],
+                             ids=["default", "hunt"])
+    @pytest.mark.parametrize("text, map_kind, domain", [
+        ("exp(x^2)", "identity", (0.0, 1.0)),
+        ("x", "reversed", (0.5, 2.0)),
+        ("x^3 - x", "contracting", (-1.0, 0.25)),
+        ("abs(x - 0.2) + 0.1", "contracting", (0.1, 0.35)),
+    ])
+    def test_matches_flat_reference_at_full_plan_size(self, plan, text, map_kind, domain):
+        _assert_all_match(parse(text), _phi(map_kind, *domain), plan)
+
+    def test_certifying_f_x_leaves_the_set_as_it_was(self):
+        # f = x: its values are the set's points bit for bit, and the log
+        # space takes their log in place in a copy, never in the points;
+        # ln x is concave, so both find a violation
+        interval = Interval(0.5, 2.0)
+        samples = SamplePlan().samples(interval)
+        before = [arr.tobytes() for arr in samples]
+        f = parse("x")
+        assert check_log_convex(f, interval).verdict == VERDICT_VIOLATED
+        assert check_implication_chain(f, PhiMap.identity(interval)).verdict == VERDICT_VIOLATED
+        assert SamplePlan().samples(interval) is samples
+        assert [arr.tobytes() for arr in samples] == before
+
+    def test_triples_flatten_in_difference_span_then_random_order(self):
         # the differences of the 4-step grid, k = 1 then k = 2, then the span
         # row, then the random triples
         plan = SamplePlan(x_points=3, t_points=3, random_count=4, seed=2)
@@ -826,14 +853,28 @@ class TestFactoredSamples:
         for got, want in zip(samples.flat(), (xs, ys, ts)):
             assert got.tobytes() == want.tobytes()
 
-    def test_a_flat_set_leaves_the_kept_points(self):
-        # a chord check's direct side is flat and built once: it must not
-        # evict the plan's set on [0, 1], which every segment reads
-        samples = SamplePlan(x_points=3, t_points=3, random_count=4).samples(UNIT)
-        kept = convexity._points(samples)
+    def test_a_flat_set_leaves_the_kept_points(self, monkeypatch):
+        # the points are built with the plan's set on [0, 1]; a flat set,
+        # such as a chord check's direct side, builds its own, and every
+        # segment of a chord check reads the set's, none rebuilds them
+        plan = SamplePlan(x_points=3, t_points=3, random_count=4)
+        samples = plan.samples(UNIT)
+        kept = samples.points
+        assert convexity._points(samples) is kept
+        assert kept[:len(samples.fine)].base is samples.fine.base is kept
         flat = SampleSet(np.empty(0), np.empty(0), *samples.flat())
         assert convexity._points(flat) is not kept
-        assert convexity._points(samples) is kept
+        seen = []
+        segment_eval = convexity._Segment.eval_array
+        monkeypatch.setattr(convexity._Segment, "eval_array",
+                            lambda seg, ts: seen.append(ts) or segment_eval(seg, ts))
+        for check in (check_phi_chord_equivalence, check_log_phi_chord_equivalence):
+            seen.clear()
+            assert check(parse("exp(x)"), PhiMap.identity(UNIT), 4, plan).agree
+            # the log check also tests each segment's positivity on its grid
+            on_set = [ts for ts in seen if len(ts) != convexity.POSITIVITY_GRID + 1]
+            assert len(on_set) == 4 and all(ts is kept for ts in on_set)
+        assert plan.samples(UNIT) is samples
 
     def test_first_index_is_first_flat_occurrence_x_before_y(self):
         # f fails at one point of the set: the failure is reported at the first
@@ -861,7 +902,7 @@ class TestFactoredSamples:
         if "{c}" in template:
             # c at a chord end, before or after phi, at a random mix, or
             # anywhere in the domain
-            mixes = convexity._at_mixes(samples, convexity._points(samples))
+            mixes = samples.mixes()
             c = data.draw(st.one_of(
                 st.sampled_from(list(ends) + list(phi.eval_array(ends))),
                 st.sampled_from(list(mixes[len(mixes) - len(samples.rx):]) or [domain[0]]),
@@ -1241,7 +1282,7 @@ class TestFineGrid:
         xs, ys, ts = triples(samples)
         d = len(mid)
         assert (fine[lo] == xs[:d]).all() and (fine[hi] == ys[:d]).all()
-        mixes = convexity._at_mixes(samples, convexity._points(samples))
+        mixes = samples.mixes()
         assert mixes[:d].tobytes() == fine[mid].tobytes()
         assert (np.abs(mixes[:d] - (0.5 * xs[:d] + 0.5 * ys[:d])) <= _mix_bound(plan, a, b)).all()
         # the span row's mixes and the random ones are t*x + (1-t)*y
@@ -1269,7 +1310,7 @@ class TestFineGrid:
         assert margins[d] == 0 and margins[d + nt - 1] == 0
         # x == y: the mix is x, so f(mix) is f(x), bit for bit
         xs, ys, _ = samples.flat()
-        mixes = convexity._at_mixes(samples, convexity._points(samples))
+        mixes = samples.mixes()
         same = xs == ys
         assert mixes[same].tobytes() == xs[same].tobytes()
         if domain[0] == domain[1]:
@@ -1294,8 +1335,9 @@ class TestFineGrid:
                 got = convexity._margins(f, samples, log_space)
                 want = _ref_margins(f, xs, ys, ts, log_space, grid_mix)
                 assert got.tobytes() == want.tobytes()
-                at_mix = convexity._at_mixes(samples, convexity._values(f, samples, log_space))
-                assert at_mix[:len(grid_mix)].tobytes() == f.eval_array(grid_mix).tobytes()
+                at_grid = convexity._values(f, samples, log_space)[:len(samples.fine)]
+                at_mix = at_grid[convexity._differences(len(samples.fine))[1]]
+                assert at_mix.tobytes() == f.eval_array(grid_mix).tobytes()
 
     @pytest.mark.parametrize("plan", [SamplePlan(), SamplePlan(x_points=6, t_points=5, seed=3)])
     def test_one_call_of_f_per_clean_set(self, plan):
@@ -1354,7 +1396,7 @@ class TestPinnedFineGrid:
         xs, ys, ts = pinned.flat()
         assert (ts == 0.5).all() and pinned.size == samples.size
         d = plan.size - plan.t_points - plan.random_count
-        mixes = convexity._at_mixes(pinned, convexity._points(pinned))
+        mixes = pinned.mixes()
         assert mixes[:d].tobytes() == samples.fine[convexity._differences(len(samples.fine))[1]].tobytes()
         assert (np.abs(mixes[:d] - (0.5 * xs[:d] + 0.5 * ys[:d])) <= _mix_bound(plan, a, b)).all()
         assert mixes[d:].tobytes() == _ref_mixes(xs[d:], ys[d:], ts[d:]).tobytes()

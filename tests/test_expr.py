@@ -168,6 +168,18 @@ class TestEvaluate:
         arr = f.eval_array(xs)
         assert [evaluate(f, float(x)) for x in xs] == list(arr)
 
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_eval_array_never_hands_back_its_input(self, writeable):
+        # f = x: a caller that writes into the values must not write into xs
+        xs = np.linspace(0.5, 2.0, 9)
+        before = xs.tobytes()
+        xs.flags.writeable = writeable
+        vals = parse("x").eval_array(xs)
+        assert vals is not xs and not np.shares_memory(vals, xs)
+        assert vals.flags.writeable and vals.tobytes() == before
+        np.log(vals, out=vals)
+        assert xs.tobytes() == before
+
     def test_error_carries_smallest_index(self):
         f = parse("sqrt(1 - x) + ln(x)")
         with pytest.raises(DomainError) as exc:
