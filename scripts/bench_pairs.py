@@ -5,9 +5,13 @@
         --workloads certify chains --seconds 20 --out BENCH_12.json \
         [--trace-seed 921] [--change "what the change does"] [--workdir DIR]
 
-The parent side is the committed tree of REF, exported with ``git archive``
-into a fresh directory, so the run leaves nothing in the repository's git
-metadata.  The change side is this checkout as it is on disk.  For every
+The two sides differ only in code, not in where they sit on disk: the
+parent side is the committed tree of REF, exported with ``git archive``, and
+the change side is this checkout's working tree as it is on disk (every file
+that ``git ls-files --cached --others --exclude-standard`` lists), copied.
+They go into the sibling directories ``parent`` and ``change`` of one
+temporary directory, whose paths have one length, and ``roots`` records
+both.  The run leaves nothing in the repository's git metadata.  For every
 workload and seed, ``bench/run.py --trace 0`` runs once on each side; the
 side that runs first alternates from pair to pair.  ``runs`` holds every
 result line, in the shape of BENCH_10.json.  ``summary`` gives, for each
@@ -29,6 +33,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -49,6 +54,21 @@ def export(ref: str, dest: Path) -> Path:
     target = dest / "parent"
     with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
         tar.extractall(target, filter="data")
+    return target
+
+
+def export_working_tree(dest: Path) -> Path:
+    """The checkout's tracked and untracked, not ignored, files as they are on
+    disk, copied under ``dest``; a tracked file deleted on disk is left out."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], cwd=ROOT, stdout=subprocess.PIPE,
+                           check=True).stdout.decode().split("\0")
+    target = dest / "change"
+    for name in filter(None, names):
+        source = ROOT / name
+        if source.is_file():
+            (target / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target / name)
     return target
 
 
@@ -113,13 +133,14 @@ def main() -> int:
     ap.add_argument("--change", default="", help="one line saying what the change does")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--workdir", type=Path, default=None,
-                    help="where to export the parent (default: a temporary directory)")
+                    help="where to export both sides (default: a temporary directory)")
     args = ap.parse_args()
 
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        sides = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
+        sides = {"parent": export(args.parent, Path(tmp)),
+                 "change": export_working_tree(Path(tmp))}
         runs = []
         for workload in args.workloads:
             for p, seed in enumerate(args.seeds):
@@ -148,6 +169,7 @@ def main() -> int:
         "hardware": f"{os.cpu_count()} x {cpu_name()}; Python {platform.python_version()}, "
                     f"numpy {version('numpy')}",
         "pairs": "alternating parent/change pairs; order_in_pair 1 ran first",
+        "roots": {side: str(root) for side, root in sides.items()},
         "runs": runs,
         "summary": summarize(runs, better),
     }

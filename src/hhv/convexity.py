@@ -162,9 +162,9 @@ class SampleSet(NamedTuple):
 
     ``points`` are the points f runs on, read-only: the fine grid, the span
     row's mixes, the random x, the random y, the random mixes.  A drawn set
-    holds them, ``fine``, ``rx`` and ``ry`` being views of them; a flat set,
-    such as the chord check's direct side, has an empty grid and t axis, and
-    it, or a set with its t replaced, leaves them to :func:`_points`.
+    holds them, ``fine``, ``rx`` and ``ry`` being views of them, a set
+    pinned at t = 1/2 too; a flat set, such as the chord check's direct
+    side, has an empty grid and t axis, and leaves them to :func:`_points`.
     """
 
     fine: np.ndarray
@@ -204,10 +204,12 @@ class SampleSet(NamedTuple):
         return np.concatenate([points[mix] for *_, mix, _ in _blocks(self)])
 
 
-def _samples(plan: SamplePlan, a: float, b: float) -> SampleSet:
-    """The sample set of ``plan`` over [a, b]; a == b puts every point at a."""
+def _samples(plan: SamplePlan, a: float, b: float, pinned: bool = False) -> SampleSet:
+    """The sample set of ``plan`` over [a, b]; a == b puts every point at a.
+    ``pinned`` puts every t of the span row and the random triples at 1/2,
+    as the midconvex class reads them."""
     # -0.0 == 0.0 as a memo key; the ends' signs tell the two apart
-    return _draw_samples(plan, a, b, math.copysign(1.0, a), math.copysign(1.0, b))
+    return _draw_samples(plan, a, b, pinned, math.copysign(1.0, a), math.copysign(1.0, b))
 
 
 @lru_cache(maxsize=1)
@@ -220,7 +222,8 @@ def _unit_draw(plan: SamplePlan) -> np.ndarray:
 
 # one entry: a search needs no more, and more would raise certify's peak memory
 @lru_cache(maxsize=1)
-def _draw_samples(plan: SamplePlan, a: float, b: float, *_signs: float) -> SampleSet:
+def _draw_samples(plan: SamplePlan, a: float, b: float, pinned: bool,
+                  *_signs: float) -> SampleSet:
     u = _unit_draw(plan)
     n, span, r = (plan.x_points - 1) * (plan.t_points - 1) + 1, plan.t_points, plan.random_count
     points = np.empty(n + span + 3 * r)
@@ -229,8 +232,12 @@ def _draw_samples(plan: SamplePlan, a: float, b: float, *_signs: float) -> Sampl
         np.multiply(unit, b - a, out=out)
         out += a  # a + (b - a)*unit
     fine[-1] = b
-    # rt contiguous, for numpy's faster loops; the values are unchanged
-    samples = SampleSet(fine, _unit_grid(span - 1), rx, ry, np.ascontiguousarray(u[:, 2]), points)
+    if pinned:
+        gt, rt = np.full(span, 0.5), np.full(r, 0.5)
+    else:
+        # rt contiguous, for numpy's faster loops; the values are unchanged
+        gt, rt = _unit_grid(span - 1), np.ascontiguousarray(u[:, 2])
+    samples = SampleSet(fine, gt, rx, ry, rt, points)
     _write_mixes(samples)
     for arr in samples:  # every caller of the memo shares these arrays
         arr.flags.writeable = False
@@ -445,15 +452,21 @@ class EquivalenceReport:
 # ----------------------------- margin engine ---------------------------------
 
 class _Segment:
-    """t -> f(t*u + (1-t)*v), the restriction of f to a deformed chord."""
+    """t -> f(t*u + (1-t)*v), the restriction of f to a deformed chord.
 
-    def __init__(self, f, u: float, v: float):
+    ``unit`` is ``(ts, 1 - ts)`` for the points most calls run on, the
+    chord check's unit set, whose ``1 - ts`` is then not computed again."""
+
+    def __init__(self, f, u: float, v: float, unit: tuple | None = None):
         self.f = f
         self.u = float(u)
         self.v = float(v)
+        self.unit = unit
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
-        return self.f.eval_array(_chord(np.asarray(ts, dtype=float), self.u, self.v))
+        ts = np.asarray(ts, dtype=float)
+        rest = self.unit[1] if self.unit is not None and ts is self.unit[0] else None
+        return self.f.eval_array(_chord(ts, self.u, self.v, rest=rest))
 
 
 def _require_positive_values(vals: np.ndarray, points: np.ndarray, label="f") -> np.ndarray:
@@ -465,10 +478,13 @@ def _require_positive_values(vals: np.ndarray, points: np.ndarray, label="f") ->
     return vals
 
 
-def _chord(t, u, v, out=None):
-    """t*u + (1-t)*v, into ``out`` when given."""
-    rest = 1.0 - t
-    rest *= v
+def _chord(t, u, v, out=None, rest=None):
+    """t*u + (1-t)*v, into ``out`` when given; ``rest`` is 1 - t, if known."""
+    if rest is None:
+        rest = 1.0 - t
+        rest *= v
+    else:
+        rest = rest * v
     out = np.multiply(t, u, out=out)
     out += rest
     return out
@@ -626,23 +642,18 @@ def _pull_back(phi: PhiMap, witnesses: list) -> list | None:
             for w in witnesses]
 
 
-def _on_range(phi: PhiMap, sampler: SamplePlan, judge) -> list:
+def _on_range(phi: PhiMap, sampler: SamplePlan, judge, pinned: bool = False) -> list:
     """The φ protocol: ``judge(samples, None)`` on the samples of
     ``phi.range``, each result's witness mapped into the domain; where the
     witnesses do not pull back (:func:`_pull_back`), ``judge(samples, phi)``
     on the domain's samples, with f at the images of their ends under φ, as
-    the definition reads.  ``judge`` returns results that have a ``witness``."""
-    results = judge(_samples(sampler, *phi.range), None)
+    the definition reads.  ``judge`` returns results that have a ``witness``.
+    Both sets are drawn with ``pinned`` (:func:`_samples`)."""
+    results = judge(_samples(sampler, *phi.range, pinned), None)
     witnesses = _pull_back(phi, [r.witness for r in results])
     if witnesses is None:
-        return judge(sampler.samples(phi.domain), phi)
+        return judge(_samples(sampler, phi.domain.a, phi.domain.b, pinned), phi)
     return [r if w is None else replace(r, witness=w) for r, w in zip(results, witnesses)]
-
-
-def _pinned(samples: SampleSet) -> SampleSet:
-    """``samples`` with every t pinned to 1/2."""
-    return samples._replace(gt=np.full_like(samples.gt, 0.5), rt=np.full_like(samples.rt, 0.5),
-                            points=None)
 
 
 def _run_phi_check(class_checked, f, phi: PhiMap, sampler: SamplePlan, tolerance,
@@ -650,10 +661,9 @@ def _run_phi_check(class_checked, f, phi: PhiMap, sampler: SamplePlan, tolerance
     """:func:`_run_check` by the φ protocol (:func:`_on_range`); ``half_t``
     pins every t to 1/2."""
     def judge(samples, through):
-        samples = _pinned(samples) if half_t else samples
         return [_run_check(class_checked, f, samples, tolerance, log_space, through)]
 
-    return _on_range(phi, sampler, judge)[0]
+    return _on_range(phi, sampler, judge, pinned=half_t)[0]
 
 
 def _require_positivity(f, interval: Interval, label: str | None = None) -> None:
@@ -780,6 +790,8 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
     # one sample set for all pairs: each g is certified on it as check_convex
     # or check_log_convex would, and the direct side takes its t axis
     unit = sampler.samples(_UNIT)
+    ts = _points(unit)
+    on_unit = (ts, 1.0 - ts)  # every segment runs on ts: its 1 - t, once per check
     # direct side on matched samples: the mapped pairs crossed with the t axis
     none = np.empty(0)
     direct = SampleSet(none, none, np.repeat(px, sampler.t_points),
@@ -790,7 +802,7 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
     # [0, 1]; the first violated g settles the side, and no later pair runs
     bad_pair = None
     for i in range(pair_count):
-        seg = _Segment(f, px[i], py[i])
+        seg = _Segment(f, px[i], py[i], on_unit)
         if log_space:
             _require_positivity(seg, _UNIT)
         if _run_check(kind, seg, unit, tolerance, log_space).verdict == VERDICT_VIOLATED:

@@ -40,29 +40,30 @@ _CONSTANTS = {"e": math.e, "pi": math.pi}
 
 # ----------------------------- AST ------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
+# Nodes are named tuples: construction, hashing and equality run in C, and a
+# search builds and a chain hashes many trees.  A node equals the plain
+# tuple of its fields, and Var() is the empty tuple, so no code may test a
+# node's truth value; the node kinds never compare equal to each other, as
+# their fields differ in count or in type.
+
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str  # "e" | "pi"
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # "neg" | "exp" | "ln" | "sqrt" | "abs"
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # "+" | "-" | "*" | "/" | "^"
     left: "Node"
     right: "Node"
@@ -415,6 +416,17 @@ def _walk(node: Node, x: np.ndarray | np.float64,
     raise TypeError(f"not an AST node: {node!r}")
 
 
+@np.errstate(all="ignore")
+def _quiet_walk(node: Node, x: np.ndarray | np.float64,
+                guards: list[tuple[np.ndarray, str]]) -> np.ndarray | np.float64 | float:
+    """:func:`_walk` with numpy's floating-point errors ignored, under one
+    error-state entry per evaluation: the guards and the finiteness test
+    find every failing point.  The decorator costs about half a ``with``
+    block, and from numpy 2.0 it sets the state per thread and restores
+    the caller's."""
+    return _walk(node, x, guards)
+
+
 def evaluate_array(f: Expr, xs: np.ndarray | np.float64) -> np.ndarray | np.float64:
     """Evaluate ``f`` elementwise on a 1-D array of finite points.
 
@@ -436,8 +448,7 @@ def evaluate_array(f: Expr, xs: np.ndarray | np.float64) -> np.ndarray | np.floa
     if finite.size and not finite[finite.argmin()]:
         raise ValueError("evaluation points must be finite")
     guards: list[tuple[np.ndarray, str]] = []
-    with np.errstate(all="ignore"):
-        vals = _walk(f.root, pts, guards)
+    vals = _quiet_walk(f.root, pts, guards)
     if type(vals) is float:
         vals = np.full_like(pts, vals)
     elif vals is pts:  # f is x: a caller may write into what it gets
@@ -463,8 +474,7 @@ def _evaluate_point(f: Expr, x: np.float64) -> np.float64:
     if not math.isfinite(x):
         raise ValueError("evaluation points must be finite")
     guards: list[tuple[np.ndarray, str]] = []
-    with np.errstate(all="ignore"):
-        val = _walk(f.root, x, guards)
+    val = _quiet_walk(f.root, x, guards)
     # the first guard in post-order, as the array path reports at one index
     for fired, reason in guards:
         if fired:

@@ -131,53 +131,63 @@ def integrate(
     """
     if not 0 < tol < math.inf:  # also rejects NaN; inf would accept any first panel
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return _levels(f, interval, tol, max_depth, min_magnitude)
+
+
+# the caller's divide setting still reaches a callable integrand; overflow and
+# invalid values are found by the finiteness tests, and underflow moves no
+# bit.  The decorator enters numpy's error state once per call, at about half
+# the cost of a with block.
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def _levels(f: Integrand, interval: Interval, tol: float, max_depth: int,
+            min_magnitude: float) -> QuadratureResult:
+    """The level loop of :func:`integrate`, for a validated ``tol``."""
     centers = np.array([interval.midpoint])
     half = 0.5 * interval.b - 0.5 * interval.a  # halves first, as in Interval.midpoint
     budget = None
     total = err_total = 0.0
     evaluations = depth = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            xs = (centers[:, None] + half * NODES).ravel()
-            vals = np.asarray(f(xs), dtype=float)
-            evaluations += xs.size
-            scaled = vals.reshape(-1, NODES.size) * half
-            sums = scaled @ _SUMS
-            floor = np.abs(scaled) @ _FLOOR_WEIGHTS
-            err = np.abs(sums[:, 1]) + floor
-            # a non-finite value of f makes its panel's bound non-finite too
-            level_err = float(np.add.reduce(err))
-            if not math.isfinite(level_err):
-                raise _overflow(xs, vals)
-            if budget is None:  # depth 0: tol times ∫|f| on the whole interval
-                budget = tol * max(float(floor[0]) / ROUNDING_FLOOR, min_magnitude) or tol
-            ok = err <= budget
-            accepted = np.count_nonzero(ok)
-            if accepted == ok.size:
-                total += float(np.add.reduce(sums[:, 0]))
-                err_total += level_err
-                break
-            # a panel whose rounding floor alone misses its share is never
-            # accepted: its children's floors sum to about its own, on half
-            # the share each, so one of them misses too.  A subnormal share
-            # is rounded too coarsely for that, and the loop goes on.
-            if budget >= _TINY and floor.max() > budget:
-                i = int(np.argmax(floor > budget))
-                raise MaxDepthExceeded(float(centers[i] - half), float(centers[i] + half), depth)
-            if accepted:
-                total += float(np.add.reduce(sums[ok, 0]))
-                err_total += float(np.add.reduce(err[ok]))
-            centers = centers[~ok]
-            if depth >= max_depth or 2 * centers.size > MAX_OPEN_PANELS:
-                first = float(centers[0] - half), float(centers[0] + half)
-                if depth >= max_depth:
-                    raise MaxDepthExceeded(*first, depth)
-                raise OpenPanelLimitExceeded(*first, depth, MAX_OPEN_PANELS)
-            half *= 0.5
-            # the children of each open panel, left then right, in order
-            centers = np.add.outer(centers, (-half, half)).ravel()
-            budget *= 0.5
-            depth += 1
+    while True:
+        xs = (centers[:, None] + half * NODES).ravel()
+        vals = np.asarray(f(xs), dtype=float)
+        evaluations += xs.size
+        scaled = vals.reshape(-1, NODES.size) * half
+        sums = scaled @ _SUMS
+        floor = np.abs(scaled) @ _FLOOR_WEIGHTS
+        err = np.abs(sums[:, 1]) + floor
+        # a non-finite value of f makes its panel's bound non-finite too
+        level_err = float(np.add.reduce(err))
+        if not math.isfinite(level_err):
+            raise _overflow(xs, vals)
+        if budget is None:  # depth 0: tol times ∫|f| on the whole interval
+            budget = tol * max(float(floor[0]) / ROUNDING_FLOOR, min_magnitude) or tol
+        ok = err <= budget
+        accepted = np.count_nonzero(ok)
+        if accepted == ok.size:
+            total += float(np.add.reduce(sums[:, 0]))
+            err_total += level_err
+            break
+        # a panel whose rounding floor alone misses its share is never
+        # accepted: its children's floors sum to about its own, on half
+        # the share each, so one of them misses too.  A subnormal share
+        # is rounded too coarsely for that, and the loop goes on.
+        if budget >= _TINY and floor.max() > budget:
+            i = int(np.argmax(floor > budget))
+            raise MaxDepthExceeded(float(centers[i] - half), float(centers[i] + half), depth)
+        if accepted:
+            total += float(np.add.reduce(sums[ok, 0]))
+            err_total += float(np.add.reduce(err[ok]))
+        centers = centers[~ok]
+        if depth >= max_depth or 2 * centers.size > MAX_OPEN_PANELS:
+            first = float(centers[0] - half), float(centers[0] + half)
+            if depth >= max_depth:
+                raise MaxDepthExceeded(*first, depth)
+            raise OpenPanelLimitExceeded(*first, depth, MAX_OPEN_PANELS)
+        half *= 0.5
+        # the children of each open panel, left then right, in order
+        centers = np.add.outer(centers, (-half, half)).ravel()
+        budget *= 0.5
+        depth += 1
     if not math.isfinite(total):
         raise Overflow()
     return QuadratureResult(value=total, error_estimate=err_total, evaluations=evaluations)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,6 +120,15 @@ class SearchOutcome:
 def _derive_seed(seed: int, trial: int, role: int) -> int:
     digest = hashlib.blake2b(f"{seed}:{trial}:{role}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _with_seed(spec: FamilySpec, seed: int) -> FamilySpec:
+    """``dataclasses.replace(spec, seed=seed)`` for a validated ``spec``, without
+    running ``__post_init__`` again: the seed is the one field it does not
+    read.  A search makes up to three of these per trial."""
+    new = object.__new__(type(spec))
+    vars(new).update(vars(spec), seed=seed)
+    return new
 
 
 def _open_closed(rng: np.random.Generator, lo: float, hi: float, size: int) -> np.ndarray:
@@ -318,14 +327,14 @@ def find_counterexample(
     identity = PhiMap.identity(domain) if target.takes_phi and not draws_phi else None
     for trial in range(budget):
         try:
-            f = generate(replace(f_spec, seed=_derive_seed(seed, trial, 0)), domain)
+            f = generate(_with_seed(f_spec, _derive_seed(seed, trial, 0)), domain)
             phi = None
             if draws_phi:
-                phi = generate_phi(replace(phi_spec, seed=_derive_seed(seed, trial, 1)),
+                phi = generate_phi(_with_seed(phi_spec, _derive_seed(seed, trial, 1)),
                                    domain)
             g = None
             if target.takes_g:
-                g = generate(replace(f_spec, seed=_derive_seed(seed, trial, 2)), domain)
+                g = generate(_with_seed(f_spec, _derive_seed(seed, trial, 2)), domain)
             report, violated = run_target(target, f, g, identity if phi is None else phi,
                                           domain, sampler, tolerance=tolerance,
                                           quad_tol=quad_tol)

@@ -1212,6 +1212,27 @@ class TestDirectSegmentIdentity:
             segment = convexity._margins(convexity._Segment(f, u, v), unit, log_space)
             assert segment[start:start + nt].tobytes() == direct[i * nt:(i + 1) * nt].tobytes()
 
+    @pytest.mark.parametrize("check", [check_phi_chord_equivalence,
+                                       check_log_phi_chord_equivalence])
+    def test_one_minus_t_computed_once_per_check(self, check, monkeypatch):
+        # every pair's segment map on the unit set reads the check's 1 - t;
+        # the positivity grid and the set's own mixes compute their own
+        plan = SamplePlan(x_points=9, t_points=9, random_count=128)
+        points = len(plan.samples(UNIT).points)
+        chord = convexity._chord
+        on_unit = []
+
+        def recording(t, u, v, out=None, rest=None):
+            if np.size(t) == points:
+                on_unit.append(rest)
+            return chord(t, u, v, out, rest)
+
+        monkeypatch.setattr(convexity, "_chord", recording)
+        rep = check(parse("exp(x^2)"), PhiMap.identity(UNIT), 5, plan, 3)
+        assert rep.agree and rep.pairs_tested == 5
+        assert len(on_unit) == 5 and on_unit[0] is not None
+        assert all(rest is on_unit[0] for rest in on_unit)
+
 
 # grid sizes of every kind: (x_points - 1)*(t_points - 1) a power of two or not
 _grid_plans = st.builds(
@@ -1384,15 +1405,16 @@ class TestFineGrid:
 
 
 class TestPinnedFineGrid:
-    """check_log_phi_midconvex pins every t to 1/2; the differences are
-    midpoint tests already, and they read the same grid and index."""
+    """check_log_phi_midconvex draws its sets with every t pinned to 1/2; the
+    differences are midpoint tests already, and they read the same grid and
+    index."""
 
     @settings(max_examples=200, deadline=None)
     @given(_grid_plans, _intervals)
     def test_pinned_index_reads_the_midpoints(self, plan, ab):
         a, b = ab
         samples = convexity._samples(plan, a, b)
-        pinned = convexity._pinned(samples)
+        pinned = convexity._samples(plan, a, b, pinned=True)
         xs, ys, ts = pinned.flat()
         assert (ts == 0.5).all() and pinned.size == samples.size
         d = plan.size - plan.t_points - plan.random_count
@@ -1403,12 +1425,48 @@ class TestPinnedFineGrid:
         # the degenerate chords read their end bit for bit
         same = xs == ys
         assert mixes[same].tobytes() == xs[same].tobytes()
+        # the drawn set's t replaced by 1/2, its points built afterwards
+        replaced = samples._replace(gt=np.full_like(samples.gt, 0.5),
+                                    rt=np.full_like(samples.rt, 0.5), points=None)
+        assert pinned.points.tobytes() == convexity._points(replaced).tobytes()
+        for got, want in zip(pinned[:5], replaced[:5]):
+            assert got.tobytes() == want.tobytes()
 
     def test_pinned_index_is_cached_and_read_only(self):
         samples = SamplePlan().samples(UNIT)
-        pinned = convexity._pinned(samples)
-        assert pinned.fine is samples.fine
+        pinned = convexity._samples(SamplePlan(), UNIT.a, UNIT.b, pinned=True)
+        assert pinned.fine.tobytes() == samples.fine.tobytes()
         assert convexity._differences(len(pinned.fine)) is convexity._differences(len(samples.fine))
+        assert not any(arr.flags.writeable for arr in pinned)
+
+    def test_a_second_draw_reuses_the_pinned_set(self):
+        # the trials of an identity-φ midconvex search share the plan and the
+        # range, so they certify on one pinned set
+        plan = SamplePlan(x_points=9, t_points=9, random_count=128, seed=3)
+        first = convexity._samples(plan, 0.5, 2.0, pinned=True)
+        again = convexity._samples(plan, 0.5, 2.0, pinned=True)
+        assert again.points is first.points
+        # the unpinned set over the same range is another set
+        assert convexity._samples(plan, 0.5, 2.0).points is not first.points
+
+    def test_midconvex_search_trials_share_the_pinned_set(self, monkeypatch):
+        # every trial's certification reads the same points object
+        from hhv import search
+        seen = []
+        margins = convexity._margins
+
+        def recording(f, samples, log_space):
+            seen.append(samples.points)
+            return margins(f, samples, log_space)
+
+        monkeypatch.setattr(convexity, "_margins", recording)
+        plan = SamplePlan(x_points=9, t_points=9, random_count=128)
+        out = search.find_counterexample(
+            search.SearchTarget("check", "log_phi_midconvex"),
+            search.FamilySpec("exp_of_poly", 2, (0.0, 1.0)), None, Interval(0.5, 2.0),
+            budget=5, seed=7, sampler=plan)
+        assert out.trials == 5 and not out.found and len(seen) == 5
+        assert seen[0] is not None and all(points is seen[0] for points in seen)
 
 
 class TestFactoredDomainFailures:

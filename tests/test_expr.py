@@ -1,6 +1,10 @@
 import gc
 import math
+import os
 import re
+import sys
+import threading
+import time
 import warnings
 
 import mpmath
@@ -8,12 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hhv import convexity, expr
+from hhv import chains, convexity, expr
 from hhv.errors import DomainError, EvalError, Overflow, ParseError, UnknownIdentifierError
 from hhv.expr import (
     Binary, Const, Expr, Interval, Num, Unary, Var,
     check_positive, evaluate, evaluate_array, grid, parse, serialize,
 )
+from hhv.quadrature import integrate
 
 
 class TestParse:
@@ -100,6 +105,61 @@ _asts = st.recursive(
     ),
     max_leaves=25,
 )
+
+
+class TestTupleNodes:
+    """The nodes are named tuples: equal trees hash alike, their repr is the
+    one the frozen dataclasses had, and their fields cannot be assigned."""
+
+    TEXTS = ["x", "-exp(x)^2 + pi/e", "sqrt(abs(x - 0.5))*ln(x + 2)", "2.5*x^3 - 1e-300"]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_two_parses_give_equal_roots_with_equal_hashes(self, text):
+        a, b = parse(text).root, parse(text).root
+        assert a == b and hash(a) == hash(b)
+        assert a is not b or isinstance(a, Var)
+
+    @pytest.mark.parametrize("text, want", [
+        ("x", "Var()"),
+        ("-exp(x)^2 + pi/e",
+         "Binary(op='+', left=Unary(op='neg', arg=Binary(op='^', left=Unary(op='exp', "
+         "arg=Var()), right=Num(value=2.0))), right=Binary(op='/', left=Const(name='pi'), "
+         "right=Const(name='e')))"),
+        ("sqrt(abs(x - 0.5))*ln(x + 2)",
+         "Binary(op='*', left=Unary(op='sqrt', arg=Unary(op='abs', arg=Binary(op='-', "
+         "left=Var(), right=Num(value=0.5)))), right=Unary(op='ln', arg=Binary(op='+', "
+         "left=Var(), right=Num(value=2.0))))"),
+        ("2.5*x^3 - 1e-300",
+         "Binary(op='-', left=Binary(op='*', left=Num(value=2.5), right=Binary(op='^', "
+         "left=Var(), right=Num(value=3.0))), right=Num(value=1e-300))"),
+    ])
+    def test_repr_is_pinned(self, text, want):
+        assert repr(parse(text).root) == want
+
+    @pytest.mark.parametrize("node, field", [
+        (Num(1.0), "value"), (Const("pi"), "name"), (Unary("neg", Var()), "arg"),
+        (Binary("+", Var(), Num(1.0)), "left"),
+    ])
+    def test_fields_cannot_be_assigned(self, node, field):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Var())
+
+    def test_kinds_never_compare_equal(self):
+        # every kind differs from the others in its count or type of fields
+        nodes = [Num(0.0), Var(), Const("e"), Unary("neg", Var()), Binary("+", Var(), Var())]
+        for i, a in enumerate(nodes):
+            for b in nodes[i + 1:]:
+                assert a != b
+
+    def test_two_parses_share_a_mean(self):
+        chains._means.clear()
+        text = "exp(x^2) + 1/(x + 1)"
+        first = chains.eval_classic_hh(parse(text), Interval(0.0, 1.0))
+        keys = list(chains._means)
+        second = chains.eval_classic_hh(parse(text), Interval(0.0, 1.0))
+        assert list(chains._means) == keys and len(keys) == 1
+        assert first == second
+        chains._means.clear()
 
 
 class TestRoundTrip:
@@ -766,3 +826,80 @@ class TestInterval:
         assume(a < b and math.isfinite(b - a) and math.isfinite(a + b))
         assume(all(x == 0 or abs(x) >= 2.0**-1021 for x in (a, b)))
         assert Interval(a, b).midpoint.hex() == (0.5 * (a + b)).hex()
+
+
+# exp(-740*x) underflows to subnormal values, which integrate scales
+_ERRSTATE_TEXTS = ["exp(800*x)", "exp(-800*x) + 1", "exp(-740*x)", "1/(x - 0.5)",
+                   "ln(x - 0.25)", "1e308*(x + 1)", "sqrt(x)*exp(x)"]
+
+
+def _errstate_outcomes():
+    """Each evaluation's outcome: its values' bits, or its error's type and text."""
+    out = []
+    xs = grid(0.0, 1.0, 65)
+    for text in _ERRSTATE_TEXTS:
+        f = parse(text)
+        for run in (lambda: evaluate_array(f, xs).tobytes(),
+                    lambda: evaluate(f, 0.75).hex(),
+                    lambda: integrate(f.eval_array, Interval(0.0, 1.0))):
+            try:
+                out.append(run())
+            except EvalError as err:
+                out.append((type(err).__name__, str(err)))
+    return out
+
+
+class TestErrorState:
+    """Evaluation ignores numpy's floating-point errors under its own error
+    state, entered once per call, and hands the caller's back."""
+
+    def test_callers_raise_state_sees_only_typed_errors(self):
+        want = _errstate_outcomes()
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            assert _errstate_outcomes() == want
+            assert np.geterr() == before
+        assert any(isinstance(o, tuple) and o[0] == "Overflow" for o in want)
+        assert any(isinstance(o, tuple) and o[0] == "DomainError" for o in want)
+
+    def test_threads_keep_their_own_state(self):
+        want = _errstate_outcomes()
+        modes = [dict(all="raise"), dict(all="ignore"), dict(all="warn"),
+                 dict(over="raise", under="ignore", divide="warn", invalid="ignore")]
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cores = os.cpu_count() or 1
+        count = cores + 2
+        start = threading.Barrier(count)
+        problems: list = []
+
+        def work(mode):
+            try:
+                with np.errstate(**mode):
+                    state = np.geterr()
+                    start.wait()
+                    deadline = time.monotonic() + 1.0
+                    rounds = 0
+                    while rounds == 0 or time.monotonic() < deadline:
+                        if _errstate_outcomes() != want:
+                            problems.append(("outcome", mode))
+                        if np.geterr() != state:
+                            problems.append(("state", mode, np.geterr()))
+                        rounds += 1
+            except BaseException as err:  # noqa: BLE001 - reported below
+                problems.append(("raised", mode, repr(err)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(modes[i % len(modes)],))
+                       for i in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert problems == []

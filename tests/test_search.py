@@ -11,10 +11,11 @@ from hhv import expr, search
 from hhv.convexity import (
     POSITIVITY_GRID, PhiMap, SamplePlan, VERDICT_VIOLATED, check_log_convex,
 )
-from hhv.errors import GenerationExhausted, PhiRangeViolated
+from hhv.errors import GenerationExhausted, HHVError, PhiRangeViolated
 from hhv.expr import Interval, check_positive, evaluate_array, parse
 from hhv.search import (
-    FamilySpec, SearchTarget, find_counterexample, generate, generate_phi, run_target,
+    FamilySpec, SearchOutcome, SearchTarget, SearchWitness, find_counterexample, generate,
+    generate_phi, run_target,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -96,6 +97,17 @@ class TestGenerate:
                 for expr in (generate(spec, domain), generate_phi(phi_spec, domain).phi):
                     # repr tells -0.0 from 0.0, which == does not
                     assert repr(parse(expr.source_text).root) == repr(expr.root)
+
+    @pytest.mark.parametrize("family", search.FAMILIES)
+    def test_built_tree_equals_parsed_tree_with_its_hash(self, family):
+        domain = Interval(0.5, 2.0)
+        for seed in range(6):
+            built = search._build(FamilySpec(family, 3, (0.0, 2.0)), search._philox(seed, 0))
+            parsed = parse(built.source_text).root
+            assert parsed == built.root and hash(parsed) == hash(built.root)
+        phi = generate_phi(FamilySpec("positive_poly", 3, (0.1, 2.0), seed=4), domain).phi
+        parsed = parse(phi.source_text).root
+        assert parsed == phi.root and hash(parsed) == hash(phi.root)
 
     def test_power_family_on_positive_domain(self):
         expr = generate(FamilySpec("power", seed=3), Interval(0.5, 2.0))
@@ -426,6 +438,80 @@ class TestFindCounterexample:
                                        seed=_derive_seed(42, trial, 0))
             rep = check_log_convex(generate(spec, Interval(1, 2)), Interval(1, 2), LIGHT)
             assert rep.verdict != VERDICT_VIOLATED
+
+
+def _ref_find_counterexample(target, f_spec, phi_spec, domain, budget, seed, sampler):
+    """find_counterexample's loop with every per-trial spec built by
+    dataclasses.replace, which validates it again."""
+    skipped: dict[str, int] = {}
+    for trial in range(budget):
+        try:
+            f = generate(replace(f_spec, seed=search._derive_seed(seed, trial, 0)), domain)
+            phi = None
+            if phi_spec is not None and target.takes_phi:
+                phi = generate_phi(replace(phi_spec, seed=search._derive_seed(seed, trial, 1)),
+                                   domain)
+            g = None
+            if target.takes_g:
+                g = generate(replace(f_spec, seed=search._derive_seed(seed, trial, 2)), domain)
+            report, violated = run_target(target, f, g, phi, domain, sampler)
+        except HHVError as err:
+            skipped[type(err).__name__] = skipped.get(type(err).__name__, 0) + 1
+            continue
+        if violated:
+            return SearchOutcome(True, SearchWitness(
+                f.source_text, phi.phi.source_text if phi is not None else None,
+                g.source_text if g is not None else None, trial, report), trial + 1, seed, skipped)
+    return SearchOutcome(False, None, budget, seed, skipped)
+
+
+_TARGETS = [SearchTarget("check", name) for name in search._CHECKS] + [
+    SearchTarget("chain", name) for name in search.CHAIN_IDS]
+
+
+class TestPerTrialSpecs:
+    """Each trial's specs are copies of the validated spec with the trial's
+    seed, equal to what dataclasses.replace builds."""
+
+    @pytest.mark.parametrize("family", search.FAMILIES)
+    @pytest.mark.parametrize("target", _TARGETS, ids=lambda t: f"{t.kind}:{t.name}")
+    def test_outcome_equals_replace_loop(self, family, target, monkeypatch):
+        f_spec = FamilySpec(family, 2, (0.0, 2.0))
+        phi_spec = FamilySpec("positive_poly", 2, (0.1, 2.0))
+        domain, budget, seed = Interval(0.5, 2.0), 4, 17
+        specs = []
+
+        def recording(fn, base):
+            def wrapper(spec, domain):
+                specs.append((base, spec))
+                return fn(spec, domain)
+            return wrapper
+
+        monkeypatch.setattr(search, "generate", recording(generate, f_spec))
+        monkeypatch.setattr(search, "generate_phi", recording(generate_phi, phi_spec))
+        got = find_counterexample(target, f_spec, phi_spec, domain, budget, seed,
+                                  sampler=LIGHT)
+        monkeypatch.undo()
+        assert got == _ref_find_counterexample(target, f_spec, phi_spec, domain, budget,
+                                               seed, LIGHT)
+        assert specs
+        for base, spec in specs:
+            want = replace(base, seed=spec.seed)
+            assert type(spec) is FamilySpec and spec == want and hash(spec) == hash(want)
+            assert spec is not base and spec.seed != base.seed
+
+    def test_copies_carry_the_derived_seeds(self, monkeypatch):
+        seen = []
+
+        def recording(spec, domain):
+            seen.append(spec.seed)
+            return generate(spec, domain)
+
+        monkeypatch.setattr(search, "generate", recording)
+        find_counterexample(SearchTarget("chain", "theorem2"),
+                            FamilySpec("exp_of_poly", 1, (0.0, 1.0)), None, UNIT, 3, 9)
+        assert seen == [search._derive_seed(9, trial, role)
+                        for trial in range(3) for role in (0, 2)]
 
 
 class TestRunTarget:
