@@ -20,8 +20,11 @@ quartiles, the change's median and the pairs in which the change is ahead.
 Each run's record also holds ``cpu_us_per_job``, the job CPU time per job
 that ``bench/run.py`` prints, unscaled by its calibration, and ``summary``
 compares it as ``<workload>.cpu_us_per_job`` (lower is better).
-With ``--trace-seed N``, one traced run per workload and side adds its
-result line under ``traced_seed_N``.
+With ``--trace-seed N``, one traced run per workload and side adds what it
+can compare under ``traced_seed_N``: its ``correct``, ``attempted`` and
+``failed``, and the metrics whose unit is ``count``.  One traced run per
+side, the parent first, times nothing that a pair could compare, so its
+timings, shares and rates are left out.
 
 Exits 1 when a run is not ``correct`` or failed a job, after writing the file.
 """
@@ -80,6 +83,13 @@ def bench(root: Path, workload: str, seed: int, seconds: float,
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, check=True, text=True).stdout
     return json.loads(out.splitlines()[-1]), out
+
+
+def counts_only(result: dict) -> dict:
+    """A traced run's result line with only its outcome and its work counts."""
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: m for k, m in result["metrics"].items() if m["unit"] == "count"}}
 
 
 def cpu_us_per_job(out: str) -> float:
@@ -157,8 +167,8 @@ def main() -> int:
         traced = {}
         if args.trace_seed is not None:
             for workload in args.workloads:
-                traced[workload] = {side: bench(root, workload, args.trace_seed,
-                                                args.seconds, 1)[0]
+                traced[workload] = {side: counts_only(bench(root, workload, args.trace_seed,
+                                                            args.seconds, 1)[0])
                                     for side, root in sides.items()}
 
     record = {

@@ -26,6 +26,7 @@ this protocol for the φ certifiers and the implication chain.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -86,8 +87,9 @@ def _key_sequence() -> type:
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
     # a uint64 array keeps each key word exact; numpy would turn a list that
-    # holds a word >= 2**63 into float64
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    # holds a word >= 2**63 into float64.  operator.index turns a numpy
+    # integer into the equal int, whose two's-complement word the mask takes
+    key = np.array([operator.index(seed) & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
@@ -104,7 +106,9 @@ class SamplePlan:
     chord (b, a).  Random triples come from a counter-based generator keyed
     on (seed, index), so a larger ``random_count`` extends rather than
     reshuffles the set.  A plan holds at most ``MAX_SAMPLES`` triples
-    (:attr:`size`), so that its arrays fit in memory.
+    (:attr:`size`), so that its arrays fit in memory.  Every field is an
+    integer, stored as ``operator.index`` gives it: a numpy integer becomes
+    the equal int, and a fraction raises ``TypeError``.
     """
 
     x_points: int = 33
@@ -113,6 +117,8 @@ class SamplePlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("x_points", "t_points", "random_count", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.x_points < 2:
             raise ValueError(f"x_points must be >= 2, got {self.x_points}")
         if self.t_points < 3 or self.t_points % 2 == 0:
@@ -161,10 +167,11 @@ class SampleSet(NamedTuple):
     * every (rx[m], ry[m], rt[m]).
 
     ``points`` are the points f runs on, read-only: the fine grid, the span
-    row's mixes, the random x, the random y, the random mixes.  A drawn set
-    holds them, ``fine``, ``rx`` and ``ry`` being views of them, a set
-    pinned at t = 1/2 too; a flat set, such as the chord check's direct
-    side, has an empty grid and t axis, and leaves them to :func:`_points`.
+    row's mixes, the random x, the random y, the random mixes; ``rx``,
+    ``ry`` and a drawn set's ``fine`` are views of them.  Every set is built
+    with its points, drawn (:func:`_draw_samples`) or flat
+    (:func:`_flat_set`); a flat set, such as the chord check's direct side,
+    has an empty grid and t axis.
     """
 
     fine: np.ndarray
@@ -172,19 +179,18 @@ class SampleSet(NamedTuple):
     rx: np.ndarray
     ry: np.ndarray
     rt: np.ndarray
-    points: np.ndarray | None = None
+    points: np.ndarray
 
     @property
     def size(self) -> int:
         return len(_differences(len(self.fine))[0]) + len(self.gt) + len(self.rx)
 
-    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every triple's x, y and t, in order."""
-        lo, _, hi = _differences(len(self.fine))
-        g, span = self.fine, len(self.gt)
-        return (np.concatenate([g[lo], np.repeat(g[-1:], span), self.rx]),
-                np.concatenate([g[hi], np.repeat(g[:1], span), self.ry]),
-                np.concatenate([np.full(len(lo), 0.5), self.gt, self.rt]))
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every triple's x, y, t and mix, in order, read from the set's points."""
+        x, y, t, mix = (np.empty(self.size) for _ in range(4))
+        for bt, bx, by, bmix, at in _blocks(self):
+            x[at], y[at], t[at], mix[at] = self.points[bx], self.points[by], bt, self.points[bmix]
+        return x, y, t, mix
 
     def point(self, i: int) -> SampleTriple:
         """The triple at index ``i``, read from its block without :meth:`flat`."""
@@ -197,11 +203,6 @@ class SampleSet(NamedTuple):
             return SampleTriple(float(self.fine[-1]), float(self.fine[0]), float(self.gt[i]))
         i -= len(self.gt)
         return SampleTriple(float(self.rx[i]), float(self.ry[i]), float(self.rt[i]))
-
-    def mixes(self) -> np.ndarray:
-        """Every triple's mix, in order, read from the set's points."""
-        points = _points(self)
-        return np.concatenate([points[mix] for *_, mix, _ in _blocks(self)])
 
 
 def _samples(plan: SamplePlan, a: float, b: float, pinned: bool = False) -> SampleSet:
@@ -237,11 +238,19 @@ def _draw_samples(plan: SamplePlan, a: float, b: float, pinned: bool,
     else:
         # rt contiguous, for numpy's faster loops; the values are unchanged
         gt, rt = _unit_grid(span - 1), np.ascontiguousarray(u[:, 2])
-    samples = SampleSet(fine, gt, rx, ry, rt, points)
-    _write_mixes(samples)
-    for arr in samples:  # every caller of the memo shares these arrays
-        arr.flags.writeable = False
-    return samples
+    return _write_mixes(SampleSet(fine, gt, rx, ry, rt, points))
+
+
+def _flat_set(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> SampleSet:
+    """The triples (x[m], y[m], t[m]) as a set with an empty grid and t axis,
+    its points laid out as a drawn set's random block: x, y, then the mixes.
+    Its arrays, ``t`` too, are read-only."""
+    r = len(t)
+    points = np.empty(3 * r)
+    points[:r] = x
+    points[r:2 * r] = y
+    none = np.empty(0)
+    return _write_mixes(SampleSet(none, none, points[:r], points[r:2 * r], t, points))
 
 
 @lru_cache(maxsize=8)
@@ -506,29 +515,22 @@ def _blocks(samples: SampleSet) -> tuple[tuple, tuple, tuple]:
              slice(d + span, d + span + r)))
 
 
-def _write_mixes(samples: SampleSet) -> np.ndarray:
-    """``samples.points``, read-only, with the mixes t*x + (1-t)*y of the span
-    row and the random triples written in; a degenerate chord's is its end,
-    as on the fine grid, where t*x + (1-t)*x may round off x."""
+def _write_mixes(samples: SampleSet) -> SampleSet:
+    """``samples`` with the mixes t*x + (1-t)*y of the span row and the random
+    triples written into its points, and every array of it read-only: the
+    callers of a memo share them.  A degenerate chord's mix is its end, as on
+    the fine grid, where t*x + (1-t)*x may round off x."""
     points = samples.points
     for t, x, y, mix, _ in _blocks(samples)[1:]:
         _chord(t, points[x], points[y], points[mix])
         np.copyto(points[mix], points[x], where=points[x] == points[y])
-    points.flags.writeable = False
-    return points
-
-
-def _points(samples: SampleSet) -> np.ndarray:
-    """``samples.points``, built for a set that does not hold them in the
-    layout of its fields, the mixes in place of its t axis and random t."""
-    if samples.points is not None:
-        return samples.points
-    return _write_mixes(samples._replace(points=np.concatenate(
-        [samples.fine, samples.gt, samples.rx, samples.ry, samples.rt])))
+    for arr in samples:
+        arr.flags.writeable = False
+    return samples
 
 
 def _values(f, samples: SampleSet, log_space: bool) -> np.ndarray:
-    """f at the set's points (:func:`_points`) in one call of ``f.eval_array``.
+    """f at the set's points in one call of ``f.eval_array``.
 
     Raises what evaluating f over the flat triples raises first: f at every
     x, then every y, then every mix, an EvalError's index the triple's; then,
@@ -536,13 +538,13 @@ def _values(f, samples: SampleSet, log_space: bool) -> np.ndarray:
     that failure path evaluates the flat triples.
     """
     try:
-        vals = f.eval_array(_points(samples))
+        vals = f.eval_array(samples.points)
         if not log_space or (vals > 0).all():
             return vals
     except EvalError:
         pass
-    x, y, _ = samples.flat()
-    flat = x, y, samples.mixes()
+    x, y, _, mix = samples.flat()
+    flat = x, y, mix
     vals = [f.eval_array(at) for at in flat]
     for v, at in zip(vals, flat):
         if log_space:
@@ -604,9 +606,8 @@ def _through(phi: PhiMap, samples: SampleSet) -> SampleSet:
     """The triples of ``samples`` with every end replaced by its image under
     φ, range-checked, all as flat triples: the images of a grid are no
     grid.  An EvalError's index refers to the triples."""
-    x, y, t = samples.flat()
-    none = np.empty(0)
-    return SampleSet(none, none, phi.eval_array(x), phi.eval_array(y), t)
+    x, y, t, _ = samples.flat()
+    return _flat_set(phi.eval_array(x), phi.eval_array(y), t)
 
 
 def _run_check(class_checked, f, samples: SampleSet, tolerance,
@@ -769,9 +770,9 @@ def _chain_links(f, samples: SampleSet, tolerance: float, phi: PhiMap | None = N
 # ----------------------------- chord equivalences ----------------------------
 
 def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
-                       sampler: SamplePlan, seed: int, tolerance: float,
-                       log_space: bool) -> EquivalenceReport:
+                       sampler: SamplePlan, seed: int, tolerance: float) -> EquivalenceReport:
     """Both sides of a chord check; see :func:`check_log_phi_chord_equivalence`."""
+    seed = operator.index(seed)
     if pair_count < 0:
         raise ValueError(f"pair_count must be >= 0, got {pair_count}")
     if pair_count * sampler.t_points > MAX_SAMPLES:
@@ -780,6 +781,7 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
     if pair_count == 0:
         return EquivalenceReport(kind, True, 0, VERDICT_HOLDS, VERDICT_HOLDS, None, seed)
 
+    log_space = kind == "log_phi"
     dom = phi.domain
     u = _philox(seed, _STREAM_PAIRS).random((pair_count, 2))
     pair_x = dom.a + dom.width * u[:, 0]
@@ -787,25 +789,22 @@ def _chord_equivalence(kind: str, f, phi: PhiMap, pair_count: int,
     px = phi.eval_array(pair_x)
     py = phi.eval_array(pair_y)
 
-    # one sample set for all pairs: each g is certified on it as check_convex
-    # or check_log_convex would, and the direct side takes its t axis
+    # one sample set for all pairs: each g is certified on it by the
+    # certifier, and the direct side takes its t axis
     unit = sampler.samples(_UNIT)
-    ts = _points(unit)
-    on_unit = (ts, 1.0 - ts)  # every segment runs on ts: its 1 - t, once per check
+    on_unit = (unit.points, 1.0 - unit.points)  # every segment's 1 - t, once per check
     # direct side on matched samples: the mapped pairs crossed with the t axis
-    none = np.empty(0)
-    direct = SampleSet(none, none, np.repeat(px, sampler.t_points),
-                       np.repeat(py, sampler.t_points), np.tile(unit.gt, pair_count))
+    direct = _flat_set(np.repeat(px, sampler.t_points), np.repeat(py, sampler.t_points),
+                       np.tile(unit.gt, pair_count))
     direct_verdict = _judge(_margins(f, direct, log_space), direct, tolerance)[0]
 
     # segment side: each pair induces g(t) = f(t*phi(x) + (1-t)*phi(y)) on
     # [0, 1]; the first violated g settles the side, and no later pair runs
+    check = check_log_convex if log_space else check_convex
     bad_pair = None
     for i in range(pair_count):
         seg = _Segment(f, px[i], py[i], on_unit)
-        if log_space:
-            _require_positivity(seg, _UNIT)
-        if _run_check(kind, seg, unit, tolerance, log_space).verdict == VERDICT_VIOLATED:
+        if check(seg, _UNIT, sampler, tolerance=tolerance).verdict == VERDICT_VIOLATED:
             bad_pair = float(pair_x[i]), float(pair_y[i])
             break
     segment_verdict = VERDICT_HOLDS if bad_pair is None else VERDICT_VIOLATED
@@ -837,8 +836,7 @@ def check_log_phi_chord_equivalence(f, phi: PhiMap, pair_count: int,
     ``pair_count * sampler.t_points`` may not exceed ``MAX_SAMPLES``.
     """
     _require_positivity(f, phi.domain)
-    return _chord_equivalence("log_phi", f, phi, pair_count, sampler, seed,
-                              tolerance, log_space=True)
+    return _chord_equivalence("log_phi", f, phi, pair_count, sampler, seed, tolerance)
 
 
 def check_phi_chord_equivalence(f, phi: PhiMap, pair_count: int,
@@ -850,5 +848,4 @@ def check_phi_chord_equivalence(f, phi: PhiMap, pair_count: int,
     convexity, each g certified as :func:`check_convex` would), with the same
     draw, the same stop at the first violated g and the same bound on
     ``pair_count``."""
-    return _chord_equivalence("phi", f, phi, pair_count, sampler, seed,
-                              tolerance, log_space=False)
+    return _chord_equivalence("phi", f, phi, pair_count, sampler, seed, tolerance)

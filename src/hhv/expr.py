@@ -7,6 +7,12 @@ unary minus, and the binary operators ``+ - * / ^``.  ``^`` binds tightest
 and is right-associative, then unary minus, then ``* /``, then ``+ -``.
 The full grammar is published as EBNF in docs/grammar.ebnf.
 
+An expression may nest at most ``MAX_DEPTH`` levels deep: the parsed tree
+is at most that high, and parentheses, function calls, unary minus and
+exponents nest at most that deep in the text.  ``parse`` raises
+:class:`~hhv.errors.ParseError` beyond it, so that neither parsing nor
+evaluation runs out of Python's default recursion limit.
+
 Evaluation never returns a silent NaN: every point either yields a finite
 real or raises a typed :class:`~hhv.errors.DomainError` /
 :class:`~hhv.errors.Overflow` carrying the offending abscissa.
@@ -29,10 +35,15 @@ import numpy as np
 from .errors import DomainError, EvalError, Overflow, ParseError, UnknownIdentifierError
 
 __all__ = [
-    "Num", "Var", "Const", "Unary", "Binary", "Node",
+    "MAX_DEPTH", "Num", "Var", "Const", "Unary", "Binary", "Node",
     "Expr", "Interval", "PositivityCheck",
     "parse", "serialize", "evaluate", "evaluate_array", "check_positive", "grid",
 ]
+
+# a tree this high evaluates about 120 frames deep through a theorem2 search,
+# and parsing text nested this deep takes about 600 frames: both well within
+# Python's default recursion limit of 1000
+MAX_DEPTH = 100
 
 _FUNCTIONS = ("exp", "ln", "sqrt", "abs")
 _CONSTANTS = {"e": math.e, "pi": math.pi}
@@ -155,10 +166,16 @@ _ATOM_EXPECTED = ("number", "'x'", "'e'", "'pi'", "function call", "'('")
 
 
 class _Parser:
+    """Recursive descent.  Each rule returns its node and the node's height,
+    a leaf's being 1, and ``nesting`` counts the parentheses, function calls,
+    unary minus and exponents open at the current token; neither may pass
+    ``MAX_DEPTH``."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -169,7 +186,7 @@ class _Parser:
         return tok
 
     def parse(self) -> Node:
-        node = self.sum()
+        node, _ = self.sum()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(
@@ -178,64 +195,77 @@ class _Parser:
             )
         return node
 
-    def sum(self) -> Node:
-        node = self.term()
+    def sum(self) -> tuple[Node, int]:
+        node, height = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, h = self.term()
+            node, height = Binary(tok.text, node, right), _deeper(max(height, h), tok)
+        return node, height
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> tuple[Node, int]:
+        node, height = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.unary())
-        return node
+            tok = self.advance()
+            right, h = self.unary()
+            node, height = Binary(tok.text, node, right), _deeper(max(height, h), tok)
+        return node, height
 
-    def unary(self) -> Node:
-        if self.peek().kind == "op" and self.peek().text == "-":
+    def unary(self) -> tuple[Node, int]:
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Unary("neg", self.unary())
+            arg, height = self.nested(self.unary, tok)
+            return Unary("neg", arg), _deeper(height, tok)
         return self.power()
 
-    def power(self) -> Node:
-        base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+    def power(self) -> tuple[Node, int]:
+        base, height = self.atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
             self.advance()
             # right-associative; exponent may carry its own unary minus
-            return Binary("^", base, self.unary())
-        return base
+            exponent, h = self.nested(self.unary, tok)
+            return Binary("^", base, exponent), _deeper(max(height, h), tok)
+        return base, height
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple[Node, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
             value = float(tok.text)
             if not math.isfinite(value):
                 raise ParseError(f"number literal {tok.text!r} overflows", tok.offset)
-            return Num(value)
+            return Num(value), 1
         if tok.kind == "ident":
             self.advance()
             if tok.text in _FUNCTIONS:
                 self.expect("(", after=f"function '{tok.text}'")
-                arg = self.sum()
+                arg, height = self.nested(self.sum, tok)
                 self.expect(")", after="function argument")
-                return Unary("ln" if tok.text == "ln" else tok.text, arg)
+                return Unary("ln" if tok.text == "ln" else tok.text, arg), _deeper(height, tok)
             if tok.text == "x":
-                return Var()
+                return Var(), 1
             if tok.text in _CONSTANTS:
-                return Const(tok.text)
+                return Const(tok.text), 1
             raise UnknownIdentifierError(tok.text, tok.offset)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.sum()
+            out = self.nested(self.sum, tok)
             self.expect(")", after="parenthesized expression")
-            return node
+            return out
         raise ParseError(
             f"unexpected token {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.offset,
             expected=_ATOM_EXPECTED,
         )
+
+    def nested(self, rule, tok: _Token) -> tuple[Node, int]:
+        """``rule()`` one nesting level below ``tok``."""
+        self.nesting = _deeper(self.nesting, tok)
+        out = rule()
+        self.nesting -= 1
+        return out
 
     def expect(self, op: str, after: str) -> None:
         tok = self.peek()
@@ -247,11 +277,21 @@ class _Parser:
         )
 
 
+def _deeper(level: int, tok: _Token) -> int:
+    """``level + 1``: the height of a node built at ``tok`` over children at
+    most ``level`` high, or the nesting inside ``tok``; ``ParseError`` at
+    ``tok`` beyond ``MAX_DEPTH``."""
+    if level == MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than MAX_DEPTH = {MAX_DEPTH}", tok.offset)
+    return level + 1
+
+
 def parse(text: str) -> Expr:
     """Parse expression text into an :class:`Expr`.
 
     Raises :class:`~hhv.errors.ParseError` (with byte offset and the set of
-    expected tokens) or :class:`~hhv.errors.UnknownIdentifierError`.
+    expected tokens), also for text that nests deeper than ``MAX_DEPTH``,
+    or :class:`~hhv.errors.UnknownIdentifierError`.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0, expected=_ATOM_EXPECTED)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .convexity import (
     check_log_phi_midconvex, check_phi_convex,
 )
 from .errors import GenerationExhausted, HHVError, Overflow, PhiRangeViolated
-from .expr import Binary, Expr, Interval, Node, Num, Unary, Var, check_positive
+from .expr import MAX_DEPTH, Binary, Expr, Interval, Node, Num, Unary, Var, check_positive
 
 __all__ = [
     "FamilySpec", "SearchTarget", "SearchWitness", "SearchOutcome",
@@ -32,6 +33,10 @@ __all__ = [
 FAMILIES = ("exp_of_poly", "positive_poly", "affine_exp", "power")
 
 _MAX_TRIES = 16
+# how much higher than its degree bound a drawn tree can be: generate_phi's,
+# whose first term in the rescaled variable is 6 high and sits 4 levels down;
+# every candidate f is lower
+_PHI_HEIGHT = 10
 _STREAM_GEN = 0x6765_6e00  # generation attempts occupy a block of streams
 
 
@@ -44,6 +49,10 @@ class FamilySpec:
     ``affine_exp`` requires ``hi > 0`` and draws its rate in [-hi, hi].  A
     range whose width overflows cannot be drawn from and is rejected.  The
     ``power`` family ignores the range and draws its exponent in [-3, 3].
+    ``degree_bound`` and ``seed`` are stored as ``operator.index`` gives
+    them, and ``degree_bound`` is at most ``MAX_DEPTH - _PHI_HEIGHT``, so
+    that no tree drawn with the spec, as f or as φ, is higher than
+    ``MAX_DEPTH``.
     """
 
     family: str
@@ -54,8 +63,14 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; use one of {FAMILIES}")
+        for name in ("degree_bound", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.degree_bound < 0:
             raise ValueError(f"degree_bound must be >= 0, got {self.degree_bound}")
+        if self.degree_bound > MAX_DEPTH - _PHI_HEIGHT:
+            raise ValueError(f"degree_bound must be <= {MAX_DEPTH - _PHI_HEIGHT}, got "
+                             f"{self.degree_bound}: its trees would nest deeper than "
+                             f"MAX_DEPTH = {MAX_DEPTH}")
         lo, hi = self.coeff_range
         if not lo < hi:
             raise ValueError(f"coeff_range must be increasing, got {self.coeff_range}")

@@ -297,6 +297,26 @@ def _mp_log_mean(p, q):
     return p if p == q else (p - q) / (mp.log(p) - mp.log(q))
 
 
+class TestDepthBound:
+    def test_tree_at_the_bound_through_theorem2(self):
+        # a tree exactly MAX_DEPTH high evaluates through theorem2's f*g mean,
+        # and so does the same tree through a search's run_target
+        from hhv.expr import MAX_DEPTH
+        from hhv.search import SearchTarget, run_target
+
+        f = parse("+".join(["x"] * (MAX_DEPTH - 1)) + "+1")
+        g = parse("1+" + "*".join(["x"] * (MAX_DEPTH - 1)))
+        phi = PhiMap.identity(Interval(1.0, 1.5))
+        rep = eval_theorem2(f, g, phi, include_diagnostics=True)
+        assert values(rep)[0] == pytest.approx(mean_value(
+            lambda xs: ((MAX_DEPTH - 1) * xs + 1) * (1 + xs ** (MAX_DEPTH - 1)),
+            Interval(1.0, 1.5)), rel=1e-9)
+        chains._means.clear()
+        got = run_target(SearchTarget("chain", "theorem2"), f, g, phi, phi.domain,
+                         diagnostics=True)[0]
+        assert got == rep
+
+
 class TestRelativeLinkBand:
     """A link is judged against the tolerance times the larger magnitude of
     its two terms, and the integral means are accurate relative to their

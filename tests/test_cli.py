@@ -169,6 +169,32 @@ class TestExitCodes:
         assert payload["verdict"] == "link_violated"
 
 
+class TestDeepExpressions:
+    """Text nested deeper than MAX_DEPTH is a usage error, as is a degree
+    bound whose drawn trees would be; neither runs out of recursion."""
+
+    DEEP = ["+".join(["x"] * 1200), "(" * 400 + "x" + ")" * 400]
+
+    @pytest.mark.parametrize("f", DEEP)
+    def test_deep_f_is_a_parse_error(self, capsys, f):
+        code, payload, _ = run_json(capsys, "check", "--class", "convex", "--a", "0", "--b", "1",
+                                    "--f", f)
+        assert code == 2
+        assert payload["error"]["type"] == "ParseError"
+        assert "nests deeper than MAX_DEPTH = 100" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_degree_beyond_the_bound_is_a_usage_error(self, capsys, seed):
+        code, payload, _ = run_json(
+            capsys, "search", "--target", "check:convex", "--f-family", "positive_poly",
+            "--f-degree", "3000", "--a", "1", "--b", "2", "--budget", "3", "--seed", str(seed))
+        assert code == 2
+        assert payload["error"] == {
+            "type": "ValueError",
+            "message": "degree_bound must be <= 90, got 3000: its trees would nest deeper "
+                       "than MAX_DEPTH = 100"}
+
+
 class TestSubcommandFlags:
     UNIT = ["--f", "x^2", "--a", "0", "--b", "1"]
 
@@ -785,6 +811,14 @@ class TestSubprocessEntry:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["verdict"] == "holds_on_samples"
+
+    @pytest.mark.parametrize("f", TestDeepExpressions.DEEP)
+    def test_deep_expression_exits_two_without_traceback(self, f):
+        proc = self.run_module("-m", "hhv", "check", "--class", "convex", "--a", "0", "--b", "1",
+                               "--f", f)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+        assert "Traceback" not in proc.stderr
 
     def test_overflowing_panel_sum_exits_three_without_warning(self):
         # f itself stays finite; its integral over [0, 10], 1e309, overflows

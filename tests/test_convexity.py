@@ -145,6 +145,46 @@ class TestSamplePlan:
         assert plan.size == samples.size == len(xs) == len(samples.flat()[0])
 
 
+class TestIntegerFields:
+    """SamplePlan's fields and the chord checks' seeds are stored as
+    operator.index gives them: a numpy integer is the equal int, a fraction
+    raises TypeError."""
+
+    BASE = dict(x_points=9, t_points=5, random_count=16, seed=3)
+
+    @pytest.mark.parametrize("field", BASE)
+    @pytest.mark.parametrize("kind", [np.int64, np.uint16])
+    def test_numpy_integers_give_the_int_plan(self, field, kind):
+        plan = SamplePlan(**{**self.BASE, field: kind(self.BASE[field])})
+        assert plan == SamplePlan(**self.BASE) and type(getattr(plan, field)) is int
+        f = parse("exp(x^2) - 0.9*x")
+        got = check_log_convex(f, Interval(0.0, 2.0), plan)
+        assert repr(got) == repr(check_log_convex(f, Interval(0.0, 2.0), SamplePlan(**self.BASE)))
+
+    @pytest.mark.parametrize("field", BASE)
+    @pytest.mark.parametrize("value", [2.5, 5.0, np.float64(3.0)])
+    def test_fractions_rejected_at_construction(self, field, value):
+        with pytest.raises(TypeError):
+            SamplePlan(**{**self.BASE, field: value})
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.int64(-1), np.uint64(2**63 + 5)])
+    def test_numpy_seed_draws_the_int_stream(self, seed):
+        for stream in (convexity._STREAM_TRIPLES, convexity._STREAM_PAIRS):
+            assert np.array_equal(convexity._philox(seed, stream).random(5),
+                                  convexity._philox(int(seed), stream).random(5))
+
+    @pytest.mark.parametrize("check", [check_phi_chord_equivalence,
+                                       check_log_phi_chord_equivalence])
+    def test_chord_check_seeds(self, check):
+        phi, f = PhiMap(parse("x^2"), UNIT), parse("exp(x) + 0.5*x^3")
+        got = check(f, phi, 4, SMALL, np.int64(3))
+        assert repr(got) == repr(check(f, phi, 4, SMALL, 3)) and type(got.seed) is int
+        with pytest.raises(TypeError):
+            check(f, phi, 4, SMALL, 1.5)
+        with pytest.raises(TypeError):
+            check(f, phi, 0, SMALL, 1.5)
+
+
 class TestPhiloxKeys:
     # draws of the list-keyed generator: keys below 2**63 must not move
     @pytest.mark.parametrize("seed, stream, draw", [
@@ -488,6 +528,34 @@ class TestChordEquivalences:
         assert rep.disagreeing_pair == (float(pair_x[0]), float(pair_y[0]))
         assert rep == _ref_chord_equivalence(f, phi, 3, plan, 6, log_space=True)
 
+    @pytest.mark.parametrize("check, certifier, holds, fails", [
+        (check_phi_chord_equivalence, "check_convex", "exp(x)", "-x^2"),
+        (check_log_phi_chord_equivalence, "check_log_convex", "exp(x^2)", "exp(-x^2)"),
+    ])
+    def test_segments_enter_the_certifier_once_per_pair(self, check, certifier, holds, fails,
+                                                         monkeypatch):
+        # the segment side certifies each chord map g with the certifier, on
+        # [0, 1] with the check's plan and tolerance, and stops at the first
+        # violated g
+        plan = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
+        phi = PhiMap.identity(UNIT)
+        entered = []
+        real = getattr(convexity, certifier)
+
+        def counted(f, interval, sampler, *, tolerance):
+            rep = real(f, interval, sampler, tolerance=tolerance)
+            entered.append((type(f), interval, sampler, tolerance, rep.verdict))
+            return rep
+
+        monkeypatch.setattr(convexity, certifier, counted)
+        rep = check(parse(holds), phi, 4, plan, 6, tolerance=1e-7)
+        assert rep.agree and rep.segment_verdict == VERDICT_HOLDS
+        assert entered == [(convexity._Segment, UNIT, plan, 1e-7, VERDICT_HOLDS)] * 4
+        entered.clear()
+        rep = check(parse(fails), phi, 4, plan, 6)
+        assert rep.segment_verdict == VERDICT_VIOLATED
+        assert [verdict for *_, verdict in entered] == [VERDICT_VIOLATED]
+
     def test_pair_count_is_bounded_before_any_draw(self):
         import tracemalloc
 
@@ -574,6 +642,24 @@ def _ref_margins(f, xs, ys, ts, log_space, grid_mix=None):
     return ts * fx + (1.0 - ts) * fy - fm
 
 
+def _assert_layout(samples):
+    """``samples`` holds read-only points in the documented layout: the fine
+    grid, the span row's mixes, the random x, the random y, the random
+    mixes; ``fine``, ``rx`` and ``ry`` are views of them."""
+    n, span, r = len(samples.fine), len(samples.gt), len(samples.rx)
+    points = samples.points
+    assert not any(arr.flags.writeable for arr in samples)
+    assert len(points) == n + span + 3 * r
+    for view, start in ((samples.fine, 0), (samples.rx, n + span), (samples.ry, n + span + r)):
+        if len(view):  # a flat set's grid is empty
+            assert view.base is points and view.ctypes.data == points[start:].ctypes.data
+    ends = (np.full(span, samples.fine[-1]), np.full(span, samples.fine[0])) if n else ((), ())
+    want = np.concatenate([samples.fine, _ref_mixes(*map(np.asarray, ends), samples.gt),
+                           samples.rx, samples.ry,
+                           _ref_mixes(samples.rx, samples.ry, samples.rt)])
+    assert points.tobytes() == want.tobytes()
+
+
 def _ref_range(phi):
     """[min φ, max φ] over PhiMap's construction grid, evaluated afresh."""
     vals = phi.phi.eval_array(np.linspace(phi.domain.a, phi.domain.b, convexity.PHI_GRID))
@@ -581,11 +667,23 @@ def _ref_range(phi):
 
 
 def _ref_samples(plan, a, b):
-    """The plan's samples over [a, b], built by hand; a == b is allowed."""
+    """The plan's samples over [a, b], built by hand, with their points in the
+    documented layout: the fine grid, the span row's mixes, the random x, the
+    random y, the random mixes; a == b is allowed."""
     u = convexity._philox(plan.seed, convexity._STREAM_TRIPLES).random((plan.random_count, 3))
-    return SampleSet(_ref_fine(a, b, (plan.x_points - 1) * (plan.t_points - 1)),
-                     _ref_t_axis(plan.t_points),
-                     a + (b - a) * u[:, 0], a + (b - a) * u[:, 1], u[:, 2])
+    fine = _ref_fine(a, b, (plan.x_points - 1) * (plan.t_points - 1))
+    gt = _ref_t_axis(plan.t_points)
+    rx, ry, rt = a + (b - a) * u[:, 0], a + (b - a) * u[:, 1], u[:, 2]
+    span_mix = _ref_mixes(np.full_like(gt, fine[-1]), np.full_like(gt, fine[0]), gt)
+    return SampleSet(fine, gt, rx, ry, rt,
+                     np.concatenate([fine, span_mix, rx, ry, _ref_mixes(rx, ry, rt)]))
+
+
+def _ref_flat_points(xs, ys, ts):
+    """The points of the flat triples (xs, ys, ts) as the engine laid them out
+    before flat sets held their points: x, y and t concatenated, with each
+    t overwritten by the triple's mix."""
+    return np.concatenate([xs, ys, _ref_mixes(xs, ys, ts)])
 
 
 def _ref_run_check(f, ab, plan, log_space, half_t=False,
@@ -844,14 +942,17 @@ class TestFactoredSamples:
             (1.0, 0.0, 0.0), (1.0, 0.0, 0.5), (1.0, 0.0, 1.0)]
         assert (xs[7:] == samples.rx).all() and (ys[7:] == samples.ry).all()
         assert (ts[7:] == samples.rt).all()
-        flat = SampleSet(np.empty(0), np.empty(0), xs, ys, ts)
+        flat = convexity._flat_set(xs, ys, ts)
         for i in range(samples.size):
             assert samples.point(i) == flat.point(i) == SampleTriple(xs[i], ys[i], ts[i])
         assert samples.point(-1) == SampleTriple(xs[-1], ys[-1], ts[-1])
         with pytest.raises(IndexError):
             samples.point(samples.size)
-        for got, want in zip(samples.flat(), (xs, ys, ts)):
-            assert got.tobytes() == want.tobytes()
+        mixes = _ref_mixes(xs, ys, ts, _ref_grid_mix(samples))
+        for got in (samples.flat(), flat.flat()):
+            assert len(got) == 4
+            for got_arr, want in zip(got, (xs, ys, ts, mixes)):
+                assert got_arr.tobytes() == want.tobytes()
 
     def test_a_flat_set_leaves_the_kept_points(self, monkeypatch):
         # the points are built with the plan's set on [0, 1]; a flat set,
@@ -860,10 +961,9 @@ class TestFactoredSamples:
         plan = SamplePlan(x_points=3, t_points=3, random_count=4)
         samples = plan.samples(UNIT)
         kept = samples.points
-        assert convexity._points(samples) is kept
         assert kept[:len(samples.fine)].base is samples.fine.base is kept
-        flat = SampleSet(np.empty(0), np.empty(0), *samples.flat())
-        assert convexity._points(flat) is not kept
+        flat = convexity._flat_set(*samples.flat()[:3])
+        assert flat.points is not kept and flat.points.base is None
         seen = []
         segment_eval = convexity._Segment.eval_array
         monkeypatch.setattr(convexity._Segment, "eval_array",
@@ -902,7 +1002,7 @@ class TestFactoredSamples:
         if "{c}" in template:
             # c at a chord end, before or after phi, at a random mix, or
             # anywhere in the domain
-            mixes = samples.mixes()
+            mixes = samples.flat()[3]
             c = data.draw(st.one_of(
                 st.sampled_from(list(ends) + list(phi.eval_array(ends))),
                 st.sampled_from(list(mixes[len(mixes) - len(samples.rx):]) or [domain[0]]),
@@ -912,6 +1012,58 @@ class TestFactoredSamples:
         _assert_all_match(parse(template), phi, plan,
                           pair_count=data.draw(st.integers(0, 4)),
                           pair_seed=data.draw(st.integers(0, 2**16)))
+
+
+class TestSetsHoldTheirPoints:
+    """Every set the engine builds holds its points: drawn, pinned, the chord
+    check's flat direct side and the flat set through φ."""
+
+    PLAN = SamplePlan(x_points=5, t_points=5, random_count=12, seed=4)
+
+    @pytest.mark.parametrize("ab", [(0.0, 1.0), (-1.0, 0.25), (0.5, 0.5)])
+    def test_drawn_and_pinned_sets(self, ab):
+        for pinned in (False, True):
+            samples = convexity._samples(self.PLAN, *ab, pinned)
+            _assert_layout(samples)
+            if not pinned:
+                assert samples.points.tobytes() == _ref_samples(self.PLAN, *ab).points.tobytes()
+
+    def _built(self, monkeypatch, run):
+        built = []
+        flat_set = convexity._flat_set
+        monkeypatch.setattr(convexity, "_flat_set",
+                            lambda *args: built.append(flat_set(*args)) or built[-1])
+        run()
+        return built
+
+    @pytest.mark.parametrize("check", [check_phi_chord_equivalence,
+                                       check_log_phi_chord_equivalence])
+    def test_flat_direct_side(self, check, monkeypatch):
+        phi = PhiMap(parse("x^2"), UNIT)
+        built = self._built(monkeypatch, lambda: check(parse("exp(x)"), phi, 3, self.PLAN, 6))
+        assert len(built) == 1
+        direct = built[0]
+        _assert_layout(direct)
+        _, _, xs, ys, ts = _ref_direct_triples(phi, 3, self.PLAN, seed=6)
+        xs, ys = phi.eval_array(xs), phi.eval_array(ys)
+        assert direct.points.tobytes() == _ref_flat_points(xs, ys, ts).tobytes()
+        for got, want in zip(direct.flat(), (xs, ys, ts, _ref_mixes(xs, ys, ts))):
+            assert got.tobytes() == want.tobytes()
+        for text in ("exp(x^2)", "x^3 - x"):
+            for log_space in (False, True):
+                _assert_margins_match(parse(text), direct, log_space)
+
+    def test_set_through_phi(self, monkeypatch):
+        # a φ that jumps: the class falls back to the domain's samples through φ
+        phi = PhiMap(parse(_TWO_PIECES), UNIT)
+        f = parse("sqrt(abs(x - 0.5)) + 0.1")
+        built = self._built(monkeypatch, lambda: check_phi_convex(f, phi, self.PLAN))
+        assert len(built) == 1
+        through = built[0]
+        _assert_layout(through)
+        xs, ys, ts = triples(self.PLAN.samples(UNIT))
+        xs, ys = phi.eval_array(xs), phi.eval_array(ys)
+        assert through.points.tobytes() == _ref_flat_points(xs, ys, ts).tobytes()
 
 
 # positive on every domain of _domains, so that the log space applies
@@ -1201,10 +1353,9 @@ class TestDirectSegmentIdentity:
         phi = _phi(map_kind, *domain)
         pair_x, pair_y, _, _, ts = _ref_direct_triples(phi, pair_count, plan, pair_seed)
         px, py = phi.eval_array(pair_x), phi.eval_array(pair_y)
-        none = np.empty(0)
         nt = plan.t_points
         direct = convexity._margins(
-            f, SampleSet(none, none, np.repeat(px, nt), np.repeat(py, nt), ts), log_space)
+            f, convexity._flat_set(np.repeat(px, nt), np.repeat(py, nt), ts), log_space)
         unit = plan.samples(UNIT)
         start = plan.size - nt - plan.random_count  # after the differences
         assert unit.point(start) == SampleTriple(1.0, 0.0, 0.0)
@@ -1303,7 +1454,7 @@ class TestFineGrid:
         xs, ys, ts = triples(samples)
         d = len(mid)
         assert (fine[lo] == xs[:d]).all() and (fine[hi] == ys[:d]).all()
-        mixes = samples.mixes()
+        mixes = samples.flat()[3]
         assert mixes[:d].tobytes() == fine[mid].tobytes()
         assert (np.abs(mixes[:d] - (0.5 * xs[:d] + 0.5 * ys[:d])) <= _mix_bound(plan, a, b)).all()
         # the span row's mixes and the random ones are t*x + (1-t)*y
@@ -1330,8 +1481,7 @@ class TestFineGrid:
         # t = 0 and t = 1 on the span row: the mix is an end, and so is f there
         assert margins[d] == 0 and margins[d + nt - 1] == 0
         # x == y: the mix is x, so f(mix) is f(x), bit for bit
-        xs, ys, _ = samples.flat()
-        mixes = samples.mixes()
+        xs, ys, _, mixes = samples.flat()
         same = xs == ys
         assert mixes[same].tobytes() == xs[same].tobytes()
         if domain[0] == domain[1]:
@@ -1415,20 +1565,20 @@ class TestPinnedFineGrid:
         a, b = ab
         samples = convexity._samples(plan, a, b)
         pinned = convexity._samples(plan, a, b, pinned=True)
-        xs, ys, ts = pinned.flat()
+        xs, ys, ts, mixes = pinned.flat()
         assert (ts == 0.5).all() and pinned.size == samples.size
         d = plan.size - plan.t_points - plan.random_count
-        mixes = pinned.mixes()
         assert mixes[:d].tobytes() == samples.fine[convexity._differences(len(samples.fine))[1]].tobytes()
         assert (np.abs(mixes[:d] - (0.5 * xs[:d] + 0.5 * ys[:d])) <= _mix_bound(plan, a, b)).all()
         assert mixes[d:].tobytes() == _ref_mixes(xs[d:], ys[d:], ts[d:]).tobytes()
         # the degenerate chords read their end bit for bit
         same = xs == ys
         assert mixes[same].tobytes() == xs[same].tobytes()
-        # the drawn set's t replaced by 1/2, its points built afterwards
-        replaced = samples._replace(gt=np.full_like(samples.gt, 0.5),
-                                    rt=np.full_like(samples.rt, 0.5), points=None)
-        assert pinned.points.tobytes() == convexity._points(replaced).tobytes()
+        # the drawn set's t replaced by 1/2, its mixes written afterwards
+        replaced = convexity._write_mixes(samples._replace(
+            gt=np.full_like(samples.gt, 0.5), rt=np.full_like(samples.rt, 0.5),
+            points=samples.points.copy()))
+        assert pinned.points.tobytes() == replaced.points.tobytes()
         for got, want in zip(pinned[:5], replaced[:5]):
             assert got.tobytes() == want.tobytes()
 
@@ -1561,7 +1711,7 @@ class TestFactoredDomainFailures:
     def test_direct_side_margins_bit_identical(self):
         phi = PhiMap(parse("x^2"), UNIT)
         _, _, xs, ys, ts = _ref_direct_triples(phi, 5, self.PLAN, seed=8)
-        direct = SampleSet(np.empty(0), np.empty(0), phi.eval_array(xs), phi.eval_array(ys), ts)
+        direct = convexity._flat_set(phi.eval_array(xs), phi.eval_array(ys), ts)
         for text in ("exp(x^2)", "sqrt(x + 0.1)"):
             _assert_margins_match(parse(text), direct, True)
 

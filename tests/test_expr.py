@@ -107,6 +107,62 @@ _asts = st.recursive(
 )
 
 
+def height(node) -> int:
+    """The height of a tree, a leaf's being 1, without recursion."""
+    best, todo = 0, [(node, 1)]
+    while todo:
+        node, h = todo.pop()
+        best = max(best, h)
+        if type(node) is Binary:
+            todo += [(node.left, h + 1), (node.right, h + 1)]
+        elif type(node) is Unary:
+            todo.append((node.arg, h + 1))
+    return best
+
+
+class TestDepthBound:
+    """Text that nests deeper than MAX_DEPTH raises ParseError, never
+    RecursionError; text at the bound parses and evaluates."""
+
+    # (text nested n deep, the height of its tree)
+    SHAPES = {
+        "sum": lambda n: ("+".join(["x"] * n), n),
+        "product": lambda n: ("*".join(["x"] * n), n),
+        "power": lambda n: ("^".join(["x"] * n), n),
+        "minus": lambda n: ("-" * (n - 1) + "x", n),
+        "sqrt": lambda n: ("sqrt(" * (n - 1) + "x" + ")" * (n - 1), n),
+        "parens": lambda n: ("(" * n + "x" + ")" * n, 1),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_at_the_bound_parses_and_evaluates(self, shape):
+        text, h = self.SHAPES[shape](expr.MAX_DEPTH)
+        f = parse(text)
+        assert height(f.root) == h
+        assert np.isfinite(f.eval_array(np.array([0.5, 1.0]))).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_beyond_the_bound_raises(self, shape):
+        text, _ = self.SHAPES[shape](expr.MAX_DEPTH + 1)
+        with pytest.raises(ParseError, match=f"nests deeper than MAX_DEPTH = {expr.MAX_DEPTH}"):
+            parse(text)
+
+    @pytest.mark.parametrize("text", ["+".join(["x"] * 1200), "(" * 400 + "x" + ")" * 400,
+                                      "-" * 5000 + "x", "(" * 100_000])
+    def test_deep_text_raises_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    def test_error_offset_is_the_token_that_nests_too_deep(self):
+        n = expr.MAX_DEPTH
+        with pytest.raises(ParseError) as err:
+            parse("(" * (n + 1) + "x" + ")" * (n + 1))
+        assert err.value.offset == n
+        with pytest.raises(ParseError) as err:
+            parse("+".join(["x"] * (n + 1)))
+        assert err.value.offset == 2 * n - 1  # the last "+"
+
+
 class TestTupleNodes:
     """The nodes are named tuples: equal trees hash alike, their repr is the
     one the frozen dataclasses had, and their fields cannot be assigned."""

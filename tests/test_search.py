@@ -22,6 +22,19 @@ UNIT = Interval(0.0, 1.0)
 LIGHT = SamplePlan(x_points=9, t_points=5, random_count=64, seed=0)
 
 
+def height(node) -> int:
+    """The height of a tree, a leaf's being 1, without recursion."""
+    best, todo = 0, [(node, 1)]
+    while todo:
+        node, h = todo.pop()
+        best = max(best, h)
+        if type(node) is expr.Binary:
+            todo += [(node.left, h + 1), (node.right, h + 1)]
+        elif type(node) is expr.Unary:
+            todo.append((node.arg, h + 1))
+    return best
+
+
 class TestFamilySpec:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -57,6 +70,39 @@ class TestFamilySpec:
     def test_widest_drawable_ranges_accepted(self, family, coeff_range):
         for stream in range(4):
             search._build(FamilySpec(family, 1, coeff_range), search._philox(3, stream))
+
+
+class TestFamilySpecFields:
+    def test_numpy_integers_give_the_int_spec(self):
+        spec = FamilySpec("power", np.int64(2), seed=np.int64(3))
+        assert spec == FamilySpec("power", 2, seed=3)
+        assert type(spec.degree_bound) is int and type(spec.seed) is int
+        for family in search.FAMILIES:
+            want = generate(FamilySpec(family, 3, seed=3), Interval(0.5, 2.0))
+            got = generate(FamilySpec(family, np.int64(3), seed=np.int64(3)), Interval(0.5, 2.0))
+            assert got == want
+        assert (generate_phi(FamilySpec("positive_poly", 3, seed=np.uint32(7)), UNIT)
+                == generate_phi(FamilySpec("positive_poly", 3, seed=7), UNIT))
+
+    @pytest.mark.parametrize("kwargs", [dict(degree_bound=1.5), dict(degree_bound=2.0),
+                                        dict(seed=0.5)])
+    def test_fractions_rejected(self, kwargs):
+        with pytest.raises(TypeError):
+            FamilySpec("power", **kwargs)
+
+    def test_degree_bound_keeps_every_tree_within_max_depth(self):
+        top = expr.MAX_DEPTH - search._PHI_HEIGHT
+        for family in search.FAMILIES:
+            FamilySpec(family, top)
+            with pytest.raises(ValueError, match=f"degree_bound must be <= {top}, got {top + 1}"):
+                FamilySpec(family, top + 1)
+        heights = [height(generate_phi(FamilySpec("positive_poly", top, seed=s),
+                                       Interval(-1.0, 1.0)).phi.root) for s in range(300)]
+        assert max(heights) == expr.MAX_DEPTH
+        for family in search.FAMILIES:
+            for s in range(20):
+                spec = FamilySpec(family, top, (0.0, 1.0), seed=s)
+                assert height(generate(spec, Interval(0.5, 1.0)).root) < expr.MAX_DEPTH
 
 
 class TestSearchTarget:
